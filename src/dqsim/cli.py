@@ -27,6 +27,7 @@ import json
 import math
 import sys
 import time
+from itertools import product
 
 import numpy as np
 
@@ -53,6 +54,8 @@ _TABLE3_CONFIGS = [
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -61,9 +64,7 @@ def _fmt(x) -> str:
 
 
 def _round12(obj):
-    if isinstance(obj, float):
-        return float(format(obj, ".12g"))
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, (float, np.floating)):
         return float(format(float(obj), ".12g"))
     if isinstance(obj, (np.integer,)):
         return int(obj)
@@ -101,6 +102,11 @@ def _emit(args, header: list[str], rows: list[tuple], meta: dict) -> None:
         sys.stdout.write(text)
 
 
+def _long_rows(xs, ys, values) -> list[tuple]:
+    """One (x, y, value) row per cell of a 2-d grid, x varying slowest."""
+    return [(float(x), float(y), float(v)) for (x, y), v in zip(product(xs, ys), values.flat)]
+
+
 def _parse_range(spec: str, name: str):
     try:
         lo, hi, num = spec.split(":")
@@ -112,11 +118,29 @@ def _parse_range(spec: str, name: str):
     return np.linspace(lo, hi, num)
 
 
+def _points_ok(pts: int) -> bool:
+    """Phase-space grids need 4k + 1 points per axis (Simpson on both halvings)."""
+    return pts >= 5 and (pts - 1) % 4 == 0
+
+
 def _parse_grid2(spec: str):
     parts = spec.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("grid must be 'A0:A1:NA,R0:R1:NR'")
     return _parse_range(parts[0], "first"), _parse_range(parts[1], "second")
+
+
+def _parse_square(spec: str) -> tuple[float, int]:
+    try:
+        half_s, pts_s = spec.split(":")
+        half, pts = float(half_s), int(pts_s)
+        if not (half > 0 and _points_ok(pts)):
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad wigner grid '{spec}', expected HALFWIDTH:POINTS with POINTS = 4k + 1 (e.g. 6:201)"
+        )
+    return half, pts
 
 
 def _config(args) -> dq.CMConfig:
@@ -178,33 +202,25 @@ def _cmd_state(args):
 def _cmd_scan(args):
     a_vals, r_vals = _parse_grid2(args.grid)
     V = squeezing.variance_x_map(args.n, args.m, a_vals[:, None], r_vals[None, :])
-    rows = []
-    for i, a2 in enumerate(a_vals):
-        for j, r in enumerate(r_vals):
-            rows.append((float(a2), float(r), float(V[i, j])))
-    return ["alpha_sq", "R", "value"], rows, {"command": "scan", "n": args.n, "m": args.m}
+    meta = {"command": "scan", "n": args.n, "m": args.m}
+    return ["alpha_sq", "R", "value"], _long_rows(a_vals, r_vals, V), meta
+
+
+_OPTIMUM_HEADER = ["n", "m", "min_var", "alpha_sq", "R", "boundary_hit"]
+
+
+def _optimum_row(r: squeezing.OptimumRecord) -> tuple:
+    return (r.n, r.m, r.min_var, r.alpha_sq, r.R, r.boundary_hit)
 
 
 def _cmd_optimize(args):
     rec = squeezing.optimize_cm_squeezing(args.n, args.m)
-    rows = [(rec.n, rec.m, rec.min_var, rec.alpha_sq, rec.R, rec.boundary_hit)]
-    return (
-        ["n", "m", "min_var", "alpha_sq", "R", "boundary_hit"],
-        rows,
-        {"command": "optimize"},
-    )
+    return _OPTIMUM_HEADER, [_optimum_row(rec)], {"command": "optimize"}
 
 
 def _cmd_table1(args):
-    records = squeezing.table1()
-    rows = [
-        (r.n, r.m, r.min_var, r.alpha_sq, r.R, r.boundary_hit) for r in records
-    ]
-    return (
-        ["n", "m", "min_var", "alpha_sq", "R", "boundary_hit"],
-        rows,
-        {"command": "table1"},
-    )
+    rows = [_optimum_row(r) for r in squeezing.table1()]
+    return _OPTIMUM_HEADER, rows, {"command": "table1"}
 
 
 def _cmd_table2(args):
@@ -237,33 +253,21 @@ def _cmd_table3(args):
 
 
 def _cmd_wigner(args):
-    cfg = _config(args)
-    state, _ = dq.build_dq(cfg)
-    if args.grid:
-        try:
-            half_s, pts_s = args.grid.split(":")
-            half, pts = float(half_s), int(pts_s)
-        except ValueError:
-            raise argparse.ArgumentTypeError("wigner grid must be 'HALFWIDTH:POINTS'")
-        grid = nongauss.PhaseGrid.centered(state.displacement, half, pts)
+    square = _parse_square(args.grid) if args.grid else None
+    state, _ = dq.build_dq(_config(args))
+    if square:
+        grid = nongauss.PhaseGrid.centered(state.displacement, *square)
     else:
         grid = nongauss.default_grid(state, args.points)
     W = nongauss.wigner_closed(state, grid.mesh())
-    rows = []
-    for i, x in enumerate(grid.xs):
-        for j, p in enumerate(grid.ps):
-            rows.append((float(x), float(p), float(W[i, j])))
-    return ["re_beta", "im_beta", "value"], rows, {"command": "wigner"}
+    return ["re_beta", "im_beta", "value"], _long_rows(grid.xs, grid.ps, W), {"command": "wigner"}
 
 
 def _cmd_hsd_scan(args):
     a_vals, r_vals = _parse_grid2(args.grid)
     grid = nongauss.hsd_scan(args.n, args.m, a_vals, r_vals)
-    rows = []
-    for i, a2 in enumerate(a_vals):
-        for j, r in enumerate(r_vals):
-            rows.append((float(a2), float(r), float(grid[i, j])))
-    return ["alpha_sq", "R", "value"], rows, {"command": "hsd-scan", "n": args.n, "m": args.m}
+    meta = {"command": "hsd-scan", "n": args.n, "m": args.m}
+    return ["alpha_sq", "R", "value"], _long_rows(a_vals, r_vals, grid), meta
 
 
 def _cmd_fidelity_map(args):
@@ -302,10 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=False, grid=None, etas=False, points=0):
+    def add_common(p, config=False, grid=None, etas=False, points=0, dim=False):
         p.add_argument("--out", help="output file path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--dim", type=int, help="override the truncation heuristic")
+        if dim:
+            p.add_argument("--dim", type=int, help="override the truncation heuristic")
         p.add_argument(
             "--tolerance-report",
             action="store_true",
@@ -326,11 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eta-s", type=float, help="source purity weight in [0, 1]")
         if points:
             p.add_argument(
-                "--points", type=int, default=points, help="phase-space grid points per axis"
+                "--points", type=int, default=points, help="grid points per axis, 4k + 1"
             )
 
     p = sub.add_parser("state", help="single-configuration report")
-    add_common(p, config="full", etas=True)
+    add_common(p, config="full", etas=True, dim=True)
     p = sub.add_parser("scan", help="min variance over an (|alpha|^2, R) grid")
     add_common(p, config=True, grid="0.05:16:160,0.05:0.95:91")
     p = sub.add_parser("optimize", help="best squeezing for one (n, m)")
@@ -340,31 +345,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="heralded vs free superposition optima")
     add_common(p)
     p = sub.add_parser("table3", help="benchmark success probabilities and negativities")
-    add_common(p, etas=True, points=401)
+    add_common(p, etas=True, points=401, dim=True)
     p = sub.add_parser("wigner", help="Wigner samples for one configuration")
     add_common(p, config="full", grid=True, points=201)
     p = sub.add_parser("hsd-scan", help="non-Gaussianity over an (|alpha|^2, R) grid")
     add_common(p, config=True, grid="0.05:16:80,0.05:0.95:46")
     p = sub.add_parser("fidelity-map", help="fidelity over an (eta_d, eta_s) grid")
-    add_common(p, config="full", grid="0:1:21,0:1:21")
+    add_common(p, config="full", grid="0:1:21,0:1:21", dim=True)
     return parser
 
 
 def run(args) -> int:
     start = time.perf_counter()
     validators = {
-        "alpha_sq": lambda v: v >= 0,
-        "R": lambda v: 0 < v < 1,
-        "n": lambda v: v >= 0,
-        "m": lambda v: v >= 0,
-        "eta_d": lambda v: 0 <= v <= 1,
-        "eta_s": lambda v: 0 <= v <= 1,
-        "dim": lambda v: v >= 1,
+        "alpha_sq": (lambda v: v >= 0, "must be >= 0"),
+        "R": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+        "n": (lambda v: v >= 0, "must be >= 0"),
+        "m": (lambda v: v >= 0, "must be >= 0"),
+        "eta_d": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+        "eta_s": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+        "dim": (lambda v: v >= 1, "must be >= 1"),
+        "points": (_points_ok, "must be 4k + 1 with k >= 1"),
     }
-    for name, ok in validators.items():
+    for name, (ok, rule) in validators.items():
         val = getattr(args, name, None)
         if val is not None and not ok(val):
-            print(f"dqsim: invalid value for --{name.replace('_', '-')}: {val}", file=sys.stderr)
+            print(f"dqsim: invalid --{name.replace('_', '-')} {val}: {rule}", file=sys.stderr)
             return 2
     try:
         header, rows, meta = _COMMANDS[args.command](args)

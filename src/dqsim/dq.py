@@ -207,16 +207,16 @@ def coefficients_grid(n: int, m: int, alpha, R) -> np.ndarray:
     return np.stack([np.broadcast_to(r, alpha_b.shape) for r in rows])
 
 
+def _herald_prefactor(cfg: CMConfig) -> float:
+    """R^n / (m! n!) exp(-|alpha|^2 (1 - R)), the success probability per unit sum_q |C_q|^2."""
+    pref = cfg.R ** cfg.n / (math.factorial(cfg.m) * math.factorial(cfg.n))
+    return pref * math.exp(-abs(cfg.alpha) ** 2 * (1.0 - cfg.R))
+
+
 def success_probability(cfg: CMConfig) -> float:
     """Ideal heralding probability of the (n, m, alpha, R) run."""
     c = raw_coefficients(cfg)
-    s = float(np.vdot(c, c).real)
-    pref = (
-        cfg.R ** cfg.n
-        / (math.factorial(cfg.m) * math.factorial(cfg.n))
-        * math.exp(-abs(cfg.alpha) ** 2 * (1.0 - cfg.R))
-    )
-    return pref * s
+    return _herald_prefactor(cfg) * float(np.vdot(c, c).real)
 
 
 def build_dq(cfg: CMConfig) -> tuple[DQState, float]:
@@ -227,17 +227,12 @@ def build_dq(cfg: CMConfig) -> tuple[DQState, float]:
         raise ZeroProbability(
             f"all coefficients vanish for n={cfg.n}, m={cfg.m}, alpha={cfg.alpha}"
         )
-    pref = (
-        cfg.R ** cfg.n
-        / (math.factorial(cfg.m) * math.factorial(cfg.n))
-        * math.exp(-abs(cfg.alpha) ** 2 * (1.0 - cfg.R))
-    )
     state = DQState(
         displacement=complex(cfg.alpha) * math.sqrt(cfg.R),
         coeffs=c / math.sqrt(s),
         config=cfg,
     )
-    return state, pref * s
+    return state, _herald_prefactor(cfg) * s
 
 
 def to_fock(state: DQState, t: fock.Truncation) -> fock.FockVector:

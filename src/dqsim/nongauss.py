@@ -25,6 +25,7 @@ from scipy.optimize import minimize
 
 from . import dq, fock
 from .errors import GridTooCoarse, NonPhysicalCovariance
+from .squeezing import bare_moment, covariance_from_moments
 
 __all__ = [
     "GaussianRef",
@@ -106,11 +107,7 @@ def _moments_from_density(rho: fock.DensityMatrix) -> tuple[complex, complex, fl
 
 
 def _ref_from_moments(a1: complex, a2: complex, n1: float) -> GaussianRef:
-    central2 = a2 - a1 * a1
-    spread = n1 - abs(a1) ** 2
-    sxx = central2.real + spread + 0.5
-    spp = -central2.real + spread + 0.5
-    sxp = central2.imag
+    sxx, spp, sxp = covariance_from_moments(a1, a2, n1)
     det = sxx * spp - sxp * sxp
     if det < 0.25 - 1e-9:
         raise NonPhysicalCovariance(f"det(sigma) = {det:.6e} < 1/4")
@@ -147,18 +144,6 @@ def hsd(rho: fock.DensityMatrix) -> float:
     num = float(np.trace(diff @ diff).real)
     den = 2.0 * float(np.trace(rho.mat @ rho.mat).real)
     return num / den
-
-
-def _qudit_moments(c: np.ndarray) -> tuple[complex, complex, float]:
-    q = np.arange(c.size)
-    a1 = complex(np.sum(np.conj(c[:-1]) * c[1:] * np.sqrt(q[1:]))) if c.size > 1 else 0j
-    a2 = (
-        complex(np.sum(np.conj(c[:-2]) * c[2:] * np.sqrt((q[1:-1]) * (q[1:-1] + 1.0))))
-        if c.size > 2
-        else 0j
-    )
-    n1 = float(np.sum(q * np.abs(c) ** 2))
-    return a1, a2, n1
 
 
 def _apply_displacement_dag(beta: complex, v: np.ndarray) -> np.ndarray:
@@ -219,7 +204,7 @@ def hsd_of_coeffs(coeffs: np.ndarray, dim: int | None = None) -> float:
     """
     c = np.asarray(coeffs, dtype=complex)
     c = c / math.sqrt(float(np.vdot(c, c).real))
-    ref = _ref_from_moments(*_qudit_moments(c))
+    ref = _ref_from_moments(bare_moment(c, 0, 1), bare_moment(c, 0, 2), bare_moment(c, 1, 1).real)
     zeta = ref.r * np.exp(1j * ref.phi)
     if dim is None:
         spread = c.size + abs(ref.gamma) ** 2 + 7.0 * abs(ref.gamma) + 12.0
@@ -342,6 +327,12 @@ def wigner_closed(state: dq.DQState, beta):
     return w
 
 
+def _zero_padded(rho: fock.DensityMatrix, dim: int) -> np.ndarray:
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[: rho.dim, : rho.dim] = rho.mat
+    return mat
+
+
 def wigner_oracle(rho: fock.DensityMatrix, beta: complex) -> float:
     """Displaced-parity Wigner value (2/pi) Tr[rho D(beta) Pi D(beta)^dag].
 
@@ -350,13 +341,8 @@ def wigner_oracle(rho: fock.DensityMatrix, beta: complex) -> float:
     displacement of |beta| plus the reach sqrt(rho.dim) of rho's own cutoff.
     """
     dim = max(rho.dim, fock.Truncation.auto(abs(beta) + math.sqrt(rho.dim)).dim)
-    t = fock.Truncation(dim)
-    mat = rho.mat
-    if dim > rho.dim:
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[: rho.dim, : rho.dim] = rho.mat
-    D = fock.displacement_matrix(beta, t)
-    P = mat @ D
+    D = fock.displacement_matrix(beta, fock.Truncation(dim))
+    P = _zero_padded(rho, dim) @ D
     diag = np.einsum("ij,ij->j", D.conj(), P)
     signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     return float((2.0 / math.pi) * np.sum(signs * diag).real)
@@ -373,10 +359,7 @@ def wigner_oracle_grid(rho: fock.DensityMatrix, grid: PhaseGrid) -> np.ndarray:
     corner = max(abs(complex(x, p)) for x in grid.xs[:: grid.xs.size - 1]
                  for p in grid.ps[:: grid.ps.size - 1])
     dim = max(rho.dim, fock.Truncation.auto(corner).dim)
-    mat = rho.mat
-    if dim > rho.dim:
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[: rho.dim, : rho.dim] = rho.mat
+    mat = _zero_padded(rho, dim)
     t = fock.Truncation(dim)
     a = fock.annihilation_matrix(t)
     gen_u = a.conj().T - a

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from . import dq
 from .errors import IndexOutOfRange
@@ -22,7 +22,9 @@ __all__ = [
     "QuadratureReport",
     "OptimumRecord",
     "Table2Row",
+    "bare_moment",
     "moment",
+    "covariance_from_moments",
     "quadratures",
     "variance_of_coeffs",
     "variance_x_map",
@@ -66,69 +68,66 @@ class Table2Row:
     difference: float
 
 
+def bare_moment(c, u: int, v: int) -> np.ndarray:
+    """Normally ordered moment <a^dag^u a^v> of the bare superposition sum_q c_q |q>.
+
+    Coefficients run along the leading axis of c; trailing axes are batch
+    axes.  <j| a^dag^u a^v |q> = sqrt(q!/k! j!/k!) with k = q - v = j - u;
+    the sum runs level by level over k = 0..n - max(u, v), so scan grids
+    need no (n + 1)-fold temporaries.
+    """
+    c = np.asarray(c)
+    total = np.zeros(c.shape[1:], dtype=c.dtype)
+    for k in range(c.shape[0] - max(u, v)):
+        w = math.sqrt(math.perm(k + v, v) * math.perm(k + u, u))
+        total = total + np.conj(c[k + u]) * c[k + v] * w
+    return total
+
+
 def moment(state: dq.DQState, l: int, s: int) -> complex:
     """Normally ordered moment <a^dag^l a^s> of a displaced qudit.
 
-    Evaluated by binomially splitting the displacement off the bare
-    superposition; coefficient indices that fall outside 0..n contribute
-    nothing.  Orders above l + s = 4 are not supported.
+    D^dag a D = a + beta splits the displacement off binomially, leaving
+    bare moments of the superposition.  Orders above l + s = 4 are not
+    supported.
     """
     if l < 0 or s < 0:
         raise ValueError("moment orders must be non-negative")
     if l + s > MAX_MOMENT_ORDER:
         raise IndexOutOfRange(f"moment order l+s={l + s} exceeds {MAX_MOMENT_ORDER}")
-    A = state.coeffs
-    n = A.size - 1
     beta = complex(state.displacement)
-    beta_c = np.conj(beta)
-    total = 0j
-    for q in range(n + 1):
-        for u in range(l + 1):
-            for v in range(s + 1):
-                if q - v < 0:
-                    continue
-                j = q - v + u
-                if j < 0 or j > n:
-                    continue
-                total += (
-                    A[q]
-                    * np.conj(A[j])
-                    * math.comb(l, u)
-                    * math.comb(s, v)
-                    * beta_c ** (l - u)
-                    * beta ** (s - v)
-                    * math.sqrt(math.factorial(q) * math.factorial(j))
-                    / math.factorial(q - v)
-                )
+    total = sum(
+        math.comb(l, u) * math.comb(s, v) * beta.conjugate() ** (l - u) * beta ** (s - v)
+        * bare_moment(state.coeffs, u, v)
+        for u in range(l + 1)
+        for v in range(s + 1)
+    )
     return complex(total)
+
+
+def covariance_from_moments(a1: complex, a2: complex, n1: float) -> tuple[float, float, float]:
+    """(Var X, Var P, Cov XP) from <a>, <a^2> and <a^dag a>."""
+    central = a2 - a1 * a1
+    spread = n1 - abs(a1) ** 2
+    return central.real + spread + 0.5, -central.real + spread + 0.5, central.imag
 
 
 def quadratures(state: dq.DQState) -> QuadratureReport:
     """Means and variances of X and P."""
     a1 = moment(state, 0, 1)
-    a2 = moment(state, 0, 2)
-    n1 = moment(state, 1, 1).real
-    central = (a2 - a1 * a1).real
-    spread = n1 - abs(a1) ** 2
-    var_x = central + spread + 0.5
-    var_p = -central + spread + 0.5
-    mean_x = math.sqrt(2.0) * a1.real
-    mean_p = math.sqrt(2.0) * a1.imag
+    var_x, var_p, _ = covariance_from_moments(a1, moment(state, 0, 2), moment(state, 1, 1).real)
+    mean_x, mean_p = math.sqrt(2.0) * a1.real, math.sqrt(2.0) * a1.imag
     return QuadratureReport(var_x, var_p, mean_x, mean_p, min(var_x, var_p))
 
 
-def variance_of_coeffs(coeffs: np.ndarray) -> float:
-    """X-quadrature variance of a real, unit-norm superposition sum c_q |q>."""
-    c = np.asarray(coeffs, dtype=float)
-    q = np.arange(c.size)
-    m1 = float(np.sum(c[:-1] * c[1:] * np.sqrt(q[1:]))) if c.size > 1 else 0.0
-    m2 = (
-        float(np.sum(c[:-2] * c[2:] * np.sqrt((q[1:-1]) * (q[1:-1] + 1.0))))
-        if c.size > 2
-        else 0.0
-    )
-    nbar = float(np.sum(q * c * c))
-    return 0.5 + m2 + nbar - 2.0 * m1 * m1
+def variance_of_coeffs(coeffs):
+    """X-quadrature variance of unit-norm superpositions sum_q c_q |q>.
+
+    Coefficients run along the leading axis, trailing axes are batch axes:
+    Var X = 1/2 + Re<a^2> + <a^dag a> - 2 Re<a>^2.
+    """
+    a1 = bare_moment(coeffs, 0, 1).real
+    return 0.5 + bare_moment(coeffs, 0, 2).real + bare_moment(coeffs, 1, 1).real - 2.0 * a1 * a1
 
 
 def variance_x_map(n: int, m: int, alpha_sq, R) -> np.ndarray:
@@ -142,16 +141,7 @@ def variance_x_map(n: int, m: int, alpha_sq, R) -> np.ndarray:
     s = np.sum(c * c, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         c = np.where(s > 0, c / np.sqrt(s), np.nan)
-    m1 = np.zeros(s.shape)
-    m2 = np.zeros(s.shape)
-    nbar = np.zeros(s.shape)
-    for qi in range(n + 1):
-        nbar = nbar + qi * c[qi] * c[qi]
-        if qi + 1 <= n:
-            m1 = m1 + c[qi] * c[qi + 1] * math.sqrt(qi + 1)
-        if qi + 2 <= n:
-            m2 = m2 + c[qi] * c[qi + 2] * math.sqrt((qi + 1) * (qi + 2))
-    return 0.5 + m2 + nbar - 2.0 * m1 * m1
+    return variance_of_coeffs(c)
 
 
 def optimize_cm_squeezing(
@@ -202,70 +192,43 @@ def optimize_cm_squeezing(
     return OptimumRecord(n, m, best_v, best_a, best_r, boundary)
 
 
-def _shifted_quadrature_start(n: int) -> np.ndarray:
-    """Deterministic seed vector for the superposition optimizer.
-
-    For unit vectors c on span{|0>..|n>},  min_c var_x(c) equals
-    min_t lambda_min(P (X - t)^2 P), so the minimizing eigenvector is the
-    exact optimum; it is recovered here by a scan-and-refine over t.
-    """
-    pad = n + 3
-    diag = np.sqrt(np.arange(1.0, pad))
-    x = (np.diag(diag, 1) + np.diag(diag, -1)) / math.sqrt(2.0)
-    x2 = (x @ x)[: n + 1, : n + 1]
-    x1 = x[: n + 1, : n + 1]
-    eye = np.eye(n + 1)
-
-    def lam(t: float) -> float:
-        return float(np.linalg.eigvalsh(x2 - 2.0 * t * x1 + t * t * eye)[0])
-
-    ts = np.linspace(-4.0, 4.0, 1601)
-    t_best = ts[int(np.argmin([lam(t) for t in ts]))]
-    for step in (5e-3, 5e-4, 5e-5, 5e-6):
-        cand = t_best + np.linspace(-10 * step, 10 * step, 21)
-        t_best = cand[int(np.argmin([lam(t) for t in cand]))]
-    _, vecs = np.linalg.eigh(x2 - 2.0 * t_best * x1 + t_best * t_best * eye)
-    return vecs[:, 0]
-
-
-def optimize_fock_superposition(
-    n: int, starts: int = 60, seed: int = 20240809
-) -> tuple[float, np.ndarray]:
+def optimize_fock_superposition(n: int) -> tuple[float, np.ndarray]:
     """Minimal X variance over real unit-norm superpositions of |0>..|n>.
 
-    Multi-start Nelder-Mead on the coefficient vector (normalized inside
-    the objective), with one deterministic start from the shifted
-    quadrature-square eigenproblem.  Returns the best variance and the
-    coefficients with a canonical overall sign.
+    With P the projector onto |0>..|n>, min over unit c of Var X is
+    min_t lambda_min(P (X - t)^2 P), attained by the eigenvector, whose <X>
+    is the optimal t.  Parity maps X to -X, so t runs over
+    [0, lambda_max(P X P)], where lambda_min has n local minima (one at
+    t = 0 for even n): each bracketed minimum gets a bounded search.
+    Returns the variance and the coefficients with a canonical sign.
     """
     if n < 1:
         raise ValueError("need at least two superposed levels")
-    rng = np.random.default_rng(seed)
+    root = np.sqrt(np.arange(1.0, n + 2))
+    x = (np.diag(root, 1) + np.diag(root, -1)) / math.sqrt(2.0)  # X on |0>..|n+1>
+    x2 = (x @ x)[: n + 1, : n + 1]
+    x1 = x[: n + 1, : n + 1]
 
-    def objective(c):
-        norm = np.linalg.norm(c)
-        if norm < 1e-12:
-            return 1e6
-        return variance_of_coeffs(c / norm)
+    def shifted(t):
+        return x2 - 2.0 * t * x1 + t * t * np.eye(n + 1)
 
-    best_val = np.inf
-    best_c = None
-    start_vectors = [_shifted_quadrature_start(n)]
-    start_vectors += [rng.standard_normal(n + 1) for _ in range(starts)]
-    for x0 in start_vectors:
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 20000, "maxfev": 20000},
-        )
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_c = res.x / np.linalg.norm(res.x)
-    lead = np.argmax(np.abs(best_c))
-    if best_c[lead] < 0:
-        best_c = -best_c
-    return best_val, best_c
+    def lam(t: float) -> float:
+        return float(np.linalg.eigvalsh(shifted(t))[0])
+
+    ts = np.linspace(0.0, np.linalg.eigvalsh(x1)[-1], 401)
+    vals = np.linalg.eigvalsh(shifted(ts[:, None, None]))[:, 0]
+    edged = np.concatenate(([np.inf], vals, [np.inf]))
+    lows = np.flatnonzero((vals <= edged[:-2]) & (vals <= edged[2:]))
+    brackets = [(ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]) for i in lows]
+    fits = [
+        minimize_scalar(lam, bounds=b, method="bounded", options={"xatol": 1e-10})
+        for b in brackets
+    ]
+    best = min(fits, key=lambda res: res.fun)
+    c = np.linalg.eigh(shifted(best.x))[1][:, 0]
+    if c[np.argmax(np.abs(c))] < 0:
+        c = -c
+    return float(variance_of_coeffs(c)), c
 
 
 def table1(n_max: int = 4, m_max: int = 4, **kwargs) -> list[OptimumRecord]:

@@ -41,6 +41,16 @@ def test_state_coherent_output(tmp_path):
     assert fields["var_p"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_state_csv_report(tmp_path):
+    out = tmp_path / "state.csv"
+    rc = _run(["state", "--n", "2", "--m", "1", "--alpha-sq", "5.45", "--R", "0.8175",
+               "--out", str(out)])
+    assert rc == 0
+    fields = dict(line.split(",", 1) for line in out.read_text().splitlines()[1:])
+    assert fields["class"] == "DQ+1"
+    assert float(fields["min_var"]) == pytest.approx(0.2753, abs=5e-4)
+
+
 def test_scan_csv_format(tmp_path):
     out = tmp_path / "scan.csv"
     rc = _run(
@@ -139,3 +149,24 @@ def test_hsd_scan_small(tmp_path):
     assert lines[0] == "alpha_sq,R,value"
     vals = [float(ln.split(",")[2]) for ln in lines[1:]]
     assert all(-1e-9 <= v <= 0.5 + 1e-6 for v in vals)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wigner", "--n", "1", "--m", "1", "--alpha-sq", "1.0", "--R", "0.5", "--points", "200"],
+        ["wigner", "--n", "1", "--m", "1", "--alpha-sq", "1.0", "--R", "0.5", "--grid", "6:200"],
+        ["table3", "--points", "200"],
+    ],
+)
+def test_bad_points_exit_code(capsys, argv):
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert "4k + 1" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_dim_only_where_read():
+    with pytest.raises(SystemExit) as exc:
+        _run(["hsd-scan", "--n", "1", "--m", "2", "--grid", "1:6:4,0.3:0.7:3", "--dim", "2"])
+    assert exc.value.code == 2

@@ -89,11 +89,30 @@ def test_uncertainty_product():
 
 
 def test_variance_map_matches_quadratures():
-    n, m, a2, R = 2, 1, 5.45, 0.8175
-    state, _ = dq.build_dq(dq.CMConfig(n, m, complex(math.sqrt(a2)), R))
-    rep = squeezing.quadratures(state)
-    grid_val = float(squeezing.variance_x_map(n, m, a2, R))
-    assert grid_val == pytest.approx(rep.var_x, abs=1e-12)
+    n, m = 2, 1
+    a_vals = np.array([0.7, 5.45, 11.0])
+    r_vals = np.array([0.3, 0.8175])
+    grid = squeezing.variance_x_map(n, m, a_vals[:, None], r_vals[None, :])
+    assert grid.shape == (3, 2)
+    for i, a2 in enumerate(a_vals):
+        for j, R in enumerate(r_vals):
+            state, _ = dq.build_dq(dq.CMConfig(n, m, complex(math.sqrt(a2)), float(R)))
+            rep = squeezing.quadratures(state)
+            assert grid[i, j] == pytest.approx(rep.var_x, abs=1e-12)
+
+
+def test_bare_moment_batch_axes_against_dense_oracle():
+    # coefficients on the leading axis, a (2, 3) batch behind it
+    rng = np.random.default_rng(41)
+    c = rng.standard_normal((5, 2, 3)) + 1j * rng.standard_normal((5, 2, 3))
+    a = fock.annihilation_matrix(fock.Truncation(5))
+    for u, v in [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 1), (0, 4), (3, 3), (5, 0)]:
+        got = squeezing.bare_moment(c, u, v)
+        assert got.shape == (2, 3)
+        op = np.linalg.matrix_power(a.conj().T, u) @ np.linalg.matrix_power(a, v)
+        for idx in np.ndindex(2, 3):
+            vec = c[(slice(None),) + idx]
+            assert got[idx] == pytest.approx(complex(np.vdot(vec, op @ vec)), abs=1e-9)
 
 
 def test_optimizer_reproduces_qutrit_cell():
@@ -113,11 +132,11 @@ def test_optimizer_not_above_coarse_grid():
 
 
 def test_fock_superposition_known_optima():
-    v1, c1 = squeezing.optimize_fock_superposition(1, starts=20)
+    v1, c1 = squeezing.optimize_fock_superposition(1)
     assert v1 == pytest.approx(0.3750, abs=1e-4)
     assert abs(c1[0]) ** 2 == pytest.approx(0.75, abs=1e-3)
 
-    v2, c2 = squeezing.optimize_fock_superposition(2, starts=20)
+    v2, c2 = squeezing.optimize_fock_superposition(2)
     assert v2 == pytest.approx(0.2753, abs=1e-4)
     assert abs(c2[0]) == pytest.approx(0.9530, abs=2e-3)
     assert abs(c2[1]) < 1e-4
@@ -125,10 +144,42 @@ def test_fock_superposition_known_optima():
     assert c2[0] * c2[2] < 0
 
 
+def _x_blocks(n):
+    """P X P and P X^2 P on |0>..|n>, from dense `fock.annihilation_matrix`."""
+    a = fock.annihilation_matrix(fock.Truncation(n + 2)).real
+    x = (a + a.T) / math.sqrt(2.0)
+    return x[: n + 1, : n + 1], (x @ x)[: n + 1, : n + 1]
+
+
+def _fine_lambda_min_scan(n):
+    """min_t lambda_min(P (X - t)^2 P) by a 20001-point scan over t in [-4.5, 4.5]
+    (covering every <X> on |0>..|12>), zoomed to +/- one step around the best."""
+    x1, x2 = _x_blocks(n)
+
+    def lam(ts):
+        t = ts[:, None, None]
+        return np.linalg.eigvalsh(x2 - 2.0 * t * x1 + t * t * np.eye(n + 1))[:, 0]
+
+    ts = np.linspace(-4.5, 4.5, 20001)
+    t0 = ts[np.argmin(lam(ts))]
+    step = ts[1] - ts[0]
+    return float(lam(np.linspace(t0 - step, t0 + step, 2001)).min())
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_fock_superposition_matches_fine_scan(n):
+    v, c = squeezing.optimize_fock_superposition(n)
+    assert v == pytest.approx(_fine_lambda_min_scan(n), abs=1e-12)
+    # the returned vector is unit-norm and really has that variance
+    x1, x2 = _x_blocks(n)
+    assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
+    assert c @ x2 @ c - (c @ x1 @ c) ** 2 == pytest.approx(v, abs=1e-12)
+
+
 def test_fock_superposition_lower_bounds_heralded():
     # the unconstrained optimum can never be worse than the heralded one
     for n in (1, 2, 3):
-        fv, _ = squeezing.optimize_fock_superposition(n, starts=15)
+        fv, _ = squeezing.optimize_fock_superposition(n)
         rec = squeezing.optimize_cm_squeezing(n, 1)
         assert fv <= rec.min_var + 1e-6
 
