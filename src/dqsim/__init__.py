@@ -15,6 +15,7 @@ from .errors import (
     DQSimError,
     GridTooCoarse,
     IndexOutOfRange,
+    NonFiniteResult,
     NonPhysicalCovariance,
     NoRootInBracket,
     TruncationTooSmall,
@@ -49,6 +50,7 @@ __all__ = [
     "TruncationTooSmall",
     "ZeroProbability",
     "DimensionMismatch",
+    "NonFiniteResult",
     "NonPhysicalCovariance",
     "GridTooCoarse",
     "NoRootInBracket",

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fock
-from .errors import NoRootInBracket, TruncationTooSmall, ZeroProbability
+from .errors import NonFiniteResult, NoRootInBracket, TruncationTooSmall, ZeroProbability
 from .polynomials import hermite2, laguerre
 
 __all__ = [
@@ -220,19 +220,31 @@ def success_probability(cfg: CMConfig) -> float:
 
 
 def build_dq(cfg: CMConfig) -> tuple[DQState, float]:
-    """Closed-form displaced qudit and its ideal success probability."""
-    c = raw_coefficients(cfg)
+    """Closed-form displaced qudit and its ideal success probability.
+
+    Raises NonFiniteResult if the C_q or sum_q |C_q|^2 overflow and
+    ZeroProbability if the sum vanishes or the success probability
+    underflows to 0.
+    """
+    where = f"n={cfg.n}, m={cfg.m}, alpha={cfg.alpha}, R={cfg.R}"
+    try:
+        c = raw_coefficients(cfg)
+    except OverflowError:
+        raise NonFiniteResult(f"coefficients C_q overflow for {where}") from None
     s = float(np.vdot(c, c).real)
-    if not math.isfinite(s) or s < 1e-300:
-        raise ZeroProbability(
-            f"all coefficients vanish for n={cfg.n}, m={cfg.m}, alpha={cfg.alpha}"
-        )
+    if not math.isfinite(s):
+        raise NonFiniteResult(f"coefficient norm sum_q |C_q|^2 overflows for {where}")
+    if s < 1e-300:
+        raise ZeroProbability(f"all coefficients vanish for {where}")
+    prob = _herald_prefactor(cfg) * s
+    if prob == 0.0:
+        raise ZeroProbability(f"success probability underflows to 0 for {where}")
     state = DQState(
         displacement=complex(cfg.alpha) * math.sqrt(cfg.R),
         coeffs=c / math.sqrt(s),
         config=cfg,
     )
-    return state, _herald_prefactor(cfg) * s
+    return state, prob
 
 
 def to_fock(state: DQState, t: fock.Truncation) -> fock.FockVector:

@@ -17,6 +17,10 @@ class DimensionMismatch(DQSimError):
     """Two objects live in Fock spaces of different dimension."""
 
 
+class NonFiniteResult(DQSimError):
+    """A closed-form quantity overflows the floating-point range."""
+
+
 class NonPhysicalCovariance(DQSimError):
     """A quadrature covariance matrix violates det(sigma) >= 1/4."""
 

@@ -6,6 +6,10 @@ whose first and second moments match those of rho:
 
     delta[rho] = Tr[(rho - tau)^2] / (2 Tr(rho^2)),   0 <= delta <= 1/2.
 
+For the heralded qudits Tr(rho tau) is the phase-space overlap of the two
+Wigner functions, a Gaussian-weighted polynomial that a Gauss-Hermite rule
+integrates exactly (`hsd_of_coeffs`); the dense-Fock `hsd` is its oracle.
+
 Wigner functions use the convention integral W d(Re beta) d(Im beta) = 1,
 so a coherent state peaks at 2/pi.  The closed form for displaced qudits
 factors into Gaussian times a finite positive/negative Hermite sum; a
@@ -106,12 +110,18 @@ def _moments_from_density(rho: fock.DensityMatrix) -> tuple[complex, complex, fl
     return a1, a2, n1
 
 
+def _root_det(sxx, spp, sxp):
+    """sqrt(det sigma), floored at the vacuum value 1/2; det sigma < 1/4 is unphysical."""
+    det = sxx * spp - sxp * sxp
+    low = np.min(det)
+    if low < 0.25 - 1e-9:
+        raise NonPhysicalCovariance(f"det(sigma) = {low:.6e} < 1/4")
+    return np.sqrt(np.maximum(det, 0.25))
+
+
 def _ref_from_moments(a1: complex, a2: complex, n1: float) -> GaussianRef:
     sxx, spp, sxp = covariance_from_moments(a1, a2, n1)
-    det = sxx * spp - sxp * sxp
-    if det < 0.25 - 1e-9:
-        raise NonPhysicalCovariance(f"det(sigma) = {det:.6e} < 1/4")
-    root = math.sqrt(max(det, 0.25))
+    root = float(_root_det(sxx, spp, sxp))
     nbar = root - 0.5
     sc = (sxx - spp) / (2.0 * root)
     ss = sxp / root
@@ -146,101 +156,56 @@ def hsd(rho: fock.DensityMatrix) -> float:
     return num / den
 
 
-def _apply_displacement_dag(beta: complex, v: np.ndarray) -> np.ndarray:
-    """D(beta)^dag v by scaled Taylor steps on the banded generator."""
-    return _banded_exp_apply(-beta, 0j, v)
+def hsd_of_coeffs(coeffs):
+    """Hilbert-Schmidt measure of bare superpositions sum_q c_q |q>.
 
+    Coefficients run along the leading axis (each vector is normalized),
+    trailing axes are batch axes.  Displacement drops out because the
+    matched reference co-displaces.  Tr(tau^2) = 1 / (2 sqrt(det sigma)) and
+    Tr(rho tau) = pi * integral W_rho W_tau d^2 beta (Cahill-Glauber), with
+    W_rho = (2/pi) exp(-2|beta|^2) P(beta), P the degree-2n polynomial of
+    `wigner_closed`, and W_tau the Gaussian of mean mu = <a> and covariance
+    sigma/2 in v = (Re beta, Im beta).  Completing the square with
+    M = 2 sigma + 1, v0 = M^-1 mu and K = sigma M^-1 / 2 = L L^T gives
 
-def _apply_squeeze_dag(zeta: complex, v: np.ndarray) -> np.ndarray:
-    """S(zeta)^dag v by scaled Taylor steps on the banded generator."""
-    return _banded_exp_apply(0j, -zeta, v)
+        Tr(rho tau) = 2 exp(-2 mu.v0) / (pi sqrt(det M))
+                      * integral exp(-|t|^2) P(v0 + sqrt(2) L t) d^2 t.
 
-
-def _banded_exp_apply(beta: complex, zeta: complex, v: np.ndarray) -> np.ndarray:
-    """exp(beta a^dag - beta* a + (zeta a^dag^2 - zeta* a^2)/2) applied to v.
-
-    The generator only couples neighbors one or two levels apart, so each
-    matrix-vector product is a pair of shifted slice operations; the norm
-    is brought below ~1 by the usual power-of-two scaling and each substep
-    is summed to machine precision.
+    P stays of degree 2n in each t, and the (n + 1)-node Gauss-Hermite rule
+    per axis is exact to degree 2n + 1, so its (n + 1)^2-node sum is the
+    exact integral: no Fock cutoff is involved.
     """
-    dim = v.size
-    sq1 = np.sqrt(np.arange(1.0, dim))
-    sq2 = sq1[:-1] * sq1[1:] if dim > 2 else np.zeros(0)
+    from numpy.polynomial.hermite import hermgauss
 
-    def matvec(u):
-        out = np.zeros_like(u)
-        if beta != 0:
-            out[:-1] += (-np.conj(beta)) * sq1 * u[1:]
-            out[1:] += beta * sq1 * u[:-1]
-        if zeta != 0 and dim > 2:
-            out[:-2] += (-0.5 * np.conj(zeta)) * sq2 * u[2:]
-            out[2:] += (0.5 * zeta) * sq2 * u[:-2]
-        return out
-
-    norm_bound = 2.0 * abs(beta) * math.sqrt(dim) + abs(zeta) * dim
-    steps = max(1, 1 << max(0, math.ceil(math.log2(max(norm_bound, 1e-12)))))
-    acc = v.astype(complex)
-    for _ in range(steps):
-        term = acc
-        total = acc.copy()
-        for order in range(1, 40):
-            term = matvec(term) / (order * steps)
-            total += term
-            if float(np.vdot(term, term).real) < 1e-34:
-                break
-        acc = total
-    return acc
-
-
-def hsd_of_coeffs(coeffs: np.ndarray, dim: int | None = None) -> float:
-    """Hilbert-Schmidt measure of the bare superposition sum c_q |q>.
-
-    Displacement drops out of the measure because the matched reference
-    co-displaces, so parameter scans work on the undisplaced qudit.  Uses
-    Tr(tau^2) = 1/(2 nbar + 1) and Tr(rho tau) = sum_k nu_k |w_k|^2 with
-    w = S^dag D^dag phi; the cutoff is grown until both the thermal tail
-    and the content of w near the cutoff are negligible.
-    """
     c = np.asarray(coeffs, dtype=complex)
-    c = c / math.sqrt(float(np.vdot(c, c).real))
-    ref = _ref_from_moments(bare_moment(c, 0, 1), bare_moment(c, 0, 2), bare_moment(c, 1, 1).real)
-    zeta = ref.r * np.exp(1j * ref.phi)
-    if dim is None:
-        spread = c.size + abs(ref.gamma) ** 2 + 7.0 * abs(ref.gamma) + 12.0
-        dim = max(32, int(math.ceil(math.exp(2.0 * ref.r) * spread)))
-        if ref.nbar > 1e-6:
-            ratio = ref.nbar / (1.0 + ref.nbar)
-            dim = max(dim, int(math.ceil(-26.0 / math.log(ratio))) + 4)
-    for _ in range(6):
-        padded = np.zeros(dim, dtype=complex)
-        padded[: c.size] = c
-        w = _apply_squeeze_dag(zeta, _apply_displacement_dag(ref.gamma, padded))
-        if float(np.sum(np.abs(w[-4:]) ** 2)) < 1e-14:
-            break
-        dim *= 2
-    prob = np.abs(w) ** 2
-    if ref.nbar > 1e-12:
-        ratio = ref.nbar / (1.0 + ref.nbar)
-        nu = ratio ** np.arange(dim) / (1.0 + ref.nbar)
-    else:
-        nu = np.zeros(dim)
-        nu[0] = 1.0
-    tr_rho_tau = float(np.sum(nu * prob))
-    tr_tau2 = 1.0 / (2.0 * ref.nbar + 1.0)
-    return 0.5 * (1.0 - 2.0 * tr_rho_tau + tr_tau2)
+    c = c / np.sqrt(np.sum(np.abs(c) ** 2, axis=0))
+    a1 = bare_moment(c, 0, 1)
+    sxx, spp, sxp = covariance_from_moments(a1, bare_moment(c, 0, 2), bare_moment(c, 1, 1).real)
+    root = _root_det(sxx, spp, sxp)
+    mxx, mpp, mxp = 2.0 * sxx + 1.0, 2.0 * spp + 1.0, 2.0 * sxp
+    det_m = mxx * mpp - mxp * mxp
+    x0 = (mpp * a1.real - mxp * a1.imag) / det_m
+    p0 = (mxx * a1.imag - mxp * a1.real) / det_m
+    # Cholesky factor L of K = sigma M^-1 / 2
+    l11 = np.sqrt((sxx * mpp - sxp * mxp) / (2.0 * det_m))
+    l21 = (sxp * mxx - sxx * mxp) / (2.0 * det_m * l11)
+    l22 = np.sqrt((spp * mxx - sxp * mxp) / (2.0 * det_m) - l21 * l21)
+    t, w = hermgauss(c.shape[0])
+    t = math.sqrt(2.0) * t.reshape((-1,) + (1,) * (c.ndim - 1))
+    ti, tj = t[:, None], t[None, :]
+    nodes = (x0 + l11 * ti) + 1j * (p0 + l21 * ti + l22 * tj)
+    integral = np.tensordot(np.outer(w, w), _wigner_poly(c, 0j, nodes), axes=2)
+    gauss = np.exp(-2.0 * (a1.real * x0 + a1.imag * p0)) / (math.pi * np.sqrt(det_m))
+    tr_rho_tau = 2.0 * gauss * integral
+    delta = 0.5 * (1.0 - 2.0 * tr_rho_tau + 0.5 / root)
+    return delta if delta.ndim else float(delta)
 
 
-def hsd_scan(n: int, m: int, alpha_sq_values, R_values, dim: int | None = None) -> np.ndarray:
+def hsd_scan(n: int, m: int, alpha_sq_values, R_values) -> np.ndarray:
     """delta over a rectangular (|alpha|^2, R) grid, shape (len(a), len(R))."""
     a_vals = np.asarray(alpha_sq_values, float)
     r_vals = np.asarray(R_values, float)
-    out = np.empty((a_vals.size, r_vals.size))
-    for i, a2 in enumerate(a_vals):
-        coeffs = dq.coefficients_grid(n, m, math.sqrt(a2), r_vals)
-        for j in range(r_vals.size):
-            out[i, j] = hsd_of_coeffs(coeffs[:, j], dim=dim)
-    return out
+    return hsd_of_coeffs(dq.coefficients_grid(n, m, np.sqrt(a_vals)[:, None], r_vals[None, :]))
 
 
 def hsd_max(
@@ -298,51 +263,62 @@ def wigner_closed(state: dq.DQState, beta):
                   sum_k (-1)^k k! | sum_{u>=k} C(u,k) d_u conj(A)^(u-k) |^2,
 
     which reduces to the familiar Gaussian for a bare coherent state and is
-    checked pointwise against the displaced-parity reference.
+    checked pointwise against the displaced-parity reference.  The Hermite
+    sum is `_wigner_poly`, which `hsd_of_coeffs` shares.
     """
-    A = state.coeffs
-    n = A.size - 1
-    g = complex(state.displacement)
     beta_arr = np.asarray(beta, dtype=complex)
-    d = np.zeros(n + 1, dtype=complex)
-    for u in range(n + 1):
-        for p in range(u, n + 1):
-            d[u] += (
-                A[p]
-                * (-1) ** p
-                * math.comb(p, u)
-                * np.conj(g) ** (p - u)
-                / math.sqrt(math.factorial(p))
-            )
-    a_bar = np.conj(g - 2.0 * beta_arr)
-    total = np.zeros(beta_arr.shape, dtype=float)
-    for k in range(n + 1):
-        e_k = np.zeros(beta_arr.shape, dtype=complex)
-        for u in range(k, n + 1):
-            e_k = e_k + math.comb(u, k) * d[u] * a_bar ** (u - k)
-        total = total + (-1) ** k * math.factorial(k) * np.abs(e_k) ** 2
-    w = (2.0 / math.pi) * np.exp(-2.0 * np.abs(beta_arr - g) ** 2) * total
+    g = complex(state.displacement)
+    w = (2.0 / math.pi) * np.exp(-2.0 * np.abs(beta_arr - g) ** 2) * _wigner_poly(
+        state.coeffs, g, beta_arr
+    )
     if np.isscalar(beta) or beta_arr.ndim == 0:
         return float(w)
     return w
 
 
-def _zero_padded(rho: fock.DensityMatrix, dim: int) -> np.ndarray:
+def _wigner_poly(A: np.ndarray, g: complex, beta: np.ndarray) -> np.ndarray:
+    """The polynomial factor sum_k (-1)^k k! |e_k|^2 of the displaced-qudit Wigner function.
+
+    A holds the coefficients along its leading axis, trailing axes are batch
+    axes that broadcast against beta from the right.  The result has degree
+    2n in (Re beta, Im beta).
+    """
+    n = A.shape[0] - 1
+    d = np.zeros(A.shape, dtype=complex)
+    for u in range(n + 1):
+        for p in range(u, n + 1):
+            term = A[p] * (-1) ** p * math.comb(p, u) * np.conj(g) ** (p - u)
+            d[u] += term / math.sqrt(math.factorial(p))
+    a_bar = np.conj(g - 2.0 * beta)
+    shape = np.broadcast_shapes(a_bar.shape, A.shape[1:])
+    total = np.zeros(shape, dtype=float)
+    for k in range(n + 1):
+        e_k = np.zeros(shape, dtype=complex)
+        for u in range(k, n + 1):
+            e_k = e_k + math.comb(u, k) * d[u] * a_bar ** (u - k)
+        total = total + (-1) ** k * math.factorial(k) * np.abs(e_k) ** 2
+    return total
+
+
+def _padded_for_displacement(rho: fock.DensityMatrix, reach: float) -> np.ndarray:
+    """rho zero-padded (exactly) into a truncation no D(beta), |beta| <= reach, spills past.
+
+    D(beta) moves the upper levels of rho, not only its vacuum, so the cutoff
+    covers a displacement of reach plus the reach sqrt(rho.dim) of rho's own
+    cutoff.
+    """
+    dim = max(rho.dim, fock.Truncation.auto(reach + math.sqrt(rho.dim)).dim)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[: rho.dim, : rho.dim] = rho.mat
     return mat
 
 
 def wigner_oracle(rho: fock.DensityMatrix, beta: complex) -> float:
-    """Displaced-parity Wigner value (2/pi) Tr[rho D(beta) Pi D(beta)^dag].
-
-    D(beta) moves the upper levels of rho, not only its vacuum, so the
-    density matrix is zero-padded (exactly) into a truncation sized for a
-    displacement of |beta| plus the reach sqrt(rho.dim) of rho's own cutoff.
-    """
-    dim = max(rho.dim, fock.Truncation.auto(abs(beta) + math.sqrt(rho.dim)).dim)
+    """Displaced-parity Wigner value (2/pi) Tr[rho D(beta) Pi D(beta)^dag]."""
+    mat = _padded_for_displacement(rho, abs(beta))
+    dim = mat.shape[0]
     D = fock.displacement_matrix(beta, fock.Truncation(dim))
-    P = _zero_padded(rho, dim) @ D
+    P = mat @ D
     diag = np.einsum("ij,ij->j", D.conj(), P)
     signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     return float((2.0 / math.pi) * np.sum(signs * diag).real)
@@ -354,12 +330,13 @@ def wigner_oracle_grid(rho: fock.DensityMatrix, grid: PhaseGrid) -> np.ndarray:
     Uses the exact split D(u + iv) = e^{iuv} e^{u(a^dag - a)} e^{iv(a^dag + a)}
     (the commutator of the two generators is a number), so only one matrix
     exponential per axis value is needed; the phase cancels inside
-    D^dag rho D.  Agrees with the pointwise evaluation to machine precision.
+    D^dag rho D.  Padded like `wigner_oracle` for the grid's farthest corner,
+    it agrees with the pointwise evaluation to machine precision.
     """
     corner = max(abs(complex(x, p)) for x in grid.xs[:: grid.xs.size - 1]
                  for p in grid.ps[:: grid.ps.size - 1])
-    dim = max(rho.dim, fock.Truncation.auto(corner).dim)
-    mat = _zero_padded(rho, dim)
+    mat = _padded_for_displacement(rho, corner)
+    dim = mat.shape[0]
     t = fock.Truncation(dim)
     a = fock.annihilation_matrix(t)
     gen_u = a.conj().T - a

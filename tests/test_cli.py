@@ -98,11 +98,24 @@ def test_bad_grid_exit_code(capsys):
     assert "grid" in capsys.readouterr().err
 
 
-def test_numerical_failure_exit_code(capsys):
-    # vacuum input can never herald a photon: ZeroProbability -> exit 3
-    rc = _run(["state", "--n", "0", "--m", "2", "--alpha-sq", "0", "--R", "0.5"])
+@pytest.mark.parametrize(
+    "argv, quantity",
+    [
+        # vacuum input can never herald a photon
+        (["--n", "0", "--m", "2", "--alpha-sq", "0", "--R", "0.5"], "all coefficients vanish"),
+        # H_{2-q,200}(x, x) overflows at x^2 = 1500
+        (["--n", "2", "--m", "200", "--alpha-sq", "3000", "--R", "0.5"], "C_q overflow"),
+        # exp(-|alpha|^2 (1 - R)) underflows
+        (["--n", "2", "--m", "1", "--alpha-sq", "100000", "--R", "0.5"], "success probability"),
+    ],
+    ids=["zero-probability", "coefficient-overflow", "probability-underflow"],
+)
+def test_numerical_failure_exit_code(capsys, argv, quantity):
+    rc = _run(["state"] + argv)
     assert rc == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and quantity in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_wigner_grid_output(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from dqsim import dq, fock, nongauss
@@ -70,16 +72,25 @@ def test_hsd_fock_states_exact_values():
     )
 
 
+def _dense_hsd(c, dim):
+    padded = np.zeros(dim, dtype=complex)
+    padded[: c.size] = c
+    return nongauss.hsd(fock.FockVector(padded).density())
+
+
 def test_hsd_fast_path_matches_general():
+    # complex superpositions of |0>..|n> for every n <= 8 and heralded
+    # coefficient vectors, against the dense-Fock measure at two cutoffs
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        c = rng.standard_normal(3)
-        c /= np.linalg.norm(c)
-        fast = nongauss.hsd_of_coeffs(c)
-        padded = np.zeros(60, dtype=complex)
-        padded[:3] = c
-        general = nongauss.hsd(fock.FockVector(padded).density())
-        assert fast == pytest.approx(general, abs=1e-9)
+    vectors = [rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1) for n in range(9)]
+    for n, m, a2, R in [(2, 1, 5.45, 0.8175), (4, 1, 6.65, 0.7275), (3, 5, 12.0, 0.35),
+                        (8, 2, 20.0, 0.6)]:
+        vectors.append(dq.coefficients_grid(n, m, math.sqrt(a2), R))
+    for c in vectors:
+        c = c / np.linalg.norm(c)
+        dense = _dense_hsd(c, 180)
+        assert _dense_hsd(c, 220) == pytest.approx(dense, abs=1e-10)
+        assert nongauss.hsd_of_coeffs(c) == pytest.approx(dense, abs=1e-10)
 
 
 def test_hsd_displacement_invariance():
@@ -104,8 +115,24 @@ def test_hsd_scan_shape_and_consistency():
     r_vals = np.array([0.3, 0.6, 0.9])
     grid = nongauss.hsd_scan(1, 0, a_vals, r_vals)
     assert grid.shape == (2, 3)
-    c = dq.coefficients_grid(1, 0, math.sqrt(2.0), 0.6)
-    assert grid[1, 1] == pytest.approx(nongauss.hsd_of_coeffs(c), abs=1e-12)
+    for i, a2 in enumerate(a_vals):
+        for j, R in enumerate(r_vals):
+            c = dq.coefficients_grid(1, 0, math.sqrt(a2), R)
+            assert grid[i, j] == pytest.approx(nongauss.hsd_of_coeffs(c), abs=1e-12)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    n=st.integers(0, 8),
+    m=st.integers(0, 12),
+    a_vals=st.lists(st.floats(0.05, 30.0), min_size=1, max_size=4),
+    r_vals=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
+)
+def test_hsd_scan_bounded_property(n, m, a_vals, r_vals):
+    grid = nongauss.hsd_scan(n, m, a_vals, r_vals)
+    assert grid.shape == (len(a_vals), len(r_vals))
+    assert np.all(np.isfinite(grid))
+    assert np.all(grid >= -1e-12) and np.all(grid <= 0.5 + 1e-12)
 
 
 def test_wigner_reference_points():
@@ -162,6 +189,18 @@ def test_wigner_oracle_grid_matches_pointwise():
             assert vals[i, j] == pytest.approx(
                 nongauss.wigner_oracle(rho, complex(x, p)), abs=1e-12
             )
+    # far from the state the padding must cover rho's own cutoff as well as
+    # the grid corner, as for the pointwise oracle
+    cfg = dq.CMConfig(4, 1, complex(math.sqrt(6.65)), 0.7275)
+    state, _ = dq.build_dq(cfg)
+    rho = dq.to_fock(state, fock.Truncation.auto(cfg.alpha, cfg.n, cfg.m)).density()
+    grid = nongauss.PhaseGrid(np.array([-3.0, -2.0]), np.array([0.0, 0.5]))
+    np.testing.assert_allclose(
+        nongauss.wigner_oracle_grid(rho, grid),
+        nongauss.wigner_closed(state, grid.mesh()),
+        rtol=0,
+        atol=1e-7,
+    )
 
 
 def test_wigner_closed_normalization():
