@@ -8,16 +8,18 @@ signal mode in a displaced finite superposition
 
 The unnormalized coefficient of |q> is
 
-    C_q = C(n,q) sqrt(q!) ((1-R)/R)^(q/2) H_{n-q,m}(x, x),   x = alpha sqrt(1-R),
+    C_q = C(n,q) sqrt(q!) ((1-R)/R)^(q/2) H_{n-q,m}(x*, x),   x = alpha sqrt(1-R),
 
-with H the two-variable Hermite polynomial, and the heralding success
-probability is
+with H the two-variable Hermite polynomial (H_{n-q,m}(x, x) for real
+alpha; the conjugate keeps the phase of a complex alpha exact), and the
+heralding success probability is
 
     S_p = R^n / (m! n!) exp(-|alpha|^2 (1-R)) sum_q |C_q|^2.
 
 Laguerre-route evaluations of the same coefficients are provided as an
 independent cross-check, together with root loci of individual
-coefficients in the combined parameter chi = |alpha|^2 (1-R).
+coefficients in the combined parameter chi = |alpha|^2 (1-R), found as
+exact real roots of the coefficient polynomials in alpha.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "LocusTarget",
     "chi",
     "classify",
-    "coefficient",
     "coefficient_laguerre",
     "raw_coefficients",
     "coefficients_grid",
@@ -136,21 +137,9 @@ class DQState:
         return self.coeffs.size
 
 
-def _check_q(cfg: CMConfig, q: int) -> None:
-    if not 0 <= q <= cfg.n:
-        raise ValueError(f"q={q} outside 0..{cfg.n}")
-
-
-def coefficient(cfg: CMConfig, q: int) -> complex:
-    """Unnormalized coefficient of |q> via the Hermite route (canonical path)."""
-    _check_q(cfg, q)
-    x = cfg.alpha * math.sqrt(1.0 - cfg.R)
-    scale = (
-        math.comb(cfg.n, q)
-        * math.sqrt(math.factorial(q))
-        * ((1.0 - cfg.R) / cfg.R) ** (q / 2.0)
-    )
-    return complex(scale * hermite2(cfg.n - q, cfg.m, x, x))
+def _level_factor(n: int, q: int, ratio):
+    """C(n,q) sqrt(q!) ratio^(q/2), the level factor of C_q at ratio = (1-R)/R."""
+    return math.comb(n, q) * math.sqrt(math.factorial(q)) * np.power(ratio, q / 2.0)
 
 
 def coefficient_laguerre(cfg: CMConfig, q: int) -> complex:
@@ -160,17 +149,18 @@ def coefficient_laguerre(cfg: CMConfig, q: int) -> complex:
     m < n the order is pinned to the detected number m and the upper index
     n - m - q may go negative, which the generalized series handles.
     """
-    _check_q(cfg, q)
+    if not 0 <= q <= cfg.n:
+        raise ValueError(f"q={q} outside 0..{cfg.n}")
     n, m, R = cfg.n, cfg.m, cfg.R
     alpha = complex(cfg.alpha)
     sq = math.sqrt(1.0 - R)
     x2 = abs(alpha) ** 2 * (1.0 - R)
-    base = math.comb(n, q) * math.sqrt(math.factorial(q)) * ((1.0 - R) / R) ** (q / 2.0)
+    base = _level_factor(n, q, (1.0 - R) / R)
     if m >= n:
         val = (
             (-1) ** (n - q)
             * math.factorial(n - q)
-            * (np.conj(alpha) * sq) ** (m - n + q)
+            * (alpha * sq) ** (m - n + q)
             * laguerre(n - q, m - n + q, x2)
         )
     else:
@@ -180,7 +170,7 @@ def coefficient_laguerre(cfg: CMConfig, q: int) -> complex:
         val = (
             (-1) ** m
             * math.factorial(m)
-            * (alpha * sq) ** power
+            * (alpha.conjugate() * sq) ** power
             * laguerre(m, power, x2)
         )
     return complex(base * val)
@@ -188,22 +178,21 @@ def coefficient_laguerre(cfg: CMConfig, q: int) -> complex:
 
 def raw_coefficients(cfg: CMConfig) -> np.ndarray:
     """All unnormalized coefficients C_0..C_n (Hermite route)."""
-    return np.array([coefficient(cfg, q) for q in range(cfg.n + 1)], dtype=complex)
+    return coefficients_grid(cfg.n, cfg.m, complex(cfg.alpha), cfg.R)
 
 
 def coefficients_grid(n: int, m: int, alpha, R) -> np.ndarray:
-    """Unnormalized coefficients over broadcast real grids of alpha and R.
+    """Unnormalized coefficients over broadcast grids of alpha (real or complex) and R.
 
-    Returns an array of shape (n + 1,) + broadcast(alpha, R).shape; used by
-    the parameter-space scans, which all work at real alpha.
+    Returns an array of shape (n + 1,) + broadcast(alpha, R).shape; the
+    parameter-space scans pass real alpha grids, raw_coefficients one
+    complex alpha.
     """
-    alpha_b, R_b = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(R, float))
+    alpha_b, R_b = np.broadcast_arrays(np.asarray(alpha), np.asarray(R, float))
     x = alpha_b * np.sqrt(1.0 - R_b)
     ratio = (1.0 - R_b) / R_b
-    rows = []
-    for q in range(n + 1):
-        scale = math.comb(n, q) * math.sqrt(math.factorial(q))
-        rows.append(scale * np.power(ratio, q / 2.0) * hermite2(n - q, m, x, x))
+    xc = np.conj(x)
+    rows = [_level_factor(n, q, ratio) * hermite2(n - q, m, xc, x) for q in range(n + 1)]
     return np.stack([np.broadcast_to(r, alpha_b.shape) for r in rows])
 
 
@@ -214,9 +203,11 @@ def _herald_prefactor(cfg: CMConfig) -> float:
 
 
 def success_probability(cfg: CMConfig) -> float:
-    """Ideal heralding probability of the (n, m, alpha, R) run."""
-    c = raw_coefficients(cfg)
-    return _herald_prefactor(cfg) * float(np.vdot(c, c).real)
+    """Ideal heralding probability of the (n, m, alpha, R) run; 0 where build_dq finds none."""
+    try:
+        return build_dq(cfg)[1]
+    except ZeroProbability:
+        return 0.0
 
 
 def build_dq(cfg: CMConfig) -> tuple[DQState, float]:
@@ -227,10 +218,10 @@ def build_dq(cfg: CMConfig) -> tuple[DQState, float]:
     underflows to 0.
     """
     where = f"n={cfg.n}, m={cfg.m}, alpha={cfg.alpha}, R={cfg.R}"
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):
         c = raw_coefficients(cfg)
-    except OverflowError:
-        raise NonFiniteResult(f"coefficients C_q overflow for {where}") from None
+    if not np.all(np.isfinite(c)):
+        raise NonFiniteResult(f"coefficients C_q overflow for {where}")
     s = float(np.vdot(c, c).real)
     if not math.isfinite(s):
         raise NonFiniteResult(f"coefficient norm sum_q |C_q|^2 overflows for {where}")
@@ -270,54 +261,32 @@ def locus_solve(
     target: LocusTarget,
     R: float,
     alpha_max: float = 12.0,
-    samples: int = 4800,
-    tol: float = 1e-10,
 ) -> list[float]:
     """Real alpha > 0 values at fixed R where a coefficient condition holds.
 
     COEFFICIENT_ZERO finds roots of C_q(alpha); EQUAL_SUPERPOSITION finds
-    crossings |C_q| = |C_{q+1}| of adjacent coefficients.  Roots come from
-    bisection on sign changes over alpha in (0, alpha_max].
+    crossings |C_q| = |C_{q+1}| of adjacent coefficients, which for real
+    alpha are the roots of C_q - C_{q+1} and C_q + C_{q+1}.  At fixed R each
+    C_q is a polynomial in alpha, so the loci are its real roots in
+    (0, alpha_max], ascending.
     """
     if target is LocusTarget.EQUAL_SUPERPOSITION and q + 1 > n:
         raise ValueError("equal-superposition target needs the pair (q, q+1) within 0..n")
+    x = np.polynomial.Polynomial([0.0, math.sqrt(1.0 - R)])
+    ratio = (1.0 - R) / R
 
-    def f(alpha_vals: np.ndarray) -> np.ndarray:
-        c = coefficients_grid(n, m, alpha_vals, R)
-        if target is LocusTarget.COEFFICIENT_ZERO:
-            return c[q]
-        return np.abs(c[q]) - np.abs(c[q + 1])
+    def c(k: int) -> np.polynomial.Polynomial:
+        return _level_factor(n, k, ratio) * hermite2(n - k, m, x, x)
 
-    grid = np.linspace(alpha_max / samples, alpha_max, samples)
-    vals = f(grid)
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        lo, hi = grid[i], grid[i + 1]
-        flo, fhi = vals[i], vals[i + 1]
-        if flo == 0.0:
-            roots.append(float(lo))
-            continue
-        if flo * fhi >= 0.0:
-            continue
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            fmid = float(f(np.array([mid]))[0])
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        roots.append(0.5 * (lo + hi))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    if not roots:
+    if target is LocusTarget.COEFFICIENT_ZERO:
+        polys = [c(q)]
+    else:
+        polys = [c(q) - c(q + 1), c(q) + c(q + 1)]
+    roots = np.concatenate([p.roots() for p in polys])
+    real = roots.real[np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots))]
+    found = sorted(float(r) for r in real if 0.0 < r <= alpha_max)
+    if not found:
         raise NoRootInBracket(
             f"no root of {target.value} for (n={n}, m={m}, q={q}) with alpha in (0, {alpha_max}]"
         )
-    deduped: list[float] = []
-    for r_ in roots:
-        if not deduped or abs(r_ - deduped[-1]) > 10 * tol:
-            deduped.append(r_)
-    return deduped
+    return found

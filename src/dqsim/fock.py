@@ -19,8 +19,8 @@ organized sector by sector.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,33 +179,25 @@ def fock_state(k: int, t: Truncation) -> FockVector:
     return FockVector(amps)
 
 
-_DISP_CACHE: dict[tuple[complex, int], np.ndarray] = {}
-_DISP_LOCK = threading.Lock()
-
-
 def displacement_matrix(beta: complex, t: Truncation) -> np.ndarray:
     """D(beta) = exp(beta a^dag - beta* a) by matrix exponential.
 
     Exactly unitary on the truncated space; the tail check guards against
     displacements whose coherent support spills past the cutoff.  Recently
-    used matrices are cached (scans revisit the same displacement).
+    used matrices are cached (scans revisit the same displacement) and
+    copied out, so callers may modify what they get.
     """
     if _poisson_tail(abs(beta) ** 2, t.dim) >= TAIL_TOL:
         raise TruncationTooSmall(
             f"displacement |beta|^2={abs(beta)**2:.3f} spills past dim={t.dim}"
         )
-    key = (complex(beta), t.dim)
-    with _DISP_LOCK:
-        hit = _DISP_CACHE.get(key)
-    if hit is not None:
-        return hit.copy()
-    a = annihilation_matrix(t)
-    D = expm(beta * a.conj().T - np.conj(beta) * a)
-    with _DISP_LOCK:
-        if len(_DISP_CACHE) > 64:
-            _DISP_CACHE.clear()
-        _DISP_CACHE[key] = D
-    return D.copy()
+    return _displacement(complex(beta), t.dim).copy()
+
+
+@functools.lru_cache(maxsize=64)
+def _displacement(beta: complex, dim: int) -> np.ndarray:
+    a = annihilation_matrix(Truncation(dim))
+    return expm(beta * a.conj().T - np.conj(beta) * a)
 
 
 def _squeezed_vacuum_kept(r: float, dim: int) -> float:
@@ -256,54 +248,43 @@ def thermal_density(nbar: float, t: Truncation) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # two-mode beam splitter
 
-_BS_CACHE: dict[tuple[float, int], list[np.ndarray]] = {}
-_BS_LOCK = threading.Lock()
+def _sectors(dim: int):
+    """Yield (N, ks) for N = 0 .. 2(dim-1): sector N has basis |k>_a |N-k>_b, k in ks."""
+    for N in range(2 * dim - 1):
+        yield N, np.arange(max(0, N - dim + 1), min(N, dim - 1) + 1)
 
 
+@functools.lru_cache
 def _bs_blocks(R: float, dim: int) -> list[np.ndarray]:
-    """Orthogonal blocks of U on each total-photon sector N = 0 .. 2(dim-1).
+    """Orthogonal blocks of U on each total-photon sector, in `_sectors` order.
 
-    Within sector N the basis is |k>_a |N-k>_b with k running over the part
-    of 0..N that fits the truncation.  The generator restricted to a sector
-    is real antisymmetric tridiagonal, so each block is exactly orthogonal.
+    The generator restricted to a sector is real antisymmetric tridiagonal,
+    so each block is exactly orthogonal.  Blocks are cached per (R, dim)
+    and shared between callers, which must not modify them.
     """
     if not 0.0 < R < 1.0:
         raise ValueError("beam-splitter reflectivity must satisfy 0 < R < 1")
-    key = (float(R), dim)
-    with _BS_LOCK:
-        cached = _BS_CACHE.get(key)
-    if cached is not None:
-        return cached
     theta = math.acos(math.sqrt(R))
     blocks: list[np.ndarray] = []
-    for N in range(2 * dim - 1):
-        kmin = max(0, N - dim + 1)
-        kmax = min(N, dim - 1)
-        size = kmax - kmin + 1
-        if size == 1:
+    for N, ks in _sectors(dim):
+        if ks.size == 1:
             blocks.append(np.ones((1, 1)))
             continue
-        gen = np.zeros((size, size))
-        for i, k in enumerate(range(kmin, kmax)):
+        gen = np.zeros((ks.size, ks.size))
+        for i, k in enumerate(ks[:-1].tolist()):
             amp = theta * math.sqrt((k + 1) * (N - k))
             gen[i + 1, i] = amp
             gen[i, i + 1] = -amp
         blocks.append(expm(gen))
-    with _BS_LOCK:
-        _BS_CACHE[key] = blocks
     return blocks
 
 
-def _apply_bs(psi: np.ndarray, R: float) -> np.ndarray:
-    """Apply the beam-splitter unitary to a two-mode amplitude matrix psi[j_a, k_b]."""
-    dim = psi.shape[0]
-    if psi.shape != (dim, dim):
-        raise DimensionMismatch("two-mode amplitudes must form a square matrix")
-    out = np.zeros_like(psi, dtype=complex)
-    for N, block in enumerate(_bs_blocks(R, dim)):
-        kmin = max(0, N - dim + 1)
-        kmax = min(N, dim - 1)
-        ks = np.arange(kmin, kmax + 1)
+def _bs_output(alpha: complex, n: int, R: float, t: Truncation) -> np.ndarray:
+    """Two-mode amplitudes out[j_a, k_b] of U |alpha>_a |n>_b, sector by sector."""
+    psi = np.zeros((t.dim, t.dim), dtype=complex)
+    psi[:, n] = coherent(alpha, t).amps
+    out = np.zeros_like(psi)
+    for (N, ks), block in zip(_sectors(t.dim), _bs_blocks(R, t.dim)):
         out[ks, N - ks] = block @ psi[ks, N - ks]
     return out
 
@@ -315,10 +296,7 @@ def bs_unitary(R: float, t: Truncation) -> np.ndarray:
     """
     dim = t.dim
     U = np.zeros((dim * dim, dim * dim))
-    for N, block in enumerate(_bs_blocks(R, dim)):
-        kmin = max(0, N - dim + 1)
-        kmax = min(N, dim - 1)
-        ks = np.arange(kmin, kmax + 1)
+    for (N, ks), block in zip(_sectors(dim), _bs_blocks(R, dim)):
         flat = ks * dim + (N - ks)
         U[np.ix_(flat, flat)] = block
     return U
@@ -336,14 +314,9 @@ def brute_force_cm(
         raise ValueError("photon numbers must be non-negative")
     if t is None:
         t = Truncation.auto(alpha, n, m)
-    dim = t.dim
-    if n >= dim or m >= dim:
+    if n >= t.dim or m >= t.dim:
         raise TruncationTooSmall(f"n={n}, m={m} require dim > {max(n, m)}")
-    va = coherent(alpha, t).amps
-    psi = np.zeros((dim, dim), dtype=complex)
-    psi[:, n] = va
-    out = _apply_bs(psi, R)
-    col = out[:, m].copy()
+    col = _bs_output(alpha, n, R, t)[:, m]
     prob = float(np.vdot(col, col).real)
     if prob < 1e-300:
         raise ZeroProbability(f"herald m={m} has vanishing probability for n={n}, alpha={alpha}")

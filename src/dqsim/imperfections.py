@@ -80,15 +80,7 @@ def mixed_source(n: int, eta_s: float, t: fock.Truncation) -> fock.DensityMatrix
 
 def _branch_amplitudes(cfg: dq.CMConfig, t: fock.Truncation) -> tuple[np.ndarray, np.ndarray]:
     """Two-mode amplitudes after the beam splitter for the |n> and |0> source branches."""
-    dim = t.dim
-    va = fock.coherent(cfg.alpha, t).amps
-    psi_n = np.zeros((dim, dim), dtype=complex)
-    psi_n[:, cfg.n] = va
-    psi_n = fock._apply_bs(psi_n, cfg.R)
-    psi_0 = np.zeros((dim, dim), dtype=complex)
-    psi_0[:, 0] = va
-    psi_0 = fock._apply_bs(psi_0, cfg.R)
-    return psi_n, psi_0
+    return fock._bs_output(cfg.alpha, cfg.n, cfg.R, t), fock._bs_output(cfg.alpha, 0, cfg.R, t)
 
 
 def realized_state(

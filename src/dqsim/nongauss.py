@@ -20,7 +20,7 @@ independent reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
@@ -76,7 +76,6 @@ class PhaseGrid:
 
     xs: np.ndarray
     ps: np.ndarray
-    values: np.ndarray | None = field(default=None)
 
     @classmethod
     def centered(cls, center: complex, half_width: float, points: int = 201) -> "PhaseGrid":
@@ -366,16 +365,13 @@ def wigner_negativity(state: dq.DQState, grid: PhaseGrid | None = None) -> float
 
     The grid must cover the support (boundary values are checked) and be
     fine enough that the full-step and double-step Simpson estimates agree
-    to 1e-3; otherwise GridTooCoarse is raised.  Samples are attached to
-    the grid's ``values`` field for reuse.
+    to 1e-3; otherwise GridTooCoarse is raised.
     """
     if grid is None:
         grid = default_grid(state)
     if grid.xs.size % 2 == 0 or (grid.xs.size - 1) % 4 != 0 or grid.ps.size % 2 == 0:
         raise ValueError("negativity grids need 4k+1 points per axis")
-    W = wigner_closed(state, grid.mesh())
-    grid.values = W
-    absW = np.abs(W)
+    absW = np.abs(wigner_closed(state, grid.mesh()))
     peak = float(absW.max())
     edge = max(absW[0, :].max(), absW[-1, :].max(), absW[:, 0].max(), absW[:, -1].max())
     if edge > 1e-7 * peak:

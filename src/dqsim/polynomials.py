@@ -6,7 +6,8 @@ and well conditioned for the degrees used in this package; the integer
 coefficients convert to floats without loss up to roughly n + m <= 40.
 Asymptotic regimes beyond that are out of scope.
 
-Arguments may be scalars or broadcastable numpy arrays.
+Hermite arguments may be scalars, broadcastable numpy arrays or numpy
+polynomials; Laguerre arguments are real scalars.
 """
 
 from __future__ import annotations
@@ -44,32 +45,24 @@ def _int_binom(a: int, k: int) -> int:
     return (-1) ** k * math.comb(k - a - 1, k)
 
 
-def laguerre(n: int, a: int, x):
-    """Associated Laguerre polynomial L_n^(a)(x) for integer index a.
+def laguerre(n: int, a: int, x) -> float:
+    """Associated Laguerre polynomial L_n^(a)(x) for integer index a and real scalar x.
 
     Evaluated through the finite series
 
         L_n^(a)(x) = sum_{k=0}^{n} (-1)^k C(n+a, n-k) x^k / k!
 
     which stays valid when ``a`` is a negative integer because the
-    binomial is the generalized one over integers.  Real scalar arguments
-    are summed in exact rational arithmetic (floats are exact binary
-    rationals), so the returned value is correct to the last bit even in
-    the oscillatory regime; complex or array arguments fall back to float
-    summation.
+    binomial is the generalized one over integers.  The series is summed
+    in exact rational arithmetic (floats are exact binary rationals), so
+    the returned value is correct to the last bit even in the oscillatory
+    regime.
     """
     if n < 0:
         raise ValueError("laguerre degree must be non-negative")
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        xf = Fraction(x)
-        acc_exact = Fraction(0)
-        for k in range(n + 1):
-            coeff = (-1) ** k * _int_binom(n + a, n - k)
-            acc_exact += Fraction(coeff, math.factorial(k)) * xf**k
-        return float(acc_exact)
-    acc = None
+    xf = Fraction(x)
+    acc = Fraction(0)
     for k in range(n + 1):
         coeff = (-1) ** k * _int_binom(n + a, n - k)
-        term = coeff * x ** k / math.factorial(k)
-        acc = term if acc is None else acc + term
-    return acc
+        acc += Fraction(coeff, math.factorial(k)) * xf**k
+    return float(acc)

@@ -157,6 +157,11 @@ def optimize_cm_squeezing(
     Coarse grid scan at the stated steps, then a Nelder-Mead refinement
     started from the best cell.  Box-boundary hits are flagged, not
     rejected.
+
+    For m = 0 (optimum on the line |alpha|^2 R = const) and n = 1 (on the
+    `n1_optimal_alpha_sq` locus) the optimum is a flat set, so the
+    (|alpha|^2, R) returned there is one arbitrary point of it, moved by
+    last-bit rounding changes; only ``min_var`` is reproducible.
     """
     a_lo, a_hi = alpha_sq_range
     r_lo, r_hi = R_range

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ def test_classify_and_chi():
 def test_single_photon_vacuum_detection_ratio():
     # coefficients proportional to (alpha sqrt(1-R), sqrt((1-R)/R))
     cfg = _cfg(1, 0, 1.3, 0.58)
-    ratio = dq.coefficient(cfg, 0) / dq.coefficient(cfg, 1)
+    ratio = dq.raw_coefficients(cfg)[0] / dq.raw_coefficients(cfg)[1]
     assert ratio == pytest.approx(1.3 * math.sqrt(0.58), rel=1e-12)
 
 
@@ -40,10 +41,10 @@ def test_known_coefficient_roots():
     # zero of the vacuum coefficient of the (1,2) state at chi = 2
     R = 0.45
     alpha = math.sqrt(2.0 / (1 - R))
-    assert abs(dq.coefficient(_cfg(1, 2, alpha, R), 0)) < 1e-10
+    assert abs(dq.raw_coefficients(_cfg(1, 2, alpha, R))[0]) < 1e-10
     # zero of the middle coefficient of the (2,1) state at chi = 1
     alpha = math.sqrt(1.0 / (1 - R))
-    assert abs(dq.coefficient(_cfg(2, 1, alpha, R), 1)) < 1e-10
+    assert abs(dq.raw_coefficients(_cfg(2, 1, alpha, R))[1]) < 1e-10
 
 
 def test_two_photon_herald_three_roots():
@@ -51,22 +52,24 @@ def test_two_photon_herald_three_roots():
     R = 0.6
     for chi_root in (3 - math.sqrt(3), 3 + math.sqrt(3)):
         alpha = math.sqrt(chi_root / (1 - R))
-        assert abs(dq.coefficient(_cfg(2, 3, alpha, R), 0)) < 1e-10
+        assert abs(dq.raw_coefficients(_cfg(2, 3, alpha, R))[0]) < 1e-10
 
 
 def test_hermite_and_laguerre_routes_agree():
+    # real draws plus the same moduli at two nonzero phases (complex Hermite path)
     rng = np.random.default_rng(11)
     for _ in range(20):
         alpha = float(rng.uniform(0.2, 2.5))
         R = float(rng.uniform(0.05, 0.95))
-        for n in range(6):
-            for m in range(8):
-                cfg = _cfg(n, m, alpha, R)
-                for q in range(n + 1):
-                    h = dq.coefficient(cfg, q)
-                    l = dq.coefficient_laguerre(cfg, q)
-                    scale = max(abs(h), abs(l), 1e-30)
-                    assert abs(h - l) / scale < 1e-10
+        for a in (alpha, alpha * cmath.exp(0.7j), alpha * cmath.exp(-2.3j)):
+            for n in range(6):
+                for m in range(8):
+                    cfg = _cfg(n, m, a, R)
+                    for q in range(n + 1):
+                        h = dq.raw_coefficients(cfg)[q]
+                        l = dq.coefficient_laguerre(cfg, q)
+                        scale = max(abs(h), abs(l), 1e-30)
+                        assert abs(h - l) / scale < 1e-10
 
 
 def test_build_dq_reference_cases():
@@ -89,7 +92,7 @@ def test_oracle_equivalence_small_grid():
     t = fock.Truncation.auto(1.8, 4, 6)
     for n in range(5):
         for m in range(7):
-            for alpha, R in [(0.7, 0.3), (1.8, 0.62)]:
+            for alpha, R in [(0.7, 0.3), (1.8, 0.62), (1.2 * cmath.exp(0.9j), 0.45)]:
                 if n == 0 and m > 0 and alpha == 0:
                     continue
                 cfg = _cfg(n, m, alpha, R)
@@ -159,6 +162,40 @@ def test_locus_solve_coefficient_zeros():
     state, _ = dq.build_dq(_cfg(2, 3, alpha, R))
     assert alpha * math.sqrt(1 - R) == pytest.approx(1.1260, abs=5e-5)
     assert abs(state.coeffs[1]) ** 2 > 0.5  # |1> dominates once |0> drops out
+
+
+def _locus_function(c, q, target):
+    """C_q, or |C_q| - |C_{q+1}|, over the trailing axes of coefficients c."""
+    if target is dq.LocusTarget.COEFFICIENT_ZERO:
+        return c[q]
+    return np.abs(c[q]) - np.abs(c[q + 1])
+
+
+@pytest.mark.parametrize("R", [0.1, 0.5, 0.9])
+def test_locus_solve_matches_sign_change_scan(R):
+    # the former sampled solver as oracle: sign changes on 4800 alpha points in (0, 12]
+    alpha_max, samples = 12.0, 4800
+    grid = np.linspace(alpha_max / samples, alpha_max, samples)
+    step = grid[1] - grid[0]
+    for n in range(7):
+        for m in range(9):
+            c = dq.coefficients_grid(n, m, grid, R)
+            for target in dq.LocusTarget:
+                zero = target is dq.LocusTarget.COEFFICIENT_ZERO
+                for q in range(n + 1 if zero else n):
+                    f = _locus_function(c, q, target)
+                    expected = grid[:-1][(f[:-1] * f[1:] < 0.0) | (f[:-1] == 0.0)]
+                    try:
+                        roots = np.array(dq.locus_solve(n, m, q, target, R, alpha_max))
+                    except NoRootInBracket:
+                        roots = np.array([])
+                    assert roots.size == expected.size, (n, m, q, target)
+                    for lo, r in zip(expected, roots):
+                        assert lo - step <= r <= lo + 2 * step, (n, m, q, target)
+                    if roots.size:
+                        at = dq.coefficients_grid(n, m, roots, R)
+                        resid = np.abs(_locus_function(at, q, target))
+                        assert np.all(resid <= 1e-9 * np.abs(at).max(axis=0)), (n, m, q)
 
 
 def test_locus_solve_no_root():

@@ -44,6 +44,14 @@ def test_displacement_is_unitary_and_composes():
     assert abs(fock.overlap(lhs, rhs)) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_displacement_matrix_returns_private_copy():
+    t = fock.Truncation(30)
+    d = fock.displacement_matrix(0.7 + 0.2j, t)
+    ref = d.copy()
+    d[:] = 0.0
+    np.testing.assert_array_equal(fock.displacement_matrix(0.7 + 0.2j, t), ref)
+
+
 def test_displacement_truncation_guard():
     with pytest.raises(TruncationTooSmall):
         fock.displacement_matrix(4.0, fock.Truncation(20))
