@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatch,
     DQSimError,
     GridTooCoarse,
+    HeraldPrecisionLoss,
     IndexOutOfRange,
     NonFiniteResult,
     NonPhysicalCovariance,
@@ -53,6 +54,7 @@ __all__ = [
     "NonFiniteResult",
     "NonPhysicalCovariance",
     "GridTooCoarse",
+    "HeraldPrecisionLoss",
     "NoRootInBracket",
     "IndexOutOfRange",
 ]

@@ -32,18 +32,7 @@ from itertools import product
 import numpy as np
 
 from . import __version__, dq, fock, imperfections, nongauss, squeezing
-from .errors import DQSimError
-
-TOLERANCES = {
-    "coefficient_cross_check_rel": 1e-10,
-    "oracle_overlap": 1e-8,
-    "success_probability": 1e-8,
-    "moments_vs_matrix": 1e-9,
-    "optimizer_variance": 1e-6,
-    "wigner_pointwise": 1e-7,
-    "wigner_normalization": 1e-3,
-    "wigner_negativity_quadrature": 1e-3,
-}
+from .errors import TOLERANCES, DQSimError
 
 _TABLE3_CONFIGS = [
     (1, 3.05, 0.6000),
@@ -311,11 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if dim:
             p.add_argument("--dim", type=int, help="override the truncation heuristic")
-        p.add_argument(
-            "--tolerance-report",
-            action="store_true",
-            help="print the numeric tolerance table to stderr",
-        )
         if config:
             p.add_argument("--n", type=int, required=True, help="input photon number")
             p.add_argument("--m", type=int, required=True, help="detected photon number")
@@ -381,8 +365,6 @@ def run(args) -> int:
     except DQSimError as exc:
         print(f"dqsim: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if args.tolerance_report:
-        print(json.dumps({"tolerances": TOLERANCES}, indent=2, sort_keys=True), file=sys.stderr)
     print(f"dqsim: {args.command} finished in {time.perf_counter() - start:.2f}s", file=sys.stderr)
     return 0
 

@@ -197,9 +197,17 @@ def coefficients_grid(n: int, m: int, alpha, R) -> np.ndarray:
 
 
 def _herald_prefactor(cfg: CMConfig) -> float:
-    """R^n / (m! n!) exp(-|alpha|^2 (1 - R)), the success probability per unit sum_q |C_q|^2."""
-    pref = cfg.R ** cfg.n / (math.factorial(cfg.m) * math.factorial(cfg.n))
-    return pref * math.exp(-abs(cfg.alpha) ** 2 * (1.0 - cfg.R))
+    """R^n / (m! n!) exp(-|alpha|^2 (1 - R)), the success probability per unit sum_q |C_q|^2.
+
+    Summed in log space, so m! n! never has to fit in a float.
+    """
+    log_pref = (
+        cfg.n * math.log(cfg.R)
+        - math.lgamma(cfg.m + 1)
+        - math.lgamma(cfg.n + 1)
+        - abs(cfg.alpha) ** 2 * (1.0 - cfg.R)
+    )
+    return math.exp(log_pref)
 
 
 def success_probability(cfg: CMConfig) -> float:

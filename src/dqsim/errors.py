@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types and numeric tolerances shared across the package."""
+
+TOLERANCES = {
+    "coefficient_cross_check_rel": 1e-10,
+    "oracle_overlap": 1e-8,
+    "success_probability": 1e-8,
+    "moments_vs_matrix": 1e-9,
+    "optimizer_variance": 1e-6,
+    "wigner_pointwise": 1e-7,
+    "wigner_normalization": 1e-3,
+    "wigner_negativity_quadrature": 1e-3,
+}
 
 
 class DQSimError(Exception):
@@ -11,6 +22,10 @@ class TruncationTooSmall(DQSimError):
 
 class ZeroProbability(DQSimError):
     """A heralded event has numerically vanishing probability."""
+
+
+class HeraldPrecisionLoss(DQSimError):
+    """A Fock-space herald probability disagrees with its closed form beyond tolerance."""
 
 
 class DimensionMismatch(DQSimError):

@@ -15,6 +15,13 @@ photon number, so it is built (and cached) as one orthogonal block per
 total-photon sector; the dense matrix is assembled from those blocks on
 demand.  This is the same matrix exponential of the truncated generator,
 organized sector by sector.
+
+Every unitary here (displacement, squeezing, beam-splitter sectors) is
+exp(G) of an anti-Hermitian generator G.  `expm` takes it from the
+eigendecomposition of the Hermitian iG = V diag(w) V^dag as
+V diag(e^{-iw}) V^dag, which is exact up to the rounding of the
+eigensolver and unitary by construction; real G gives a real orthogonal
+result.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionMismatch, TruncationTooSmall, ZeroProbability
 
@@ -33,6 +39,7 @@ __all__ = [
     "Truncation",
     "FockVector",
     "DensityMatrix",
+    "expm",
     "annihilation_matrix",
     "creation_matrix",
     "displacement_matrix",
@@ -126,6 +133,21 @@ class DensityMatrix:
 
 # ---------------------------------------------------------------------------
 # single-mode operators and states
+
+
+def expm(gen: np.ndarray) -> np.ndarray:
+    """exp(G) of an anti-Hermitian matrix G, from the eigendecomposition of iG.
+
+    Raises ValueError when max|G + G^dag| exceeds 1e-12 max(1, max|G|): the
+    eigendecomposition route is exact only for anti-Hermitian generators.
+    """
+    gen = np.asarray(gen)
+    defect = float(np.max(np.abs(gen + gen.conj().T)))
+    if defect > 1e-12 * max(1.0, float(np.max(np.abs(gen)))):
+        raise ValueError(f"expm needs an anti-Hermitian generator (|G + G^dag| = {defect:.2e})")
+    w, V = np.linalg.eigh(1j * gen)
+    out = (V * np.exp(-1j * w)) @ V.conj().T
+    return out.real if np.isrealobj(gen) else out
 
 
 def annihilation_matrix(t: Truncation) -> np.ndarray:

@@ -13,6 +13,12 @@ before normalization is the heralding probability under imperfections.
 Because the source mixture has rank two, the conjugation is evaluated on
 the two pure branches separately, which is exact and keeps everything at
 O(dim^3) without forming dim^2 x dim^2 operators.
+
+The Fock route gets the ideal herald probability p(n, m) by cancellation
+inside U|alpha>|n>, so a rare herald (p below about 1e-20, reached at large
+|alpha|^2) comes out as rounding noise.  The fidelities therefore check the
+Fock-space p(n, m) against the closed form of `dq.build_dq` and raise
+HeraldPrecisionLoss where they part.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dq, fock
-from .errors import ZeroProbability
+from .errors import TOLERANCES, HeraldPrecisionLoss, NonFiniteResult, ZeroProbability
 
 __all__ = [
     "ImperfectionParams",
@@ -83,6 +89,25 @@ def _branch_amplitudes(cfg: dq.CMConfig, t: fock.Truncation) -> tuple[np.ndarray
     return fock._bs_output(cfg.alpha, cfg.n, cfg.R, t), fock._bs_output(cfg.alpha, 0, cfg.R, t)
 
 
+def _ideal_state(cfg: dq.CMConfig, t: fock.Truncation) -> fock.FockVector:
+    """Ideal heralded state from `fock.brute_force_cm`, its probability checked.
+
+    The check needs the closed form in float range; where its coefficients
+    overflow (NonFiniteResult) the Fock state is returned unchecked.
+    """
+    ideal, prob = fock.brute_force_cm(cfg.n, cfg.m, cfg.alpha, cfg.R, t)
+    try:
+        _, exact = dq.build_dq(cfg)
+    except NonFiniteResult:
+        return ideal
+    if abs(prob - exact) > TOLERANCES["success_probability"] * exact:
+        raise HeraldPrecisionLoss(
+            f"Fock-space herald probability {prob:.6e} differs from the closed form"
+            f" {exact:.6e} for n={cfg.n}, m={cfg.m}, alpha={cfg.alpha}, R={cfg.R}"
+        )
+    return ideal
+
+
 def realized_state(
     cfg: dq.CMConfig, imp: ImperfectionParams, t: fock.Truncation | None = None
 ) -> tuple[fock.DensityMatrix, float]:
@@ -112,10 +137,14 @@ def realized_state(
 def realized_fidelity(
     cfg: dq.CMConfig, imp: ImperfectionParams, t: fock.Truncation | None = None
 ) -> float:
-    """Overlap Tr(rho_ideal rho_realized) with the ideal heralded pure state."""
+    """Overlap Tr(rho_ideal rho_realized) with the ideal heralded pure state.
+
+    Raises HeraldPrecisionLoss where the ideal herald is too rare for the
+    Fock route (see the module docstring).
+    """
     if t is None:
         t = fock.Truncation.auto(cfg.alpha, cfg.n, cfg.m)
-    ideal, _ = fock.brute_force_cm(cfg.n, cfg.m, cfg.alpha, cfg.R, t)
+    ideal = _ideal_state(cfg, t)
     rho, _ = realized_state(cfg, imp, t)
     val = np.vdot(ideal.amps, rho.mat @ ideal.amps)
     return float(val.real)
@@ -135,7 +164,7 @@ def fidelity_heatmap(
     """
     if t is None:
         t = fock.Truncation.auto(cfg.alpha, cfg.n, cfg.m)
-    ideal, _ = fock.brute_force_cm(cfg.n, cfg.m, cfg.alpha, cfg.R, t)
+    ideal = _ideal_state(cfg, t)
     psi_n, psi_0 = _branch_amplitudes(cfg, t)
     col_norm_n = np.sum(np.abs(psi_n) ** 2, axis=0)
     col_norm_0 = np.sum(np.abs(psi_0) ** 2, axis=0)

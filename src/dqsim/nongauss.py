@@ -23,13 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import expm
-from scipy.optimize import minimize
 
 from . import dq, fock
 from .errors import GridTooCoarse, NonPhysicalCovariance
-from .squeezing import bare_moment, covariance_from_moments
+from .fock import expm
+from .squeezing import bare_moment, covariance_from_moments, minimize
 
 __all__ = [
     "GaussianRef",
@@ -356,8 +354,22 @@ def wigner_oracle_grid(rho: fock.DensityMatrix, grid: PhaseGrid) -> np.ndarray:
     return out
 
 
+def _simpson_weights(axis: np.ndarray) -> np.ndarray:
+    """Composite-Simpson weights h/3 (1, 4, 2, 4, ..., 2, 4, 1) of a uniform odd-length axis."""
+    size = axis.size
+    if size < 3 or size % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an odd number (>= 3) of points, got {size}")
+    h = (axis[-1] - axis[0]) / (size - 1)
+    if np.max(np.abs(np.diff(axis) - h)) > 1e-9 * abs(h):
+        raise ValueError("Simpson's rule needs a uniformly spaced axis")
+    w = np.full(size, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * (h / 3.0)
+
+
 def _simpson2d(values: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> float:
-    return float(simpson(simpson(values, x=ps, axis=1), x=xs))
+    return float(_simpson_weights(xs) @ values @ _simpson_weights(ps))
 
 
 def wigner_negativity(state: dq.DQState, grid: PhaseGrid | None = None) -> float:
@@ -369,7 +381,7 @@ def wigner_negativity(state: dq.DQState, grid: PhaseGrid | None = None) -> float
     """
     if grid is None:
         grid = default_grid(state)
-    if grid.xs.size % 2 == 0 or (grid.xs.size - 1) % 4 != 0 or grid.ps.size % 2 == 0:
+    if (grid.xs.size - 1) % 4 != 0 or (grid.ps.size - 1) % 4 != 0:
         raise ValueError("negativity grids need 4k+1 points per axis")
     absW = np.abs(wigner_closed(state, grid.mesh()))
     peak = float(absW.max())

@@ -5,6 +5,10 @@ Gaussian operation it never changes the variances, so the parameter-space
 scans evaluate the bare superposition coefficients only; the moment
 routine itself keeps the displacement so that first moments come out
 right.
+
+scipy is imported only where an optimizer runs (`minimize`,
+`optimize_fock_superposition`), so the moment and variance routines load
+numpy alone.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from . import dq
 from .errors import IndexOutOfRange
@@ -66,6 +69,13 @@ class Table2Row:
     dq_min_var: float
     fock_min_var: float
     difference: float
+
+
+def minimize(fun, x0, *args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, *args, **kwargs)
 
 
 def bare_moment(c, u: int, v: int) -> np.ndarray:
@@ -209,6 +219,8 @@ def optimize_fock_superposition(n: int) -> tuple[float, np.ndarray]:
     """
     if n < 1:
         raise ValueError("need at least two superposed levels")
+    from scipy.optimize import minimize_scalar
+
     root = np.sqrt(np.arange(1.0, n + 2))
     x = (np.diag(root, 1) + np.diag(root, -1)) / math.sqrt(2.0)  # X on |0>..|n+1>
     x2 = (x @ x)[: n + 1, : n + 1]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,8 +111,14 @@ def test_bad_grid_exit_code(capsys):
         (["--n", "2", "--m", "200", "--alpha-sq", "3000", "--R", "0.5"], "C_q overflow"),
         # exp(-|alpha|^2 (1 - R)) underflows
         (["--n", "2", "--m", "1", "--alpha-sq", "100000", "--R", "0.5"], "success probability"),
+        # m! no longer fits in a float, and R^n / (m! n!) underflows
+        (["--n", "2", "--m", "171", "--alpha-sq", "1", "--R", "0.5"], "success probability"),
+        # p(2, 1) ~ 1e-28: the Fock route's ideal column is rounding noise
+        (["--n", "2", "--m", "1", "--alpha-sq", "150", "--R", "0.5", "--eta-d", "0.9"],
+         "herald probability"),
     ],
-    ids=["zero-probability", "coefficient-overflow", "probability-underflow"],
+    ids=["zero-probability", "coefficient-overflow", "probability-underflow",
+         "factorial-overflow", "rare-herald"],
 )
 def test_numerical_failure_exit_code(capsys, argv, quantity):
     rc = _run(["state"] + argv)
@@ -116,6 +126,52 @@ def test_numerical_failure_exit_code(capsys, argv, quantity):
     err = capsys.readouterr().err
     assert "numerical failure" in err and quantity in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_fidelity_map_rare_herald_exit_code(capsys):
+    rc = _run(["fidelity-map", "--n", "2", "--m", "1", "--alpha-sq", "150", "--R", "0.5",
+               "--grid", "0.5:0.9:2,0.5:1:2"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "HeraldPrecisionLoss" in err and "closed form" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+_SCIPY_PROBE = """
+import sys
+from dqsim import cli
+for argv in {commands!r}:
+    assert cli.main(argv + ["--out", {out!r}]) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def _loaded_scipy_modules(commands, tmp_path):
+    code = _SCIPY_PROBE.format(commands=commands, out=str(tmp_path / "out"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1].replace("'", '"'))
+
+
+def test_cli_commands_import_no_scipy(tmp_path):
+    config = ["--n", "2", "--m", "1", "--alpha-sq", "2.5", "--R", "0.6"]
+    commands = [
+        ["state", *config],
+        ["state", *config, "--eta-d", "0.8", "--format", "json"],
+        ["wigner", *config, "--grid", "4:21"],
+        ["scan", "--n", "1", "--m", "1", "--grid", "0.5:4:4,0.2:0.8:3"],
+        ["hsd-scan", "--n", "1", "--m", "2", "--grid", "1:6:4,0.3:0.7:3"],
+        ["fidelity-map", *config, "--grid", "0.5:1:3,0.5:1:3"],
+        ["table3"],
+    ]
+    assert _loaded_scipy_modules(commands, tmp_path) == []
+
+
+def test_optimize_loads_scipy_optimize(tmp_path):
+    loaded = _loaded_scipy_modules([["optimize", "--n", "1", "--m", "1"]], tmp_path)
+    assert "scipy.optimize" in loaded
 
 
 def test_wigner_grid_output(tmp_path):

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dqsim import fock
 from dqsim.errors import DimensionMismatch, TruncationTooSmall, ZeroProbability
@@ -30,6 +32,99 @@ def test_coherent_amplitude_ratio():
 def test_coherent_truncation_guard():
     with pytest.raises(TruncationTooSmall):
         fock.coherent(4.0, fock.Truncation(18))
+
+
+def _displacement_generator(beta, dim):
+    a = fock.annihilation_matrix(fock.Truncation(dim))
+    return beta * a.conj().T - np.conj(beta) * a
+
+
+def _squeeze_generator(r, phi, dim):
+    a = fock.annihilation_matrix(fock.Truncation(dim))
+    zeta = r * np.exp(1j * phi)
+    return 0.5 * (zeta * (a.conj().T @ a.conj().T) - np.conj(zeta) * (a @ a))
+
+
+def _bs_sector_generator(N, R):
+    """theta (a^dag b - a b^dag) on the sector |k>|N-k>, k = 0..N, as fock._bs_blocks builds it."""
+    theta = math.acos(math.sqrt(R))
+    gen = np.zeros((N + 1, N + 1))
+    for k in range(N):
+        amp = theta * math.sqrt((k + 1) * (N - k))
+        gen[k + 1, k] = amp
+        gen[k, k + 1] = -amp
+    return gen
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        _displacement_generator(1.2 + 0.7j, 30),
+        _displacement_generator(0.3j, 60),
+        _displacement_generator(3.0 - 2.0j, 120),
+        _displacement_generator(-5.5 + 4.1j, 285),
+        _squeeze_generator(0.4, 0.3, 60),
+        _squeeze_generator(0.9, -1.2, 120),
+        _bs_sector_generator(1, 0.5),
+        _bs_sector_generator(20, 0.37),
+        _bs_sector_generator(60, 0.8),
+        _bs_sector_generator(118, 0.37),
+    ],
+    ids=["disp30", "disp60", "disp120", "disp285", "sq60", "sq120",
+         "bs1", "bs20", "bs60", "bs118"],
+)
+def test_expm_matches_scipy_and_is_unitary(gen):
+    u = fock.expm(gen)
+    assert u.dtype == (float if np.isrealobj(gen) else complex)
+    np.testing.assert_allclose(u, scipy.linalg.expm(gen), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(gen.shape[0]), rtol=0, atol=1e-13)
+
+
+def test_expm_matches_mpmath_expm():
+    gen = _bs_sector_generator(20, 0.37)
+    with mpmath.workdps(40):
+        ref = np.array(mpmath.expm(mpmath.matrix(gen.tolist())).tolist(), dtype=float)
+    np.testing.assert_allclose(fock.expm(gen), ref, rtol=0, atol=1e-14)
+
+
+def _bs_sector_exact(N, R):
+    """The N-photon sector of U = exp(theta (a^dag b - a b^dag)) to 60 digits.
+
+    U a^dag U^dag = c a^dag - s b^dag and U b^dag U^dag = s a^dag + c b^dag
+    (c = cos theta, s = sin theta), so column k' is the expansion of
+    (c x - s y)^k' (s x + c y)^(N-k') in x^k y^(N-k), scaled by
+    sqrt(k! (N-k)! / (k'! (N-k')!)).  theta is the float that
+    `_bs_sector_generator` uses.
+    """
+    out = np.empty((N + 1, N + 1))
+    with mpmath.workdps(60):
+        theta = mpmath.mpf(math.acos(math.sqrt(R)))
+        c, s = mpmath.cos(theta), mpmath.sin(theta)
+        fact = [mpmath.factorial(i) for i in range(N + 1)]
+        for kp in range(N + 1):
+            p1 = [mpmath.binomial(kp, j) * c**j * (-s) ** (kp - j) for j in range(kp + 1)]
+            p2 = [mpmath.binomial(N - kp, i) * s**i * c ** (N - kp - i) for i in range(N - kp + 1)]
+            for k in range(N + 1):
+                js = range(max(0, k - (N - kp)), min(k, kp) + 1)
+                coef = mpmath.fsum(p1[j] * p2[k - j] for j in js)
+                out[k, kp] = float(coef * mpmath.sqrt(fact[k] * fact[N - k] / (fact[kp] * fact[N - kp])))
+    return out
+
+
+def test_expm_matches_exact_beam_splitter_sector():
+    # scipy's Pade expm is off by 2e-14 on this block
+    N, R = 118, 0.37
+    np.testing.assert_allclose(
+        fock.expm(_bs_sector_generator(N, R)), _bs_sector_exact(N, R), rtol=0, atol=1e-14
+    )
+
+
+def test_expm_rejects_non_anti_hermitian_generator():
+    a = fock.annihilation_matrix(fock.Truncation(6))
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        fock.expm(a + a.conj().T)
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        fock.expm(_bs_sector_generator(5, 0.3) + 1e-9 * np.eye(6))
 
 
 def test_displacement_is_unitary_and_composes():

@@ -238,6 +238,31 @@ def test_negativity_single_photon_self_consistency():
     assert closed_i == pytest.approx(oracle_i, abs=1e-4)
 
 
+@pytest.mark.parametrize("nx, np_", [(5, 9), (41, 21), (201, 401)])
+def test_simpson_weights_match_scipy(nx, np_):
+    rng = np.random.default_rng(nx)
+    xs = np.linspace(-3.7, 5.2, nx)
+    ps = np.linspace(10.0, 10.5, np_)
+    vals = np.exp(-0.3 * xs[:, None] ** 2) * np.cos(ps[None, :]) + rng.random((nx, np_))
+    ref = simpson(simpson(vals, x=ps, axis=1), x=xs)
+    assert nongauss._simpson2d(vals, xs, ps) == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+
+def test_simpson_weights_reject_even_or_uneven_axes():
+    with pytest.raises(ValueError, match="odd"):
+        nongauss._simpson_weights(np.linspace(0.0, 1.0, 8))
+    with pytest.raises(ValueError, match="uniformly"):
+        nongauss._simpson_weights(np.array([0.0, 0.1, 0.3, 0.4, 0.5]))
+
+
+def test_negativity_needs_4k_plus_1_points_on_both_axes():
+    # 4k + 3 points on ps leave an even-length axis after the coarse halving
+    st = dq.DQState.from_coeffs([0, 1.0])
+    grid = nongauss.PhaseGrid(np.linspace(-6.0, 6.0, 201), np.linspace(-6.0, 6.0, 203))
+    with pytest.raises(ValueError, match="4k\\+1"):
+        nongauss.wigner_negativity(st, grid)
+
+
 def test_negativity_nonnegative_and_grid_checks():
     st = dq.DQState.from_coeffs([0, 1.0])
     val = nongauss.wigner_negativity(st, nongauss.default_grid(st, 401))
