@@ -199,7 +199,7 @@ def coefficients_grid(n: int, m: int, alpha, R) -> np.ndarray:
 def _herald_prefactor(cfg: CMConfig) -> float:
     """R^n / (m! n!) exp(-|alpha|^2 (1 - R)), the success probability per unit sum_q |C_q|^2.
 
-    Summed in log space, so m! n! never has to fit in a float.
+    Evaluated in log space, so m! n! never has to fit in a float.
     """
     log_pref = (
         cfg.n * math.log(cfg.R)

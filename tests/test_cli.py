@@ -138,11 +138,11 @@ def test_fidelity_map_rare_herald_exit_code(capsys):
 
 
 _SCIPY_PROBE = """
-import sys
+import json, sys
 from dqsim import cli
 for argv in {commands!r}:
     assert cli.main(argv + ["--out", {out!r}]) == 0, argv
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
 
@@ -152,7 +152,7 @@ def _loaded_scipy_modules(commands, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1].replace("'", '"'))
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_cli_commands_import_no_scipy(tmp_path):
