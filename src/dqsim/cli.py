@@ -14,7 +14,9 @@ fidelity-map  ideal/realized fidelity over an (eta_d, eta_s) grid
 
 Coherent amplitudes are entered as |alpha|^2 (real, phase 0).  CSV output
 is UTF-8 with a header row and LF line endings; JSON output is one object
-with a ``meta`` header and row-major ``data``.  Floats carry 12
+with a ``meta`` header and row-major ``data``; ``optimize`` and ``table1``
+list each row's optimizer run (``nit``, ``nfev``, ``converged``) in
+``meta.optimizer``.  Floats carry 12
 significant digits and files are byte-identical across re-runs (timing
 goes to stderr, never into the data).  Exit codes: 0 success, 2 usage
 error, 3 numerical failure.
@@ -202,14 +204,21 @@ def _optimum_row(r: squeezing.OptimumRecord) -> tuple:
     return (r.n, r.m, r.min_var, r.alpha_sq, r.R, r.boundary_hit)
 
 
+def _optimizer_meta(records) -> list[dict]:
+    """Nelder-Mead iterations, objective evaluations and convergence, one entry per row."""
+    return [{"nit": r.nit, "nfev": r.nfev, "converged": r.converged} for r in records]
+
+
 def _cmd_optimize(args):
     rec = squeezing.optimize_cm_squeezing(args.n, args.m)
-    return _OPTIMUM_HEADER, [_optimum_row(rec)], {"command": "optimize"}
+    meta = {"command": "optimize", "optimizer": _optimizer_meta([rec])}
+    return _OPTIMUM_HEADER, [_optimum_row(rec)], meta
 
 
 def _cmd_table1(args):
-    rows = [_optimum_row(r) for r in squeezing.table1()]
-    return _OPTIMUM_HEADER, rows, {"command": "table1"}
+    records = squeezing.table1()
+    rows = [_optimum_row(r) for r in records]
+    return _OPTIMUM_HEADER, rows, {"command": "table1", "optimizer": _optimizer_meta(records)}
 
 
 def _cmd_table2(args):

@@ -227,10 +227,7 @@ def hsd_max(
         return -hsd_of_coeffs(c)
 
     res = minimize(
-        objective,
-        x0=np.array([a_vals[ia], r_vals[ir]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-5, "fatol": 1e-9, "maxiter": 2000},
+        objective, np.array([a_vals[ia], r_vals[ir]]), xatol=1e-5, fatol=1e-9, maxiter=2000
     )
     best = -float(res.fun)
     a_best = float(min(max(res.x[0], alpha_sq_range[0]), alpha_sq_range[1]))

@@ -6,9 +6,9 @@ scans evaluate the bare superposition coefficients only; the moment
 routine itself keeps the displacement so that first moments come out
 right.
 
-scipy is imported only where an optimizer runs (`minimize`,
-`optimize_fock_superposition`), so the moment and variance routines load
-numpy alone.
+The optimizers run on numpy alone: `minimize` is a Nelder-Mead simplex
+that repeats scipy's default method step for step, and the superposition
+optimum bisects the slope of an eigenvalue, batched over its brackets.
 """
 
 from __future__ import annotations
@@ -53,14 +53,22 @@ class QuadratureReport:
 
 @dataclass(frozen=True)
 class OptimumRecord:
-    """Best squeezing found for one (n, m) heralding cell."""
+    """Best squeezing found for one (n, m) heralding cell.
+
+    nit, nfev and converged report the Nelder-Mead refinement: iterations,
+    objective evaluations, and whether it stopped on its tolerances rather
+    than its iteration cap.
+    """
 
     n: int
     m: int
     min_var: float
     alpha_sq: float
     R: float
-    boundary_hit: bool = False
+    boundary_hit: bool
+    nit: int
+    nfev: int
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -71,11 +79,73 @@ class Table2Row:
     difference: float
 
 
-def minimize(fun, x0, *args, **kwargs):
-    """scipy.optimize.minimize, imported on the first call."""
-    from scipy.optimize import minimize as scipy_minimize
+@dataclass(frozen=True)
+class SimplexResult:
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+    success: bool
 
-    return scipy_minimize(fun, x0, *args, **kwargs)
+
+def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int) -> SimplexResult:
+    """Nelder-Mead simplex minimum of fun from x0 (Nelder & Mead, Comput. J. 7, 308 (1965)).
+
+    Repeats scipy.optimize.minimize(method="Nelder-Mead") with its default
+    non-adaptive coefficients operation for operation, so results agree
+    bit for bit: start vertices 1.05 x_k (0.00025 where x_k = 0), reflect 1,
+    expand 2, contract 1/2, shrink 1/2, a re-sort by value after each step,
+    and a stop once every vertex lies within xatol and every value within
+    fatol of the best.  ``nit`` counts from 1 as scipy's does; ``success``
+    is false when maxiter ends the run.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    N = x0.size
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return float(fun(x))
+
+    sim = np.tile(x0, (N + 1, 1))
+    for k in range(N):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(v) for v in sim])
+    nit = 1
+    while True:
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+        if nit >= maxiter or (
+            np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        nit += 1
+    return SimplexResult(sim[0], float(np.min(fsim)), nfev, nit, nit < maxiter)
 
 
 def bare_moment(c, u: int, v: int) -> np.ndarray:
@@ -189,10 +259,7 @@ def optimize_cm_squeezing(
         return float(variance_x_map(n, m, a, r))
 
     res = minimize(
-        objective,
-        x0=np.array([a_vals[ia], r_vals[ir]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 4000},
+        objective, np.array([a_vals[ia], r_vals[ir]]), xatol=1e-6, fatol=1e-9, maxiter=4000
     )
     best_a, best_r = (float(res.x[0]), float(res.x[1]))
     best_v = float(res.fun)
@@ -204,7 +271,50 @@ def optimize_cm_squeezing(
         or best_r - r_lo < R_step
         or r_hi - best_r < R_step
     )
-    return OptimumRecord(n, m, best_v, best_a, best_r, boundary)
+    return OptimumRecord(n, m, best_v, best_a, best_r, boundary, res.nit, res.nfev, res.success)
+
+
+def _fock_shift_brackets(n: int):
+    """(shifted, x1, lo, hi) for the superposition optimum on |0>..|n>.
+
+    shifted(t) is P (X - t)^2 P, stacked along the leading axes of t, and x1
+    is P X P; each [lo_i, hi_i] brackets one local minimum of the lowest
+    eigenvalue of shifted(t), found on a 401-point scan of
+    [0, lambda_max(P X P)].
+    """
+    root = np.sqrt(np.arange(1.0, n + 2))
+    x = (np.diag(root, 1) + np.diag(root, -1)) / math.sqrt(2.0)  # X on |0>..|n+1>
+    x2 = (x @ x)[: n + 1, : n + 1]
+    x1 = x[: n + 1, : n + 1]
+
+    def shifted(t):
+        t = np.asarray(t, dtype=float)[..., None, None]
+        return x2 - 2.0 * t * x1 + t * t * np.eye(n + 1)
+
+    ts = np.linspace(0.0, np.linalg.eigvalsh(x1)[-1], 401)
+    vals = np.linalg.eigvalsh(shifted(ts))[:, 0]
+    edged = np.concatenate(([np.inf], vals, [np.inf]))
+    lows = np.flatnonzero((vals <= edged[:-2]) & (vals <= edged[2:]))
+    return shifted, x1, ts[np.maximum(lows - 1, 0)], ts[np.minimum(lows + 1, ts.size - 1)]
+
+
+def _bisect_stationary(shifted, x1, lo, hi, width: float) -> np.ndarray:
+    """Minimizer of lambda_min(shifted(t)) in every bracket [lo_i, hi_i] at once.
+
+    By Hellmann-Feynman the slope of the lowest eigenvalue is 2 (t - c.x1.c)
+    with c its eigenvector, and it turns from negative to positive at a
+    bracketed minimum, so each bracket is halved on that sign until all are
+    narrower than width.  A search on the values themselves (golden section,
+    bounded Brent) stalls about 1e-7 from the minimum, where lambda_min is
+    flat to rounding; the sign of the slope stays exact much closer in.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    while np.max(hi - lo) > width:
+        mid = (lo + hi) / 2
+        c = np.linalg.eigh(shifted(mid))[1][..., 0]
+        rising = mid > np.einsum("ki,ij,kj->k", c, x1, c)
+        lo, hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
+    return (lo + hi) / 2
 
 
 def optimize_fock_superposition(n: int) -> tuple[float, np.ndarray]:
@@ -213,36 +323,16 @@ def optimize_fock_superposition(n: int) -> tuple[float, np.ndarray]:
     With P the projector onto |0>..|n>, min over unit c of Var X is
     min_t lambda_min(P (X - t)^2 P), attained by the eigenvector, whose <X>
     is the optimal t.  Parity maps X to -X, so t runs over
-    [0, lambda_max(P X P)], where lambda_min has n local minima (one at
-    t = 0 for even n): each bracketed minimum gets a bounded search.
-    Returns the variance and the coefficients with a canonical sign.
+    [0, lambda_max(P X P)], where lambda_min has a few local minima (one at
+    t = 0 for even n): one bisection, batched over their brackets, narrows
+    each to a width of 1e-10.  Returns the variance and the coefficients
+    with a canonical sign.
     """
     if n < 1:
         raise ValueError("need at least two superposed levels")
-    from scipy.optimize import minimize_scalar
-
-    root = np.sqrt(np.arange(1.0, n + 2))
-    x = (np.diag(root, 1) + np.diag(root, -1)) / math.sqrt(2.0)  # X on |0>..|n+1>
-    x2 = (x @ x)[: n + 1, : n + 1]
-    x1 = x[: n + 1, : n + 1]
-
-    def shifted(t):
-        return x2 - 2.0 * t * x1 + t * t * np.eye(n + 1)
-
-    def lam(t: float) -> float:
-        return float(np.linalg.eigvalsh(shifted(t))[0])
-
-    ts = np.linspace(0.0, np.linalg.eigvalsh(x1)[-1], 401)
-    vals = np.linalg.eigvalsh(shifted(ts[:, None, None]))[:, 0]
-    edged = np.concatenate(([np.inf], vals, [np.inf]))
-    lows = np.flatnonzero((vals <= edged[:-2]) & (vals <= edged[2:]))
-    brackets = [(ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]) for i in lows]
-    fits = [
-        minimize_scalar(lam, bounds=b, method="bounded", options={"xatol": 1e-10})
-        for b in brackets
-    ]
-    best = min(fits, key=lambda res: res.fun)
-    c = np.linalg.eigh(shifted(best.x))[1][:, 0]
+    shifted, x1, lo, hi = _fock_shift_brackets(n)
+    lam, vecs = np.linalg.eigh(shifted(_bisect_stationary(shifted, x1, lo, hi, 1e-10)))
+    c = vecs[np.argmin(lam[:, 0]), :, 0]
     if c[np.argmax(np.abs(c))] < 0:
         c = -c
     return float(variance_of_coeffs(c)), c

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dqsim import cli
+from dqsim import cli, squeezing
 
 
 def _run(argv):
@@ -138,7 +138,17 @@ def test_fidelity_map_rare_herald_exit_code(capsys):
 
 
 _SCIPY_PROBE = """
-import json, sys
+import importlib.abc, json, sys
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked: " + name)
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
 from dqsim import cli
 for argv in {commands!r}:
     assert cli.main(argv + ["--out", {out!r}]) == 0, argv
@@ -147,6 +157,7 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 
 
 def _loaded_scipy_modules(commands, tmp_path):
+    """Run commands through cli.main in a fresh interpreter in which importing scipy fails."""
     code = _SCIPY_PROBE.format(commands=commands, out=str(tmp_path / "out"))
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -165,13 +176,10 @@ def test_cli_commands_import_no_scipy(tmp_path):
         ["hsd-scan", "--n", "1", "--m", "2", "--grid", "1:6:4,0.3:0.7:3"],
         ["fidelity-map", *config, "--grid", "0.5:1:3,0.5:1:3"],
         ["table3"],
+        ["optimize", "--n", "1", "--m", "1"],
+        ["table2"],
     ]
     assert _loaded_scipy_modules(commands, tmp_path) == []
-
-
-def test_optimize_loads_scipy_optimize(tmp_path):
-    loaded = _loaded_scipy_modules([["optimize", "--n", "1", "--m", "1"]], tmp_path)
-    assert "scipy.optimize" in loaded
 
 
 def test_wigner_grid_output(tmp_path):
@@ -207,6 +215,22 @@ def test_optimize_json(tmp_path):
     doc = json.loads(out.read_text())
     row = dict(zip(doc["columns"], doc["data"][0]))
     assert row["min_var"] == pytest.approx(0.375, abs=5e-4)
+    (run,) = doc["meta"]["optimizer"]
+    assert run["converged"] is True and 1 <= run["nit"] < run["nfev"]
+
+
+def test_table1_json_meta_lists_optimizer_runs(tmp_path, monkeypatch):
+    full_table1 = squeezing.table1
+    monkeypatch.setattr(squeezing, "table1", lambda: full_table1(n_max=2, m_max=1))
+    csv_out, json_out = tmp_path / "t1.csv", tmp_path / "t1.json"
+    assert _run(["table1", "--out", str(csv_out)]) == 0
+    assert _run(["table1", "--format", "json", "--out", str(json_out)]) == 0
+    doc = json.loads(json_out.read_text())
+    records = full_table1(n_max=2, m_max=1)
+    assert doc["meta"]["optimizer"] == [
+        {"nit": r.nit, "nfev": r.nfev, "converged": r.converged} for r in records
+    ]
+    assert len(doc["data"]) == len(csv_out.read_text().splitlines()) - 1 == 4
 
 
 def test_hsd_scan_small(tmp_path):

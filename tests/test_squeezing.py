@@ -131,6 +131,92 @@ def test_optimizer_not_above_coarse_grid():
     assert rec.min_var <= np.nanmin(V) + 1e-9
 
 
+def _captured_objective(monkeypatch, module, run):
+    """(fun, x0, options) of the one optimizer run that run() makes through module.minimize."""
+    calls = []
+    original = module.minimize
+
+    def record(fun, x0, **options):
+        calls.append((fun, np.array(x0), options))
+        return original(fun, x0, **options)
+
+    monkeypatch.setattr(module, "minimize", record)
+    run()
+    (call,) = calls
+    return call
+
+
+def _assert_matches_scipy_nelder_mead(fun, x0, options):
+    from scipy.optimize import minimize as scipy_minimize
+
+    ours = squeezing.minimize(fun, x0, **options)
+    ref = scipy_minimize(fun, x0, method="Nelder-Mead", options=options)
+    assert np.array_equal(ours.x, ref.x)
+    assert ours.fun == ref.fun
+    assert (ours.nfev, ours.nit, ours.success) == (ref.nfev, ref.nit, ref.success)
+    return ours
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (4, 3), (3, 0), (1, 2)])
+def test_minimize_matches_scipy_on_cm_objective(monkeypatch, n, m):
+    fun, x0, options = _captured_objective(
+        monkeypatch, squeezing, lambda: squeezing.optimize_cm_squeezing(n, m)
+    )
+    assert _assert_matches_scipy_nelder_mead(fun, x0, options).success
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
+def test_minimize_matches_scipy_on_hsd_objective(monkeypatch, n, m):
+    from dqsim import nongauss
+
+    fun, x0, options = _captured_objective(monkeypatch, nongauss, lambda: nongauss.hsd_max(n, m))
+    assert _assert_matches_scipy_nelder_mead(fun, x0, options).success
+
+
+def _rosenbrock(x):
+    return np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+
+
+def test_minimize_matches_scipy_from_zero_coordinate():
+    # x0[0] == 0 takes the 0.00025 start-vertex branch
+    res = _assert_matches_scipy_nelder_mead(
+        _rosenbrock, np.array([0.0, 1.5]), {"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000}
+    )
+    assert res.success
+    np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-6)
+
+
+def test_minimize_maxiter_cap_reports_no_success():
+    res = _assert_matches_scipy_nelder_mead(
+        _rosenbrock, np.array([0.0, 1.5, -0.5]), {"xatol": 1e-8, "fatol": 1e-12, "maxiter": 40}
+    )
+    assert not res.success and res.nit == 40
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_fock_shift_bisection_matches_bounded_brent(n):
+    from scipy.optimize import minimize_scalar
+
+    shifted, x1, lo, hi = squeezing._fock_shift_brackets(n)
+
+    def lam(t):
+        return np.linalg.eigvalsh(shifted(t))[..., 0]
+
+    t = squeezing._bisect_stationary(shifted, x1, lo, hi, 1e-10)
+    values = lam(t)
+    for i in range(t.size):
+        ref = minimize_scalar(lambda s: float(lam(s)), bounds=(lo[i], hi[i]), method="bounded",
+                              options={"xatol": 1e-10})
+        assert values[i] == pytest.approx(ref.fun, abs=1e-14)
+        # Brent compares values, flat to rounding within ~1e-7 of the minimum
+        assert t[i] == pytest.approx(ref.x, abs=3e-7)
+    # the minimum is stationary: t is the <X> of the lowest eigenvector
+    c = np.linalg.eigh(shifted(t))[1][..., 0]
+    np.testing.assert_allclose(np.einsum("ki,ij,kj->k", c, x1, c), t, rtol=0, atol=1e-9)
+    if n == 1:  # optimal qubit sqrt(3)/2 |0> + 1/2 |1>, <X> = sqrt(6)/4
+        assert t[0] == pytest.approx(math.sqrt(6.0) / 4.0, abs=1e-10)
+
+
 def test_fock_superposition_known_optima():
     v1, c1 = squeezing.optimize_fock_superposition(1)
     assert v1 == pytest.approx(0.3750, abs=1e-4)
