@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,16 +80,7 @@ class Table2Row:
     difference: float
 
 
-@dataclass(frozen=True)
-class SimplexResult:
-    x: np.ndarray
-    fun: float
-    nfev: int
-    nit: int
-    success: bool
-
-
-def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int) -> SimplexResult:
+def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int) -> SimpleNamespace:
     """Nelder-Mead simplex minimum of fun from x0 (Nelder & Mead, Comput. J. 7, 308 (1965)).
 
     Repeats scipy.optimize.minimize(method="Nelder-Mead") with its default
@@ -96,8 +88,8 @@ def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int) -> SimplexRes
     bit for bit: start vertices 1.05 x_k (0.00025 where x_k = 0), reflect 1,
     expand 2, contract 1/2, shrink 1/2, a re-sort by value after each step,
     and a stop once every vertex lies within xatol and every value within
-    fatol of the best.  ``nit`` counts from 1 as scipy's does; ``success``
-    is false when maxiter ends the run.
+    fatol of the best.  The result carries x, fun, nfev, nit (counted from
+    1, as scipy does) and success, which is false when maxiter ends the run.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     N = x0.size
@@ -116,9 +108,9 @@ def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int) -> SimplexRes
     while True:
         order = np.argsort(fsim)
         sim, fsim = sim[order], fsim[order]
-        if nit >= maxiter or (
-            np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
-        ):
+        x_spread = np.max(np.abs(sim[1:] - sim[0]))
+        f_spread = np.max(np.abs(fsim[0] - fsim[1:]))
+        if nit >= maxiter or (x_spread <= xatol and f_spread <= fatol):
             break
         xbar = np.add.reduce(sim[:-1], 0) / N
         xr = 2 * xbar - sim[-1]
@@ -145,7 +137,8 @@ def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int) -> SimplexRes
             else:
                 sim[-1], fsim[-1] = xc, fxc
         nit += 1
-    return SimplexResult(sim[0], float(np.min(fsim)), nfev, nit, nit < maxiter)
+    fun_min = float(np.min(fsim))
+    return SimpleNamespace(x=sim[0], fun=fun_min, nfev=nfev, nit=nit, success=nit < maxiter)
 
 
 def bare_moment(c, u: int, v: int) -> np.ndarray:
