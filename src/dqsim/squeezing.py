@@ -301,7 +301,6 @@ def _bisect_stationary(shifted, x1, lo, hi, width: float) -> np.ndarray:
     bounded Brent) stalls about 1e-7 from the minimum, where lambda_min is
     flat to rounding; the sign of the slope stays exact much closer in.
     """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     while np.max(hi - lo) > width:
         mid = (lo + hi) / 2
         c = np.linalg.eigh(shifted(mid))[1][..., 0]
