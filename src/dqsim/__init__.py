@@ -14,7 +14,6 @@ from .errors import (
     DimensionMismatch,
     DQSimError,
     GridTooCoarse,
-    HeraldPrecisionLoss,
     IndexOutOfRange,
     NonFiniteResult,
     NonPhysicalCovariance,
@@ -54,7 +53,6 @@ __all__ = [
     "NonFiniteResult",
     "NonPhysicalCovariance",
     "GridTooCoarse",
-    "HeraldPrecisionLoss",
     "NoRootInBracket",
     "IndexOutOfRange",
 ]

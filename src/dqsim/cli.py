@@ -16,10 +16,11 @@ Coherent amplitudes are entered as |alpha|^2 (real, phase 0).  CSV output
 is UTF-8 with a header row and LF line endings; JSON output is one object
 with a ``meta`` header and row-major ``data``; ``optimize`` and ``table1``
 list each row's optimizer run (``nit``, ``nfev``, ``converged``) in
-``meta.optimizer``.  Floats carry 12
-significant digits and files are byte-identical across re-runs (timing
-goes to stderr, never into the data).  Exit codes: 0 success, 2 usage
-error, 3 numerical failure.
+``meta.optimizer``; ``state --eta-*`` and ``fidelity-map`` give the last k of
+their exact k sum and its relative tail bound as ``meta.k_cutoff`` and
+``meta.k_tail_bound``.  Floats carry 12 significant digits and files are
+byte-identical across re-runs (timing goes to stderr, never into the data).
+Exit codes: 0 success, 2 usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from itertools import product
 
 import numpy as np
 
-from . import __version__, dq, fock, imperfections, nongauss, squeezing
-from .errors import TOLERANCES, DQSimError
+from . import __version__, dq, imperfections, nongauss, squeezing
+from .errors import TOLERANCES, DQSimError, GridTooCoarse
 
 _TABLE3_CONFIGS = [
     (1, 3.05, 0.6000),
@@ -138,18 +139,6 @@ def _config(args) -> dq.CMConfig:
     return dq.CMConfig(args.n, args.m, complex(math.sqrt(args.alpha_sq)), args.R)
 
 
-def _truncation(args, cfg: dq.CMConfig) -> fock.Truncation:
-    auto = fock.Truncation.auto(cfg.alpha, cfg.n, cfg.m)
-    if args.dim is None:
-        return auto
-    if args.dim < auto.dim:
-        print(
-            f"warning: --dim {args.dim} below heuristic {auto.dim}; results may lose tail mass",
-            file=sys.stderr,
-        )
-    return fock.Truncation(args.dim)
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 
@@ -178,16 +167,15 @@ def _cmd_state(args):
     for q, c in enumerate(state.coeffs):
         rows.append((f"coeff_{q}_re", c.real))
         rows.append((f"coeff_{q}_im", c.imag))
+    meta = {"command": "state"}
     if args.eta_d is not None or args.eta_s is not None:
-        imp = imperfections.ImperfectionParams(
-            args.eta_d if args.eta_d is not None else 1.0,
-            args.eta_s if args.eta_s is not None else 1.0,
-        )
-        t = _truncation(args, cfg)
-        _, prob_imp = imperfections.realized_state(cfg, imp, t)
+        eta_d, eta_s = (1.0 if v is None else v for v in (args.eta_d, args.eta_s))
+        terms = imperfections.herald_terms(cfg, [eta_d])
+        rho, prob_imp = imperfections.mixture(terms, 0, eta_s)
         rows.append(("success_prob_realized", prob_imp))
-        rows.append(("fidelity_realized", imperfections.realized_fidelity(cfg, imp, t)))
-    return ["field", "value"], rows, {"command": "state"}
+        rows.append(("fidelity_realized", np.vdot(state.coeffs, rho.mat @ state.coeffs).real))
+        meta.update(k_cutoff=terms.cutoff, k_tail_bound=terms.tail)
+    return ["field", "value"], rows, meta
 
 
 def _cmd_scan(args):
@@ -240,8 +228,11 @@ def _cmd_table3(args):
     for n, a2, R in _TABLE3_CONFIGS:
         cfg = dq.CMConfig(n, 1, complex(math.sqrt(a2)), R)
         state, prob_ideal = dq.build_dq(cfg)
-        _, prob = imperfections.realized_state(cfg, imp, _truncation(args, cfg))
-        wn = nongauss.wigner_negativity(state, nongauss.default_grid(state, args.points))
+        _, prob = imperfections.realized_qudit(cfg, imp)
+        try:
+            wn = nongauss.wigner_negativity(state, nongauss.default_grid(state, args.points))
+        except GridTooCoarse as exc:
+            raise GridTooCoarse(f"{exc} at --points {args.points}; raise --points") from None
         rows.append((n, a2, R, prob, wn, prob_ideal))
     return (
         ["n", "alpha_sq", "R", "success_prob", "wigner_negativity", "success_prob_ideal"],
@@ -271,13 +262,13 @@ def _cmd_hsd_scan(args):
 def _cmd_fidelity_map(args):
     cfg = _config(args)
     d_vals, s_vals = _parse_grid2(args.grid)
-    t = _truncation(args, cfg)
-    rows = imperfections.fidelity_heatmap(cfg, d_vals, s_vals, t)
-    return (
-        ["eta_d", "eta_s", "fidelity"],
-        rows,
-        {"command": "fidelity-map", "dim": t.dim},
-    )
+    if min(d_vals[0], s_vals[0]) < 0 or max(d_vals[-1], s_vals[-1]) > 1:
+        raise argparse.ArgumentTypeError(
+            f"bad fidelity-map grid '{args.grid}': eta_d and eta_s must lie in [0, 1]"
+        )
+    terms = imperfections.herald_terms(cfg, d_vals)
+    meta = {"command": "fidelity-map", "k_cutoff": terms.cutoff, "k_tail_bound": terms.tail}
+    return ["eta_d", "eta_s", "fidelity"], imperfections.fidelity_rows(terms, s_vals), meta
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=False, grid=None, etas=False, points=0, dim=False):
+    def add_common(p, config=False, grid=None, etas=False, points=0):
         p.add_argument("--out", help="output file path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if dim:
-            p.add_argument("--dim", type=int, help="override the truncation heuristic")
         if config:
             p.add_argument("--n", type=int, required=True, help="input photon number")
             p.add_argument("--m", type=int, required=True, help="detected photon number")
@@ -328,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p = sub.add_parser("state", help="single-configuration report")
-    add_common(p, config="full", etas=True, dim=True)
+    add_common(p, config="full", etas=True)
     p = sub.add_parser("scan", help="min variance over an (|alpha|^2, R) grid")
     add_common(p, config=True, grid="0.05:16:160,0.05:0.95:91")
     p = sub.add_parser("optimize", help="best squeezing for one (n, m)")
@@ -338,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="heralded vs free superposition optima")
     add_common(p)
     p = sub.add_parser("table3", help="benchmark success probabilities and negativities")
-    add_common(p, etas=True, points=401, dim=True)
+    add_common(p, etas=True, points=401)
     p = sub.add_parser("wigner", help="Wigner samples for one configuration")
     add_common(p, config="full", grid=True, points=201)
     p = sub.add_parser("hsd-scan", help="non-Gaussianity over an (|alpha|^2, R) grid")
     add_common(p, config=True, grid="0.05:16:80,0.05:0.95:46")
     p = sub.add_parser("fidelity-map", help="fidelity over an (eta_d, eta_s) grid")
-    add_common(p, config="full", grid="0:1:21,0:1:21", dim=True)
+    add_common(p, config="full", grid="0:1:21,0:1:21")
     return parser
 
 
@@ -357,7 +346,6 @@ def run(args) -> int:
         "m": (lambda v: v >= 0, "must be >= 0"),
         "eta_d": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
         "eta_s": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-        "dim": (lambda v: v >= 1, "must be >= 1"),
         "points": (_points_ok, "must be 4k + 1 with k >= 1"),
     }
     for name, (ok, rule) in validators.items():

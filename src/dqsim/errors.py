@@ -17,15 +17,11 @@ class DQSimError(Exception):
 
 
 class TruncationTooSmall(DQSimError):
-    """The Fock-space cutoff discards more amplitude mass than tolerated."""
+    """A Fock-space cutoff, or the k-sum term cap, leaves more than the tolerated tail."""
 
 
 class ZeroProbability(DQSimError):
     """A heralded event has numerically vanishing probability."""
-
-
-class HeraldPrecisionLoss(DQSimError):
-    """A Fock-space herald probability disagrees with its closed form beyond tolerance."""
 
 
 class DimensionMismatch(DQSimError):

@@ -1,44 +1,52 @@
 """Non-ideal heralding: lossy detector POVM, impure source, realized state.
 
-A photon-number-resolving detector of efficiency eta_d that reports m
-clicks implements the diagonal POVM element
+A detector of efficiency eta_d that reports m clicks implements the POVM
+element pi_m = sum_{k>=m} w_k |k><k|, w_k = C(k,m) eta_d^m (1-eta_d)^(k-m)
+(no dark counts); the source emits (1-eta_s)|0><0| + eta_s |n><n|.  So a
+report of m is an ideal detection of some k >= m with weight w_k, and for
+each k `dq.build_dq` gives p(n, k) and the state D(alpha sqrt R) c_k with
+the same displacement.  The vacuum branch gives D(alpha sqrt R)|0> with
+weight Poisson(eta_d chi; m), chi = |alpha|^2 (1-R).  The realized state is
+therefore D(alpha sqrt R) rho_bare D^dag with the exact mixture over levels
+0..n (`realized_qudit`, `herald_terms`; no Fock cutoff)
 
-    pi_m = sum_{k>=m} C(k,m) eta_d^m (1-eta_d)^(k-m) |k><k|    (no dark counts),
+    rho_bare ∝ eta_s sum_{k>=m} w_k p(n,k) c_k c_k^dag + (1-eta_s) Poisson(eta_d chi; m) |0><0|.
 
-and an imperfect source emits (1-eta_s)|0><0| + eta_s |n><n|.  The
-realized signal state conjugates the two-mode input by the beam splitter
-and contracts the detection mode against the POVM weights; its trace
-before normalization is the heralding probability under imperfections.
-
-Because the source mixture has rank two, the conjugation is evaluated on
-the two pure branches separately, which is exact and keeps everything at
-O(dim^3) without forming dim^2 x dim^2 operators.
-
-The Fock route gets the ideal herald probability p(n, m) by cancellation
-inside U|alpha>|n>, so a rare herald (p below about 1e-20, reached at large
-|alpha|^2) comes out as rounding noise.  The fidelities therefore check the
-Fock-space p(n, m) against the closed form of `dq.build_dq` and raise
-HeraldPrecisionLoss where they part.
+`realized_state` and `realized_fidelity` evolve the two modes in a truncated
+Fock space instead and are kept as the independent oracle.  They get p(n, m)
+by cancellation inside U|alpha>|n>, so they hold only above p(n, m) ~ 1e-20.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dq, fock
-from .errors import TOLERANCES, HeraldPrecisionLoss, NonFiniteResult, ZeroProbability
+from .errors import TruncationTooSmall, ZeroProbability
+from .polynomials import hermite2
 
 __all__ = [
     "ImperfectionParams",
     "povm_element",
     "mixed_source",
+    "herald_terms",
+    "mixture",
+    "fidelity_rows",
+    "realized_qudit",
     "realized_state",
     "realized_fidelity",
     "fidelity_heatmap",
 ]
+
+TAIL_REL = 1e-16  # bound on the neglected k-sum tail, relative to the sum so far
+MAX_TERMS = 1000  # k-sum terms before TruncationTooSmall
+
+# k = m..cutoff: w_k per eta_d, p(n, k), c_k, Poisson(eta_d chi; m) per eta_d, relative tail
+HeraldTerms = namedtuple("HeraldTerms", "cfg eta_d weights probs coeffs vacuum cutoff tail")
 
 
 @dataclass(frozen=True)
@@ -55,12 +63,9 @@ class ImperfectionParams:
                 raise ValueError(f"{name}={val} outside [0, 1]")
 
 
-def _povm_weights(m: int, eta_d: float, dim: int) -> np.ndarray:
+def _weight(k: int, m: int, eta_d):
     # eta_d = 1 collapses to the projector |m><m| through 0^0 = 1
-    weights = np.zeros(dim)
-    for k in range(m, dim):
-        weights[k] = math.comb(k, m) * eta_d**m * (1.0 - eta_d) ** (k - m)
-    return weights
+    return math.comb(k, m) * eta_d**m * (1.0 - eta_d) ** (k - m)
 
 
 def povm_element(m: int, eta_d: float, t: fock.Truncation) -> fock.DensityMatrix:
@@ -69,7 +74,8 @@ def povm_element(m: int, eta_d: float, t: fock.Truncation) -> fock.DensityMatrix
         raise ValueError("m must be non-negative")
     if not 0.0 <= eta_d <= 1.0:
         raise ValueError("eta_d must lie in [0, 1]")
-    return fock.DensityMatrix(np.diag(_povm_weights(m, eta_d, t.dim)).astype(complex))
+    weights = [_weight(k, m, eta_d) if k >= m else 0.0 for k in range(t.dim)]
+    return fock.DensityMatrix(np.diag(weights).astype(complex))
 
 
 def mixed_source(n: int, eta_s: float, t: fock.Truncation) -> fock.DensityMatrix:
@@ -84,50 +90,98 @@ def mixed_source(n: int, eta_s: float, t: fock.Truncation) -> fock.DensityMatrix
     return fock.DensityMatrix(np.diag(weights).astype(complex))
 
 
-def _branch_amplitudes(cfg: dq.CMConfig, t: fock.Truncation) -> tuple[np.ndarray, np.ndarray]:
-    """Two-mode amplitudes after the beam splitter for the |n> and |0> source branches."""
-    return fock._bs_output(cfg.alpha, cfg.n, cfg.R, t), fock._bs_output(cfg.alpha, 0, cfg.R, t)
+def _tail_bound(cfg: dq.CMConfig, k: int, eta_d: np.ndarray) -> np.ndarray:
+    """Bound on sum_{j>k} w_j p(n, j) per eta_d, for k >= n - 1, with no cancellation.
 
-
-def _ideal_state(cfg: dq.CMConfig, t: fock.Truncation) -> fock.FockVector:
-    """Ideal heralded state from `fock.brute_force_cm`, its probability checked.
-
-    The check needs the closed form in float range; where its coefficients
-    overflow (NonFiniteResult) the Fock state is returned unchecked.
+    p(n, j) <= U_j, the closed form with each Hermite term taken by modulus.
+    For j > k both U_{j+1}/U_j <= chi (j+1)/(j+1-n)^2 and w_{j+1}/w_j =
+    (1-eta_d)(j+1)/(j+1-m) fall with j, so once their product r at j = k+1
+    is below 1 the tail is below w_{k+1} U_{k+1} / (1 - r).
     """
-    ideal, prob = fock.brute_force_cm(cfg.n, cfg.m, cfg.alpha, cfg.R, t)
-    try:
-        _, exact = dq.build_dq(cfg)
-    except NonFiniteResult:
-        return ideal
-    if abs(prob - exact) > TOLERANCES["success_probability"] * exact:
-        raise HeraldPrecisionLoss(
-            f"Fock-space herald probability {prob:.6e} differs from the closed form"
-            f" {exact:.6e} for n={cfg.n}, m={cfg.m}, alpha={cfg.alpha}, R={cfg.R}"
-        )
-    return ideal
+    n, m, j = cfg.n, cfg.m, k + 1
+    r = dq.chi(cfg) * (j + 1) ** 2 * (1.0 - eta_d) / ((j + 1 - n) ** 2 * (j + 1 - m))
+    s = np.complex128(1j * abs(cfg.alpha) * math.sqrt(1.0 - cfg.R))  # |H(x*, x)| <= |H(is, is)|
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = [dq._level_factor(n, q, (1 - cfg.R) / cfg.R) * hermite2(n - q, j, s, s)
+             for q in range(n + 1)]
+        u = dq._herald_prefactor(dq.CMConfig(n, j, cfg.alpha, cfg.R)) * np.sum(np.abs(h) ** 2)
+        return np.where(r < 1.0, _weight(j, m, eta_d) * u / (1.0 - r), np.inf)
+
+
+def herald_terms(cfg: dq.CMConfig, eta_d_values) -> HeraldTerms:
+    """The k sum until its tail bound is below TAIL_REL of the sum for every eta_d; a
+    term that raises ZeroProbability counts as 0.  Raises TruncationTooSmall past
+    MAX_TERMS terms and NonFiniteResult where a p(n, k) overflows (n = 2: chi >~ 70-120)."""
+    eta_d = np.atleast_1d(np.asarray(eta_d_values, float))
+    weights, probs, coeffs = [], [], []
+    total = np.zeros(eta_d.size)
+    for k in range(cfg.m, cfg.m + MAX_TERMS):
+        try:
+            state, p = dq.build_dq(dq.CMConfig(cfg.n, k, cfg.alpha, cfg.R))
+        except ZeroProbability:
+            state, p = None, 0.0
+        weights.append(_weight(k, cfg.m, eta_d))
+        probs.append(p)
+        coeffs.append(state.coeffs if state else np.zeros(cfg.n + 1, dtype=complex))
+        total += weights[-1] * p
+        tail = _tail_bound(cfg, k, eta_d) if k + 1 >= cfg.n else np.inf
+        if np.all(tail <= TAIL_REL * total):
+            mu = eta_d * dq.chi(cfg)
+            with np.errstate(divide="ignore"):  # log 0 = -inf: Poisson(0; m > 0) = 0
+                log_mu_m = cfg.m * np.log(mu) if cfg.m else 0.0
+            vacuum = np.exp(log_mu_m - mu - math.lgamma(cfg.m + 1))
+            rel = np.divide(tail, total, out=np.zeros_like(total), where=tail > 0)
+            return HeraldTerms(cfg, eta_d, np.array(weights).T, np.array(probs),
+                               np.array(coeffs), vacuum, k, float(rel.max()))
+    raise TruncationTooSmall(f"k sum not closed in {MAX_TERMS} terms for n={cfg.n}, m={cfg.m}")
+
+
+def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[fock.DensityMatrix, float]:
+    """Normalized rho_bare over levels 0..n and its probability at eta_d[i] and eta_s."""
+    c = terms.coeffs
+    rho = eta_s * (c.T * (terms.weights[i] * terms.probs)) @ c.conj()
+    rho[0, 0] += (1.0 - eta_s) * terms.vacuum[i]
+    prob = float(np.trace(rho).real)
+    if prob < 1e-300:
+        raise ZeroProbability(f"herald m={terms.cfg.m} never fires (eta_d={terms.eta_d[i]})")
+    return fock.DensityMatrix(rho / prob), prob
+
+
+def fidelity_rows(terms: HeraldTerms, eta_s_values) -> list[tuple[float, float, float]]:
+    """Rows (eta_d, eta_s, <c_m|rho_bare|c_m>) from w @ p and w @ (p |<c_m|c_k>|^2), with
+    0 where the herald never fires."""
+    ideal = dq.build_dq(terms.cfg)[0].coeffs
+    ov = terms.probs * np.abs(terms.coeffs.conj() @ ideal) ** 2
+    rows = []
+    for ed, w, vac in zip(terms.eta_d, terms.weights, terms.vacuum):
+        for es in np.asarray(eta_s_values, float):
+            prob = es * float(w @ terms.probs) + (1.0 - es) * vac
+            fid = es * float(w @ ov) + (1.0 - es) * vac * abs(ideal[0]) ** 2
+            rows.append((float(ed), float(es), fid / prob if prob >= 1e-300 else 0.0))
+    return rows
+
+
+def realized_qudit(cfg: dq.CMConfig, imp: ImperfectionParams) -> tuple[fock.DensityMatrix, float]:
+    """rho_bare over levels 0..n, displaced by build_dq's alpha sqrt R, and its probability."""
+    return mixture(herald_terms(cfg, [imp.eta_d]), 0, imp.eta_s)
+
+
+def fidelity_heatmap(cfg: dq.CMConfig, eta_d_values, eta_s_values) -> list[tuple[float, ...]]:
+    """Rows (eta_d, eta_s, fidelity) over the efficiency grid, from one k sum."""
+    return fidelity_rows(herald_terms(cfg, eta_d_values), eta_s_values)
 
 
 def realized_state(
     cfg: dq.CMConfig, imp: ImperfectionParams, t: fock.Truncation | None = None
 ) -> tuple[fock.DensityMatrix, float]:
-    """Signal state heralded through the lossy detector with the impure source.
-
-    Returns the normalized density matrix and the heralding probability
-    (the trace before normalization).
-    """
+    """Fock-space oracle: realized state and probability, one source branch at a time."""
     if t is None:
         t = fock.Truncation.auto(cfg.alpha, cfg.n, cfg.m)
-    psi_n, psi_0 = _branch_amplitudes(cfg, t)
-    w = _povm_weights(cfg.m, imp.eta_d, t.dim)
-    sw = np.sqrt(w)
+    sw = np.sqrt(np.diag(povm_element(cfg.m, imp.eta_d, t).mat).real)
     rho = np.zeros((t.dim, t.dim), dtype=complex)
-    if imp.eta_s > 0.0:
-        M = psi_n * sw[None, :]
-        rho += imp.eta_s * (M @ M.conj().T)
-    if imp.eta_s < 1.0:
-        M = psi_0 * sw[None, :]
-        rho += (1.0 - imp.eta_s) * (M @ M.conj().T)
+    for n_src, weight in ((cfg.n, imp.eta_s), (0, 1.0 - imp.eta_s)):
+        M = fock._bs_output(cfg.alpha, n_src, cfg.R, t) * sw[None, :]
+        rho += weight * (M @ M.conj().T)
     prob = float(np.trace(rho).real)
     if prob < 1e-300:
         raise ZeroProbability(f"herald m={cfg.m} never fires (eta_d={imp.eta_d})")
@@ -137,47 +191,10 @@ def realized_state(
 def realized_fidelity(
     cfg: dq.CMConfig, imp: ImperfectionParams, t: fock.Truncation | None = None
 ) -> float:
-    """Overlap Tr(rho_ideal rho_realized) with the ideal heralded pure state.
-
-    Raises HeraldPrecisionLoss where the ideal herald is too rare for the
-    Fock route (see the module docstring).
-    """
+    """Fock-space oracle: Tr(rho_ideal rho_realized) with rho_ideal from `fock.brute_force_cm`;
+    valid only where p(n, m) is above about 1e-20 (see the module docstring)."""
     if t is None:
         t = fock.Truncation.auto(cfg.alpha, cfg.n, cfg.m)
-    ideal = _ideal_state(cfg, t)
+    ideal, _ = fock.brute_force_cm(cfg.n, cfg.m, cfg.alpha, cfg.R, t)
     rho, _ = realized_state(cfg, imp, t)
-    val = np.vdot(ideal.amps, rho.mat @ ideal.amps)
-    return float(val.real)
-
-
-def fidelity_heatmap(
-    cfg: dq.CMConfig,
-    eta_d_values,
-    eta_s_values,
-    t: fock.Truncation | None = None,
-) -> list[tuple[float, float, float]]:
-    """Rows (eta_d, eta_s, fidelity) over the efficiency grid.
-
-    The beam-splitter work is done once per configuration; each grid cell
-    then reduces to reweighting detection-mode columns, which matches
-    realized_fidelity exactly.
-    """
-    if t is None:
-        t = fock.Truncation.auto(cfg.alpha, cfg.n, cfg.m)
-    ideal = _ideal_state(cfg, t)
-    psi_n, psi_0 = _branch_amplitudes(cfg, t)
-    col_norm_n = np.sum(np.abs(psi_n) ** 2, axis=0)
-    col_norm_0 = np.sum(np.abs(psi_0) ** 2, axis=0)
-    ov_n = np.abs(ideal.amps.conj() @ psi_n) ** 2
-    ov_0 = np.abs(ideal.amps.conj() @ psi_0) ** 2
-    rows = []
-    for ed in np.asarray(eta_d_values, float):
-        w = _povm_weights(cfg.m, float(ed), t.dim)
-        for es in np.asarray(eta_s_values, float):
-            prob = float(w @ (es * col_norm_n + (1.0 - es) * col_norm_0))
-            if prob < 1e-300:
-                fid = 0.0  # herald never fires; report zero overlap, not NaN
-            else:
-                fid = float(w @ (es * ov_n + (1.0 - es) * ov_0)) / prob
-            rows.append((float(ed), float(es), fid))
-    return rows
+    return float(np.vdot(ideal.amps, rho.mat @ ideal.amps).real)

@@ -1,10 +1,10 @@
 """Two-variable Hermite and associated Laguerre polynomials.
 
 Both families are evaluated by direct finite summation with exact integer
-binomials/factorials.  This is exact for integer-representable arguments
-and well conditioned for the degrees used in this package; the integer
-coefficients convert to floats without loss up to roughly n + m <= 40.
-Asymptotic regimes beyond that are out of scope.
+binomials/factorials.  Against 50-digit mpmath, hermite2 at real x = y with
+n <= 4, m <= 160 and x^2 <= 75 (the reach of the imperfection k sum) is off
+by at most 1e-14 of the sum of the moduli of its terms, so its relative
+error grows only where the terms cancel, near a root.
 
 Hermite arguments may be scalars, broadcastable numpy arrays or numpy
 polynomials; Laguerre arguments are real scalars.

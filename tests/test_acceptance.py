@@ -545,7 +545,7 @@ def test_ideal_limit_regression():
         t = fock.Truncation.auto(cfg.alpha, cfg.n, cfg.m)
         fid = imperfections.realized_fidelity(cfg, imperfections.ImperfectionParams(1.0, 1.0), t)
         worst = max(worst, abs(fid - 1.0))
-        rows = imperfections.fidelity_heatmap(cfg, [0.5, 1.0], [0.5, 1.0], t)
+        rows = imperfections.fidelity_heatmap(cfg, [0.5, 1.0], [0.5, 1.0])
         corner = {(d, s): f for d, s, f in rows}[(1.0, 1.0)]
         worst = max(worst, abs(corner - 1.0))
         assert all(-1e-9 <= f <= 1 + 1e-9 for _, _, f in rows)

@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
-from dqsim import cli, squeezing
+from dqsim import cli, fock, squeezing
 
 
 def _run(argv):
@@ -113,12 +114,9 @@ def test_bad_grid_exit_code(capsys):
         (["--n", "2", "--m", "1", "--alpha-sq", "100000", "--R", "0.5"], "success probability"),
         # m! no longer fits in a float, and R^n / (m! n!) underflows
         (["--n", "2", "--m", "171", "--alpha-sq", "1", "--R", "0.5"], "success probability"),
-        # p(2, 1) ~ 1e-28: the Fock route's ideal column is rounding noise
-        (["--n", "2", "--m", "1", "--alpha-sq", "150", "--R", "0.5", "--eta-d", "0.9"],
-         "herald probability"),
     ],
     ids=["zero-probability", "coefficient-overflow", "probability-underflow",
-         "factorial-overflow", "rare-herald"],
+         "factorial-overflow"],
 )
 def test_numerical_failure_exit_code(capsys, argv, quantity):
     rc = _run(["state"] + argv)
@@ -128,13 +126,119 @@ def test_numerical_failure_exit_code(capsys, argv, quantity):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_fidelity_map_rare_herald_exit_code(capsys):
+def _mp_mixture(n, m, a2, R, eta_d, eta_s, k_max=400):
+    """Realized probability and fidelity from a 50-digit mpmath evaluation of the k sum."""
+    with mpmath.workdps(50):
+        R, eta_d, eta_s = mpmath.mpf(R), mpmath.mpf(eta_d), mpmath.mpf(eta_s)
+        x = mpmath.sqrt(mpmath.mpf(a2) * (1 - R))
+        f = mpmath.factorial
+
+        def coeffs(n_src, k):  # C_q = C(n,q) sqrt(q!) ((1-R)/R)^(q/2) H_{n-q,k}(x, x)
+            return [mpmath.binomial(n_src, q) * mpmath.sqrt(f(q)) * ((1 - R) / R) ** (q / 2.0)
+                    * mpmath.fsum((-1) ** i * mpmath.binomial(n_src - q, i) * mpmath.binomial(k, i)
+                                  * f(i) * x ** (n_src - q + k - 2 * i)
+                                  for i in range(min(n_src - q, k) + 1))
+                    for q in range(n_src + 1)]
+
+        ideal = coeffs(n, m)
+        ideal_norm2 = mpmath.fsum(c**2 for c in ideal)
+        prob = overlap = mpmath.mpf(0)
+        for n_src, branch in ((n, eta_s), (0, 1 - eta_s)):
+            for k in range(m, k_max):
+                c = coeffs(n_src, k)
+                w = mpmath.binomial(k, m) * eta_d**m * (1 - eta_d) ** (k - m)
+                scale = branch * w * R**n_src * mpmath.exp(-(x**2)) / (f(k) * f(n_src))
+                prob += scale * mpmath.fsum(ci**2 for ci in c)
+                overlap += scale * mpmath.fsum(a * b for a, b in zip(ideal, c)) ** 2 / ideal_norm2
+        return float(prob), float(overlap / prob)
+
+
+def test_rare_herald_state_matches_mpmath(tmp_path):
+    # p(2, 1) ~ 1e-28, where a Fock-space evolution loses the herald to rounding
+    out = tmp_path / "state.json"
+    rc = _run(["state", "--n", "2", "--m", "1", "--alpha-sq", "150", "--R", "0.5",
+               "--eta-d", "0.9", "--format", "json", "--out", str(out)])
+    assert rc == 0
+    fields = {row[0]: row[1] for row in json.loads(out.read_text())["data"]}
+    prob, fid = _mp_mixture(2, 1, 150, 0.5, 0.9, 1.0)
+    assert fields["success_prob_realized"] == pytest.approx(prob, rel=1e-10)
+    assert fields["fidelity_realized"] == pytest.approx(fid, rel=1e-10)
+
+
+def test_fidelity_map_rare_herald_matches_mpmath(tmp_path):
+    out = tmp_path / "f.csv"
     rc = _run(["fidelity-map", "--n", "2", "--m", "1", "--alpha-sq", "150", "--R", "0.5",
+               "--grid", "0.5:0.9:2,0.5:1:2", "--out", str(out)])
+    assert rc == 0
+    rows = [tuple(float(v) for v in ln.split(",")) for ln in out.read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    for eta_d, eta_s, fid in rows:
+        assert fid == pytest.approx(_mp_mixture(2, 1, 150, 0.5, eta_d, eta_s)[1], rel=1e-10)
+
+
+def _no_two_mode_fock(*args, **kwargs):
+    raise AssertionError("a CLI command evolved the two-mode Fock state")
+
+
+def test_fidelity_map_overflow_exit_code(capsys, monkeypatch):
+    # chi = 200: p(2, k) overflows before the k sum closes (the documented limit)
+    monkeypatch.setattr(fock, "_bs_output", _no_two_mode_fock)
+    rc = _run(["fidelity-map", "--n", "2", "--m", "1", "--alpha-sq", "400", "--R", "0.5",
                "--grid", "0.5:0.9:2,0.5:1:2"])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "HeraldPrecisionLoss" in err and "closed form" in err
+    assert "NonFiniteResult" in err and "overflows" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "--n", "2", "--m", "1", "--alpha-sq", "5.45", "--R", "0.8175",
+         "--eta-d", "0.9", "--eta-s", "0.9"],
+        ["table3"],
+        ["fidelity-map", "--n", "2", "--m", "1", "--alpha-sq", "5.45", "--R", "0.8175"],
+    ],
+    ids=["state", "table3", "fidelity-map"],
+)
+def test_imperfection_commands_evolve_no_two_mode_state(tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(fock, "_bs_output", _no_two_mode_fock)
+    assert _run(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+def test_k_sum_meta(tmp_path):
+    config = ["--n", "3", "--m", "2", "--alpha-sq", "9", "--R", "0.4"]
+    for argv in (["state", *config, "--eta-d", "0.05", "--eta-s", "0.5"],
+                 ["fidelity-map", *config, "--grid", "0:1:5,0:1:3"]):
+        out = tmp_path / "out.json"
+        assert _run(argv + ["--format", "json", "--out", str(out)]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert "dim" not in meta
+        assert meta["k_cutoff"] >= 2 and 0 <= meta["k_tail_bound"] <= 1e-16
+
+
+@pytest.mark.parametrize("grid", ["0:2:3,-1:1:3", "0:1:3,0:1.5:2", "-0.5:1:3,0:1:3"])
+def test_fidelity_map_grid_outside_unit_square(capsys, grid):
+    rc = _run(["fidelity-map", "--n", "1", "--m", "1", "--alpha-sq", "2", "--R", "0.6",
+               f"--grid={grid}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "[0, 1]" in err and len(err.strip().splitlines()) == 1
+
+
+def test_table3_coarse_points_names_flag(capsys):
+    assert _run(["table3", "--points", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "GridTooCoarse" in err and "--points" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["state", "table3", "fidelity-map"])
+def test_dim_flag_removed(command):
+    config = [] if command == "table3" else ["--n", "1", "--m", "1", "--alpha-sq", "2", "--R", "0.6"]
+    with pytest.raises(SystemExit) as exc:
+        _run([command, *config, "--dim", "40"])
+    assert exc.value.code == 2
 
 
 _SCIPY_PROBE = """

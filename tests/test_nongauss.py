@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
@@ -121,7 +121,6 @@ def test_hsd_scan_shape_and_consistency():
             assert grid[i, j] == pytest.approx(nongauss.hsd_of_coeffs(c), abs=1e-12)
 
 
-@settings(derandomize=True, deadline=None)
 @given(
     n=st.integers(0, 8),
     m=st.integers(0, 12),

@@ -1,5 +1,10 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dqsim.polynomials import hermite2, laguerre
 
@@ -30,6 +35,18 @@ def test_hermite2_accepts_arrays():
     x = np.linspace(-2, 2, 11)
     vals = hermite2(1, 1, x, x)
     np.testing.assert_allclose(vals, x * x - 1.0, rtol=1e-14)
+
+
+@given(n=st.integers(0, 4), m=st.integers(0, 160), x_sq=st.floats(0.0, 75.0))
+def test_hermite2_matches_mpmath_on_k_sum_range(n, m, x_sq):
+    # the range the imperfection k sum evaluates; the error is measured against
+    # the sum of the moduli of the terms, since the value itself can cancel to 0
+    x = math.sqrt(x_sq)
+    with mpmath.workdps(50):
+        terms = [(-1) ** k * mpmath.binomial(n, k) * mpmath.binomial(m, k) * mpmath.factorial(k)
+                 * mpmath.mpf(x) ** (n + m - 2 * k) for k in range(min(n, m) + 1)]
+        exact, scale = mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+        assert float(abs(hermite2(n, m, x, x) - exact)) <= 1e-14 * float(scale)
 
 
 def test_laguerre_low_orders():
