@@ -30,12 +30,12 @@ import json
 import math
 import sys
 import time
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
 from . import __version__, dq, imperfections, nongauss, squeezing
-from .errors import TOLERANCES, DQSimError, GridTooCoarse
+from .errors import TOLERANCES, DQSimError, GridTooCoarse, NonFiniteResult
 
 _TABLE3_CONFIGS = [
     (1, 3.05, 0.6000),
@@ -69,11 +69,18 @@ def _round12(obj):
     return obj
 
 
+def _csv_lines(header: list[str], rows: list[tuple]) -> list[str]:
+    """Header and rows as CSV lines.  When every value is a float, each row takes
+    one "%.12g" format, which gives the bytes of `_fmt` on each value."""
+    if set(map(type, chain.from_iterable(rows))) <= {float}:
+        floats = ",".join(["%.12g"] * len(header))
+        return [",".join(header)] + [floats % row for row in rows]
+    return [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+
+
 def _emit(args, header: list[str], rows: list[tuple], meta: dict) -> None:
     if args.format == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        lines = _csv_lines(header, rows)
         text = "\n".join(lines) + "\n"
     else:
         obj = {
@@ -103,10 +110,12 @@ def _parse_range(spec: str, name: str):
     try:
         lo, hi, num = spec.split(":")
         lo, hi, num = float(lo), float(hi), int(num)
-        if num < 2 or hi <= lo:
+        if num < 2 or not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
             raise ValueError
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad {name} range '{spec}', expected LO:HI:POINTS")
+        raise argparse.ArgumentTypeError(
+            f"bad {name} range '{spec}', expected LO:HI:POINTS with finite LO < HI, POINTS >= 2"
+        )
     return np.linspace(lo, hi, num)
 
 
@@ -122,15 +131,40 @@ def _parse_grid2(spec: str):
     return _parse_range(parts[0], "first"), _parse_range(parts[1], "second")
 
 
+def _scan_map(args, kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Axes of the --grid of scan or hsd-scan and kernel(n, m, alpha_sq, R) over them.
+
+    |alpha|^2 must be >= 0 and R inside (0, 1) (exit 2).  A cell that is
+    not finite exits 3, apart from the documented NaN where alpha = 0 and
+    m > n, which heralds nothing.
+    """
+    a_vals, r_vals = _parse_grid2(args.grid)
+    if a_vals[0] < 0 or r_vals[0] <= 0 or r_vals[-1] >= 1:
+        raise argparse.ArgumentTypeError(
+            f"bad grid '{args.grid}': |alpha|^2 must be >= 0 and R must lie in (0, 1)"
+        )
+    with np.errstate(all="ignore"):
+        values = kernel(args.n, args.m, a_vals, r_vals)
+    bad = ~np.isfinite(values) & ~((a_vals == 0)[:, None] & (args.m > args.n))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise NonFiniteResult(
+            f"{args.command} value not finite in {bad.sum()} of {bad.size} cells,"
+            f" first at alpha_sq={a_vals[i]:.12g}, R={r_vals[j]:.12g}"
+        )
+    return a_vals, r_vals, values
+
+
 def _parse_square(spec: str) -> tuple[float, int]:
     try:
         half_s, pts_s = spec.split(":")
         half, pts = float(half_s), int(pts_s)
-        if not (half > 0 and _points_ok(pts)):
+        if not (0 < half < math.inf and _points_ok(pts)):
             raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"bad wigner grid '{spec}', expected HALFWIDTH:POINTS with POINTS = 4k + 1 (e.g. 6:201)"
+            f"bad wigner grid '{spec}', expected HALFWIDTH:POINTS with finite HALFWIDTH > 0"
+            " and POINTS = 4k + 1 (e.g. 6:201)"
         )
     return half, pts
 
@@ -179,8 +213,9 @@ def _cmd_state(args):
 
 
 def _cmd_scan(args):
-    a_vals, r_vals = _parse_grid2(args.grid)
-    V = squeezing.variance_x_map(args.n, args.m, a_vals[:, None], r_vals[None, :])
+    a_vals, r_vals, V = _scan_map(
+        args, lambda n, m, a, r: squeezing.variance_x_map(n, m, a[:, None], r[None, :])
+    )
     meta = {"command": "scan", "n": args.n, "m": args.m}
     return ["alpha_sq", "R", "value"], _long_rows(a_vals, r_vals, V), meta
 
@@ -248,13 +283,15 @@ def _cmd_wigner(args):
         grid = nongauss.PhaseGrid.centered(state.displacement, *square)
     else:
         grid = nongauss.default_grid(state, args.points)
-    W = nongauss.wigner_closed(state, grid.mesh())
+    with np.errstate(all="ignore"):
+        W = nongauss.wigner_closed(state, grid.mesh())
+    if not np.all(np.isfinite(W)):
+        raise NonFiniteResult("Wigner function overflows on the phase-space grid")
     return ["re_beta", "im_beta", "value"], _long_rows(grid.xs, grid.ps, W), {"command": "wigner"}
 
 
 def _cmd_hsd_scan(args):
-    a_vals, r_vals = _parse_grid2(args.grid)
-    grid = nongauss.hsd_scan(args.n, args.m, a_vals, r_vals)
+    a_vals, r_vals, grid = _scan_map(args, nongauss.hsd_scan)
     meta = {"command": "hsd-scan", "n": args.n, "m": args.m}
     return ["alpha_sq", "R", "value"], _long_rows(a_vals, r_vals, grid), meta
 
@@ -340,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(args) -> int:
     start = time.perf_counter()
     validators = {
-        "alpha_sq": (lambda v: v >= 0, "must be >= 0"),
+        "alpha_sq": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
         "R": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
         "n": (lambda v: v >= 0, "must be >= 0"),
         "m": (lambda v: v >= 0, "must be >= 0"),

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import fock
 from .errors import NonFiniteResult, NoRootInBracket, TruncationTooSmall, ZeroProbability
-from .polynomials import hermite2, laguerre
+from .polynomials import hermite2_rows, laguerre
 
 __all__ = [
     "CMConfig",
@@ -138,8 +138,18 @@ class DQState:
 
 
 def _level_factor(n: int, q: int, ratio):
-    """C(n,q) sqrt(q!) ratio^(q/2), the level factor of C_q at ratio = (1-R)/R."""
-    return math.comb(n, q) * math.sqrt(math.factorial(q)) * np.power(ratio, q / 2.0)
+    """C(n,q) sqrt(q!) ratio^(q/2), the level factor of C_q at ratio = (1-R)/R.
+
+    Where q! or C(n,q) sqrt(q!) no longer fits in a float (q >= 171), the
+    same product is taken through log-gamma; it is inf where it overflows.
+    """
+    try:
+        front = math.comb(n, q) * math.sqrt(math.factorial(q))
+    except OverflowError:
+        log_front = math.lgamma(n + 1) - math.lgamma(n - q + 1) - 0.5 * math.lgamma(q + 1)
+        with np.errstate(over="ignore"):
+            return np.exp(log_front + (q / 2.0) * np.log(ratio))
+    return front * np.power(ratio, q / 2.0)
 
 
 def coefficient_laguerre(cfg: CMConfig, q: int) -> complex:
@@ -186,14 +196,26 @@ def coefficients_grid(n: int, m: int, alpha, R) -> np.ndarray:
 
     Returns an array of shape (n + 1,) + broadcast(alpha, R).shape; the
     parameter-space scans pass real alpha grids, raw_coefficients one
-    complex alpha.
+    complex alpha.  All n + 1 Hermite factors share one table of the powers
+    of x (`hermite2_rows`), the level factors are taken on R's own shape
+    before they broadcast, and real x is not conjugated.  Every elementwise
+    operation keeps its operands and order, so each C_q is bit-identical to
+    _level_factor(n, q, ratio) * hermite2(n - q, m, conj(x), x); numpy
+    scalar arguments stay numpy scalars, whose ``**`` rounds differently
+    from numpy's array power loop.  Raises NonFiniteResult where a Hermite
+    coefficient does not fit in a float.
     """
-    alpha_b, R_b = np.broadcast_arrays(np.asarray(alpha), np.asarray(R, float))
-    x = alpha_b * np.sqrt(1.0 - R_b)
-    ratio = (1.0 - R_b) / R_b
-    xc = np.conj(x)
-    rows = [_level_factor(n, q, ratio) * hermite2(n - q, m, xc, x) for q in range(n + 1)]
-    return np.stack([np.broadcast_to(r, alpha_b.shape) for r in rows])
+    alpha, R = np.asarray(alpha), np.asarray(R, float)
+    x = alpha * np.sqrt(1.0 - R)
+    ratio = (1.0 - R) / R
+    try:
+        rows = hermite2_rows(n, m, np.conj(x) if np.iscomplexobj(x) else x, x)
+    except OverflowError:
+        raise NonFiniteResult(f"Hermite coefficients of H_(n-q,{m}) overflow for n={n}") from None
+    out = np.empty((n + 1,) + np.shape(x), dtype=np.result_type(x, ratio))
+    for q, h in enumerate(rows):
+        out[q] = _level_factor(n, q, ratio) * h
+    return out
 
 
 def _herald_prefactor(cfg: CMConfig) -> float:
@@ -283,8 +305,10 @@ def locus_solve(
     x = np.polynomial.Polynomial([0.0, math.sqrt(1.0 - R)])
     ratio = (1.0 - R) / R
 
+    rows = hermite2_rows(n, m, x, x)
+
     def c(k: int) -> np.polynomial.Polynomial:
-        return _level_factor(n, k, ratio) * hermite2(n - k, m, x, x)
+        return _level_factor(n, k, ratio) * rows[k]
 
     if target is LocusTarget.COEFFICIENT_ZERO:
         polys = [c(q)]

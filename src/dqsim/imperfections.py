@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dq, fock
 from .errors import TruncationTooSmall, ZeroProbability
-from .polynomials import hermite2
+from .polynomials import hermite2_rows
 
 __all__ = [
     "ImperfectionParams",
@@ -102,8 +102,8 @@ def _tail_bound(cfg: dq.CMConfig, k: int, eta_d: np.ndarray) -> np.ndarray:
     r = dq.chi(cfg) * (j + 1) ** 2 * (1.0 - eta_d) / ((j + 1 - n) ** 2 * (j + 1 - m))
     s = np.complex128(1j * abs(cfg.alpha) * math.sqrt(1.0 - cfg.R))  # |H(x*, x)| <= |H(is, is)|
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        h = [dq._level_factor(n, q, (1 - cfg.R) / cfg.R) * hermite2(n - q, j, s, s)
-             for q in range(n + 1)]
+        h = [dq._level_factor(n, q, (1 - cfg.R) / cfg.R) * row
+             for q, row in enumerate(hermite2_rows(n, j, s, s))]
         u = dq._herald_prefactor(dq.CMConfig(n, j, cfg.alpha, cfg.R)) * np.sum(np.abs(h) ** 2)
         return np.where(r < 1.0, _weight(j, m, eta_d) * u / (1.0 - r), np.inf)
 

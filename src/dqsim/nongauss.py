@@ -27,7 +27,7 @@ import numpy as np
 from . import dq, fock
 from .errors import GridTooCoarse, NonPhysicalCovariance
 from .fock import expm
-from .squeezing import bare_moment, covariance_from_moments, minimize
+from .squeezing import bare_moment, covariance_from_moments, minimize, row_blocks
 
 __all__ = [
     "GaussianRef",
@@ -83,8 +83,9 @@ class PhaseGrid:
         ps = np.linspace(center.imag - half_width, center.imag + half_width, points)
         return cls(xs, ps)
 
-    def mesh(self) -> np.ndarray:
-        return self.xs[:, None] + 1j * self.ps[None, :]
+    def mesh(self, rows: slice = slice(None)) -> np.ndarray:
+        """beta over the grid, or over the given rows (x values) of it."""
+        return self.xs[rows, None] + 1j * self.ps[None, :]
 
 
 def default_grid(state: dq.DQState, points: int = 201) -> PhaseGrid:
@@ -284,13 +285,21 @@ def _wigner_poly(A: np.ndarray, g: complex, beta: np.ndarray) -> np.ndarray:
             term = A[p] * (-1) ** p * math.comb(p, u) * np.conj(g) ** (p - u)
             d[u] += term / math.sqrt(math.factorial(p))
     a_bar = np.conj(g - 2.0 * beta)
+    # a_bar ** j for j >= 2 is made once, in the k = 0 pass, and dropped after
+    # the last k that uses it; numpy's fast-path powers 0 and 1 (ones, a copy)
+    # are redone where used.  The batched HSD so needs no more memory for n = 2.
+    a_pow = {}
     shape = np.broadcast_shapes(a_bar.shape, A.shape[1:])
     total = np.zeros(shape, dtype=float)
     for k in range(n + 1):
         e_k = np.zeros(shape, dtype=complex)
         for u in range(k, n + 1):
-            e_k = e_k + math.comb(u, k) * d[u] * a_bar ** (u - k)
-        total = total + (-1) ** k * math.factorial(k) * np.abs(e_k) ** 2
+            j = u - k
+            if j > 1 and k == 0:
+                a_pow[j] = a_bar**j
+            e_k += math.comb(u, k) * d[u] * (a_pow[j] if j > 1 else a_bar**j)
+        a_pow.pop(n - k, None)
+        total += (-1) ** k * math.factorial(k) * np.abs(e_k) ** 2
     return total
 
 
@@ -374,13 +383,17 @@ def wigner_negativity(state: dq.DQState, grid: PhaseGrid | None = None) -> float
 
     The grid must cover the support (boundary values are checked) and be
     fine enough that the full-step and double-step Simpson estimates agree
-    to 1e-3; otherwise GridTooCoarse is raised.
+    to 1e-3; otherwise GridTooCoarse is raised.  |W| is evaluated in
+    `row_blocks` of the grid into one array, each point bit-identical to a
+    whole-grid `wigner_closed`, so the checks and sums see the same values.
     """
     if grid is None:
         grid = default_grid(state)
     if (grid.xs.size - 1) % 4 != 0 or (grid.ps.size - 1) % 4 != 0:
         raise ValueError("negativity grids need 4k+1 points per axis")
-    absW = np.abs(wigner_closed(state, grid.mesh()))
+    absW = np.empty((grid.xs.size, grid.ps.size))
+    for lo, hi in row_blocks(absW.shape):
+        absW[lo:hi] = np.abs(wigner_closed(state, grid.mesh(slice(lo, hi))))
     peak = float(absW.max())
     edge = max(absW[0, :].max(), absW[-1, :].max(), absW[:, 0].max(), absW[:, -1].max())
     if edge > 1e-7 * peak:

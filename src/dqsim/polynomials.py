@@ -7,7 +7,10 @@ by at most 1e-14 of the sum of the moduli of its terms, so its relative
 error grows only where the terms cancel, near a root.
 
 Hermite arguments may be scalars, broadcastable numpy arrays or numpy
-polynomials; Laguerre arguments are real scalars.
+polynomials; Laguerre arguments are real scalars.  `hermite2_rows` gives the
+family H_{n-q,m}(x, y), q = 0..n, that the heralded coefficients need from
+one table of the powers of x and y, computed once each; every value is the
+same `hermite2` sum over the same powers, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,22 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["hermite2", "laguerre"]
+__all__ = ["hermite2", "hermite2_rows", "laguerre"]
+
+
+def _powers(x, top: int) -> list:
+    """x ** 0 .. x ** top, each by the ``**`` of an integer exponent."""
+    return [x**j for j in range(top + 1)]
+
+
+def _hermite_sum(n: int, m: int, xp: list, yp: list):
+    """H_{n,m} from the power tables xp[j] = x ** j and yp[j] = y ** j."""
+    acc = None
+    for k in range(min(n, m) + 1):
+        coeff = (-1) ** k * math.comb(n, k) * math.comb(m, k) * math.factorial(k)
+        term = coeff * xp[n - k] * yp[m - k]
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def hermite2(n: int, m: int, x, y):
@@ -27,12 +45,22 @@ def hermite2(n: int, m: int, x, y):
     """
     if n < 0 or m < 0:
         raise ValueError("hermite2 indices must be non-negative")
-    acc = None
-    for k in range(min(n, m) + 1):
-        coeff = (-1) ** k * math.comb(n, k) * math.comb(m, k) * math.factorial(k)
-        term = coeff * x ** (n - k) * y ** (m - k)
-        acc = term if acc is None else acc + term
-    return acc
+    return _hermite_sum(n, m, _powers(x, n), _powers(y, m))
+
+
+def hermite2_rows(n: int, m: int, x, y) -> list:
+    """[H_{n-q,m}(x, y) for q = 0..n], equal to `hermite2` row by row.
+
+    The powers of x and y are computed once for the whole family (once in
+    all when y is x) instead of once per row.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("hermite2 indices must be non-negative")
+    if y is x:
+        xp = yp = _powers(x, max(n, m))
+    else:
+        xp, yp = _powers(x, n), _powers(y, m)
+    return [_hermite_sum(n - q, m, xp, yp) for q in range(n + 1)]
 
 
 def _int_binom(a: int, k: int) -> int:

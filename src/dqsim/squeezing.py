@@ -42,6 +42,11 @@ __all__ = [
 
 MAX_MOMENT_ORDER = 4
 
+# Grid kernels run in row blocks of about this many cells, so that their
+# whole-block temporaries (about 128 kB each in float64) stay in cache and
+# peak memory no longer grows with the grid.
+BLOCK_CELLS = 2**14
+
 
 @dataclass(frozen=True)
 class QuadratureReport:
@@ -150,10 +155,11 @@ def bare_moment(c, u: int, v: int) -> np.ndarray:
     need no (n + 1)-fold temporaries.
     """
     c = np.asarray(c)
+    conj = np.conj if np.iscomplexobj(c) else (lambda z: z)
     total = np.zeros(c.shape[1:], dtype=c.dtype)
     for k in range(c.shape[0] - max(u, v)):
         w = math.sqrt(math.perm(k + v, v) * math.perm(k + u, u))
-        total = total + np.conj(c[k + u]) * c[k + v] * w
+        total = total + conj(c[k + u]) * c[k + v] * w
     return total
 
 
@@ -203,14 +209,37 @@ def variance_of_coeffs(coeffs):
     return 0.5 + bare_moment(coeffs, 0, 2).real + bare_moment(coeffs, 1, 1).real - 2.0 * a1 * a1
 
 
+def row_blocks(shape: tuple) -> list[tuple[int, int]]:
+    """(start, stop) ranges of the leading axis of shape, about BLOCK_CELLS cells each."""
+    rows = max(1, BLOCK_CELLS // max(1, math.prod(shape[1:])))
+    return [(lo, min(lo + rows, shape[0])) for lo in range(0, shape[0], rows)]
+
+
 def variance_x_map(n: int, m: int, alpha_sq, R) -> np.ndarray:
     """X-quadrature variance of the heralded qudit over broadcast real grids.
 
     Cells where every coefficient vanishes (only alpha = 0 with m > n)
-    come back as NaN.
+    come back as NaN.  A grid is evaluated in `row_blocks` written into one
+    result; each cell's arithmetic is the whole-grid one, so the result is
+    bit-identical to a single-block evaluation.
     """
-    alpha_sq_b, R_b = np.broadcast_arrays(np.asarray(alpha_sq, float), np.asarray(R, float))
-    c = dq.coefficients_grid(n, m, np.sqrt(alpha_sq_b), R_b)
+    alpha_sq, R = np.asarray(alpha_sq, float), np.asarray(R, float)
+    shape = np.broadcast_shapes(alpha_sq.shape, R.shape)
+    if not shape:
+        return _variance_cells(n, m, alpha_sq, R)
+
+    def rows(a, lo, hi):  # an input broadcast along the leading axis passes whole
+        return a[lo:hi] if a.ndim == len(shape) and a.shape[0] > 1 else a
+
+    out = np.empty(shape)
+    for lo, hi in row_blocks(shape):
+        out[lo:hi] = _variance_cells(n, m, rows(alpha_sq, lo, hi), rows(R, lo, hi))
+    return out
+
+
+def _variance_cells(n: int, m: int, alpha_sq: np.ndarray, R: np.ndarray):
+    """`variance_x_map` on one block: every cell at once."""
+    c = dq.coefficients_grid(n, m, np.sqrt(alpha_sq), R)
     s = np.sum(c * c, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         c = np.where(s > 0, c / np.sqrt(s), np.nan)

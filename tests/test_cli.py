@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqsim import cli, fock, squeezing
 
@@ -367,3 +371,117 @@ def test_dim_only_where_read():
     with pytest.raises(SystemExit) as exc:
         _run(["hsd-scan", "--n", "1", "--m", "2", "--grid", "1:6:4,0.3:0.7:3", "--dim", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["state", "wigner", "fidelity-map"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_alpha_sq_must_be_finite(capsys, command, value):
+    assert _run([command, "--n", "2", "--m", "1", "--alpha-sq", value, "--R", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "--alpha-sq" in err and "must be finite and >= 0" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, rule",
+    [
+        (["hsd-scan", "--n", "2", "--m", "1", "--grid", "0.1:1:3,0:1:3"], "R must lie in (0, 1)"),
+        (["hsd-scan", "--n", "2", "--m", "1", "--grid", "0.1:1:3,0.5:1:3"], "R must lie in (0, 1)"),
+        (["scan", "--n", "2", "--m", "1", "--grid=-1:1:3,0.1:0.9:3"], "|alpha|^2 must be >= 0"),
+        (["scan", "--n", "2", "--m", "1", "--grid", "0:inf:3,0.1:0.9:3"], "finite LO < HI"),
+        (["scan", "--n", "2", "--m", "1", "--grid", "0:1:3,nan:0.9:3"], "finite LO < HI"),
+        (["fidelity-map", "--n", "2", "--m", "1", "--alpha-sq", "1", "--R", "0.5",
+          "--grid", "0:1:3,-inf:1:3"], "finite LO < HI"),
+        (["wigner", "--n", "2", "--m", "1", "--alpha-sq", "1", "--R", "0.5", "--grid", "inf:5"],
+         "finite HALFWIDTH > 0"),
+        (["wigner", "--n", "2", "--m", "1", "--alpha-sq", "1", "--R", "0.5", "--grid", "nan:5"],
+         "finite HALFWIDTH > 0"),
+    ],
+)
+def test_grid_bounds_rejected(capsys, argv, rule):
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert rule in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_scan_alpha_zero_nan_stays(tmp_path):
+    # alpha = 0 with m > n heralds nothing: documented NaN cells, exit 0
+    out = tmp_path / "scan.csv"
+    assert _run(["scan", "--n", "1", "--m", "2", "--grid", "0:1:3,0.2:0.8:3",
+                 "--out", str(out)]) == 0
+    values = [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]]
+    assert values[:3] == ["nan"] * 3 and "nan" not in values[3:]
+
+
+def test_level_factor_past_float_factorial(capsys):
+    # q! overflows a float from q = 171; the state is reported or fails in one line
+    rc = _run(["state", "--n", "200", "--m", "1", "--alpha-sq", "1", "--R", "0.5"])
+    err = capsys.readouterr().err
+    assert rc in (0, 3)
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def _value(draw, valid, invalid):
+    """A flag value: an in-range extreme three times as often as an out-of-range one."""
+    return draw(st.sampled_from(valid * 3 + invalid))
+
+
+_ALPHA_SQ = ["0", "1e-300", "0.5", "2.5", "40", "1e5", "1e300"]
+_R = ["1e-300", "1e-9", "0.5", "0.999999999"]
+_BAD = ["inf", "-inf", "nan", "-1"]
+
+
+@st.composite
+def _cli_argv(draw):
+    """A command with flags drawn from ordinary values, 0, +-inf, nan and extremes.
+
+    Huge n reaches only state and scan, whose cost stays small there; the
+    other commands would run long, not fail."""
+    command = draw(st.sampled_from(["state", "wigner", "fidelity-map", "scan", "hsd-scan"]))
+    counts = ["0", "1", "3"] + (["171", "400"] if command in ("state", "scan") else [])
+    argv = [command, f"--n={_value(draw, counts, ['-1'])}",
+            f"--m={_value(draw, ['0', '1', '3', '171', '400'], ['-1'])}"]
+
+    def axis(valid):
+        lo, hi = sorted(draw(st.lists(st.sampled_from(valid), min_size=2, max_size=2,
+                                      unique=True)), key=float)
+        if draw(st.integers(0, 3)) == 0:  # one bound out of range, or reversed
+            lo, hi = draw(st.sampled_from([(hi, lo), (lo, draw(st.sampled_from(_BAD + ["1"])))]))
+        return f"{lo}:{hi}:{draw(st.sampled_from(['2', '3', '5']))}"
+
+    if command in ("state", "wigner", "fidelity-map"):
+        argv += [f"--alpha-sq={_value(draw, _ALPHA_SQ, _BAD)}",
+                 f"--R={_value(draw, _R, _BAD + ['0', '1'])}"]
+    if command == "state":
+        for flag in ("--eta-d", "--eta-s"):
+            if draw(st.booleans()):
+                argv.append(f"{flag}={_value(draw, ['0', '1e-300', '0.5', '1'], _BAD)}")
+    elif command == "wigner":
+        half = _value(draw, ["1e-300", "0.5", "6", "1e300"], _BAD + ["0"])
+        argv.append(f"--grid={half}:{_value(draw, ['5', '9'], ['4'])}")
+    elif command == "fidelity-map":
+        argv.append(f"--grid={axis(['0', '1e-300', '0.5', '1'])},{axis(['0', '0.5', '1'])}")
+    else:
+        argv.append(f"--grid={axis(_ALPHA_SQ)},{axis(_R)}")
+    return argv
+
+
+@settings(max_examples=1000)
+@given(_cli_argv())
+def test_cli_fuzz_exit_codes(argv):
+    # RuntimeWarning is an error in the tests, so an unguarded warning fails here too
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = _run(argv)
+        except SystemExit as exc:  # argparse's own usage error
+            assert exc.code == 2, argv
+            return
+    lines = err.getvalue().strip().splitlines()
+    assert rc in (0, 2, 3), (argv, lines)
+    assert len(lines) == 1, (argv, lines)  # the error, or the timing line on success
+    n, m = (int(a.split("=")[1]) for a in argv[1:3])
+    for row in out.getvalue().splitlines()[1:]:
+        # the one documented non-finite value: alpha = 0 with m > n heralds nothing
+        assert ("nan" not in row and "inf" not in row) or (row.startswith("0,") and m > n), argv

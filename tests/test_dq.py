@@ -1,11 +1,12 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from dqsim import dq, fock
-from dqsim.errors import NoRootInBracket, ZeroProbability
+from dqsim.errors import NoRootInBracket, NonFiniteResult, ZeroProbability
 
 
 def _cfg(n, m, alpha, R):
@@ -208,3 +209,22 @@ def test_dqstate_normalization_contract():
         dq.DQState(0j, np.array([0.8, 0.5]))
     st = dq.DQState.from_coeffs([0.8, 0.5], displacement=1j)
     assert np.vdot(st.coeffs, st.coeffs).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_level_factor_past_float_factorial():
+    # exact product wherever q! fits a float, log-gamma beyond (q >= 171), inf on overflow
+    for q in range(171):
+        ratio = np.array([0.3, 1.0, 7.0])
+        exact = math.comb(200, q) * math.sqrt(math.factorial(q)) * np.power(ratio, q / 2.0)
+        assert np.array_equal(dq._level_factor(200, q, ratio), exact)
+    for q in (171, 200, 250):
+        got = dq._level_factor(250, q, 0.3)
+        want = mpmath.binomial(250, q) * mpmath.sqrt(mpmath.factorial(q)) * mpmath.mpf(0.3) ** (q / 2)
+        assert float(got) == pytest.approx(float(want), rel=1e-11)
+    assert dq._level_factor(400, 300, 0.5) == math.inf
+
+
+def test_hermite_coefficient_overflow_is_non_finite():
+    # C(400, k) C(300, k) k! leaves the float range: a numerical failure, not OverflowError
+    with pytest.raises(NonFiniteResult):
+        dq.coefficients_grid(400, 300, 1.0, 0.5)

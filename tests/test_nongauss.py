@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from dqsim import dq, fock, nongauss
+from dqsim import dq, fock, nongauss, squeezing
 from dqsim.errors import GridTooCoarse, NonPhysicalCovariance
 
 
@@ -218,6 +218,21 @@ def test_wigner_oracle_normalization_small_state():
     vals = nongauss.wigner_oracle_grid(rho, grid)
     integral = simpson(simpson(vals, x=grid.ps, axis=1), x=grid.xs)
     assert integral == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("block_cells", [1, 1000, 2**14])
+def test_negativity_blocks_equal_whole_grid(monkeypatch, block_cells):
+    # the blocked |W| that the edge check and Simpson sums see is the whole-grid one
+    state, _ = dq.build_dq(dq.CMConfig(3, 1, complex(math.sqrt(6.0)), 0.765))
+    grid = nongauss.default_grid(state, 401)
+    seen = []
+    simpson2d = nongauss._simpson2d
+    monkeypatch.setattr(nongauss, "_simpson2d", lambda v, *a: seen.append(v) or simpson2d(v, *a))
+    monkeypatch.setattr(squeezing, "BLOCK_CELLS", block_cells)
+    value = nongauss.wigner_negativity(state, grid)
+    assert np.array_equal(seen[0], np.abs(nongauss.wigner_closed(state, grid.mesh())))
+    monkeypatch.setattr(squeezing, "BLOCK_CELLS", 10**9)
+    assert nongauss.wigner_negativity(state, grid) == value
 
 
 def test_negativity_gaussian_state_zero():

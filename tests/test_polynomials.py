@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dqsim.polynomials import hermite2, laguerre
+from dqsim.polynomials import hermite2, hermite2_rows, laguerre
 
 
 def test_hermite2_constant():
@@ -49,6 +49,22 @@ def test_hermite2_matches_mpmath_on_k_sum_range(n, m, x_sq):
         assert float(abs(hermite2(n, m, x, x) - exact)) <= 1e-14 * float(scale)
 
 
+@pytest.mark.parametrize("n, m", [(0, 0), (1, 3), (4, 4), (6, 1), (3, 12)])
+def test_hermite2_rows_equal_hermite2(n, m):
+    # one shared power table gives each row the same ** and the same sum, bit for bit
+    x = np.linspace(-3.0, 3.0, 41).reshape(41, 1) * np.linspace(0.2, 1.0, 7)
+    z = x + 1j * x[::-1]
+    poly = np.polynomial.Polynomial([0.3, -1.1, 0.7])
+    for a, b in [(x, x), (np.float64(1.7), np.float64(1.7)), (np.conj(z), z),
+                 (np.complex128(0.4 - 2j), np.complex128(0.4 + 2j))]:
+        rows = hermite2_rows(n, m, a, b)
+        assert len(rows) == n + 1
+        for q, row in enumerate(rows):
+            assert np.array_equal(row, hermite2(n - q, m, a, b))
+    for q, row in enumerate(hermite2_rows(n, m, poly, poly)):
+        assert np.array_equal(row.coef, hermite2(n - q, m, poly, poly).coef)
+
+
 def test_laguerre_low_orders():
     assert laguerre(0, 3, 0.7) == 1
     assert laguerre(1, 2, 1.0) == pytest.approx(2.0)  # alpha + 1 - x
@@ -81,5 +97,7 @@ def test_laguerre_three_term_recurrence():
 def test_invalid_degrees_rejected():
     with pytest.raises(ValueError):
         hermite2(-1, 0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        hermite2_rows(2, -1, 1.0, 1.0)
     with pytest.raises(ValueError):
         laguerre(-2, 0, 1.0)

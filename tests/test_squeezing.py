@@ -101,6 +101,26 @@ def test_variance_map_matches_quadratures():
             assert grid[i, j] == pytest.approx(rep.var_x, abs=1e-12)
 
 
+@pytest.mark.parametrize("block_cells", [1, 1000, squeezing.BLOCK_CELLS])
+@pytest.mark.parametrize("n, m", [(1, 0), (2, 3), (4, 4)])
+def test_variance_map_blocks_equal_whole_grid(monkeypatch, n, m, block_cells):
+    # row blocks, ragged last block included, give the single-block values bit for bit;
+    # alpha = 0 with m > n is the documented NaN row
+    a_vals = np.arange(0.0, 30.0, 0.25)
+    r_vals = np.arange(0.01, 0.99, 0.0025)
+    monkeypatch.setattr(squeezing, "BLOCK_CELLS", 10**9)
+    whole = squeezing.variance_x_map(n, m, a_vals[:, None], r_vals[None, :])
+    monkeypatch.setattr(squeezing, "BLOCK_CELLS", block_cells)
+    assert len(squeezing.row_blocks(whole.shape)) > 1
+    blocked = squeezing.variance_x_map(n, m, a_vals[:, None], r_vals[None, :])
+    assert np.array_equal(blocked, whole, equal_nan=True)
+    assert np.isnan(whole[0]).all() == (m > n)
+    # a broadcast leading axis and a 1-d grid take the same path
+    assert np.array_equal(squeezing.variance_x_map(n, m, 2.5, r_vals[None, :]), whole[10:11])
+    assert np.array_equal(squeezing.variance_x_map(n, m, a_vals, 0.01), whole[:, 0],
+                          equal_nan=True)
+
+
 def test_bare_moment_batch_axes_against_dense_oracle():
     # coefficients on the leading axis, a (2, 3) batch behind it
     rng = np.random.default_rng(41)
