@@ -41,7 +41,6 @@ __all__ = [
     "DensityMatrix",
     "expm",
     "annihilation_matrix",
-    "creation_matrix",
     "displacement_matrix",
     "squeeze_matrix",
     "thermal_density",
@@ -153,11 +152,6 @@ def expm(gen: np.ndarray) -> np.ndarray:
 def annihilation_matrix(t: Truncation) -> np.ndarray:
     """Truncated annihilation operator a."""
     return np.diag(np.sqrt(np.arange(1, t.dim, dtype=float)), 1).astype(complex)
-
-
-def creation_matrix(t: Truncation) -> np.ndarray:
-    """Truncated creation operator a^dag."""
-    return annihilation_matrix(t).conj().T
 
 
 def _poisson_tail(mu: float, dim: int) -> float:

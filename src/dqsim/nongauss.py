@@ -158,13 +158,15 @@ def hsd_of_coeffs(coeffs):
     """Hilbert-Schmidt measure of bare superpositions sum_q c_q |q>.
 
     Coefficients run along the leading axis (each vector is normalized),
-    trailing axes are batch axes.  Displacement drops out because the
-    matched reference co-displaces.  Tr(tau^2) = 1 / (2 sqrt(det sigma)) and
-    Tr(rho tau) = pi * integral W_rho W_tau d^2 beta (Cahill-Glauber), with
-    W_rho = (2/pi) exp(-2|beta|^2) P(beta), P the degree-2n polynomial of
-    `wigner_closed`, and W_tau the Gaussian of mean mu = <a> and covariance
-    sigma/2 in v = (Re beta, Im beta).  Completing the square with
-    M = 2 sigma + 1, v0 = M^-1 mu and K = sigma M^-1 / 2 = L L^T gives
+    trailing axes are batch axes; an all-zero vector (alpha = 0 with m > n
+    heralds nothing) gives NaN, as in `variance_x_map`.  Displacement drops
+    out because the matched reference co-displaces.
+    Tr(tau^2) = 1 / (2 sqrt(det sigma)) and Tr(rho tau) = pi * integral
+    W_rho W_tau d^2 beta (Cahill-Glauber), with W_rho = (2/pi)
+    exp(-2|beta|^2) P(beta), P the degree-2n polynomial of `wigner_closed`,
+    and W_tau the Gaussian of mean mu = <a> and covariance sigma/2 in
+    v = (Re beta, Im beta).  Completing the square with M = 2 sigma + 1,
+    v0 = M^-1 mu and K = sigma M^-1 / 2 = L L^T gives
 
         Tr(rho tau) = 2 exp(-2 mu.v0) / (pi sqrt(det M))
                       * integral exp(-|t|^2) P(v0 + sqrt(2) L t) d^2 t.
@@ -176,7 +178,9 @@ def hsd_of_coeffs(coeffs):
     from numpy.polynomial.hermite import hermgauss
 
     c = np.asarray(coeffs, dtype=complex)
-    c = c / np.sqrt(np.sum(np.abs(c) ** 2, axis=0))
+    s = np.sum(np.abs(c) ** 2, axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = np.where(s > 0, c / np.sqrt(s), np.nan)
     a1 = bare_moment(c, 0, 1)
     sxx, spp, sxp = covariance_from_moments(a1, bare_moment(c, 0, 2), bare_moment(c, 1, 1).real)
     root = _root_det(sxx, spp, sxp)

@@ -485,3 +485,27 @@ def test_cli_fuzz_exit_codes(argv):
     for row in out.getvalue().splitlines()[1:]:
         # the one documented non-finite value: alpha = 0 with m > n heralds nothing
         assert ("nan" not in row and "inf" not in row) or (row.startswith("0,") and m > n), argv
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="map_rows forks on Linux only")
+def test_table3_rows_match_serial(monkeypatch):
+    args = cli.build_parser().parse_args(["table3"])
+    runs = []
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(squeezing.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        runs.append(cli._cmd_table3(args))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_import_loads_no_process_pools():
+    code = (
+        "import sys, dqsim.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -299,3 +299,15 @@ def test_default_grid_covers_support():
         np.abs(W[:, -1]).max(),
     )
     assert edge < 1e-7 * np.abs(W).max()
+
+
+def test_hsd_nan_cells_without_warning():
+    # alpha = 0 with m > n heralds nothing: NaN, as variance_x_map gives, and
+    # no RuntimeWarning (the test suite turns those into errors)
+    a_vals, r_vals = np.array([0.0, 1.0]), np.array([0.2, 0.8])
+    grid = nongauss.hsd_scan(1, 2, a_vals, r_vals)
+    assert np.isnan(grid[0]).all() and np.isfinite(grid[1]).all()
+    assert np.array_equal(
+        np.isnan(grid), np.isnan(squeezing.variance_x_map(1, 2, a_vals[:, None], r_vals))
+    )
+    assert math.isnan(nongauss.hsd_of_coeffs(np.zeros(3)))

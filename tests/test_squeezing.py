@@ -1,10 +1,13 @@
 import math
+import os
+import sys
+import time
 
 import numpy as np
 import pytest
 
 from dqsim import dq, fock, squeezing
-from dqsim.errors import IndexOutOfRange
+from dqsim.errors import GridTooCoarse, IndexOutOfRange
 
 
 def _dense_moment(state, l, s, dim=45):
@@ -317,3 +320,109 @@ def test_vacuum_detection_locus_variances():
         vals = [squeezing.m0_locus_variance(n, R) for R in (0.2, 0.5, 0.8)]
         assert max(vals) - min(vals) < 1e-10  # depends only on |alpha|^2 R
         assert vals[0] == pytest.approx(expected, abs=5e-4)
+
+
+def _oracle_principal_variance(n, m, alpha, R):
+    """Lowest eigenvalue of the X/P covariance matrix of the two-mode oracle state."""
+    t = fock.Truncation.auto(alpha, n, m)
+    v = fock.brute_force_cm(n, m, alpha, R, t)[0].amps
+    a = fock.annihilation_matrix(t)
+    x = (a + a.conj().T) / math.sqrt(2)
+    p = (a - a.conj().T) / (1j * math.sqrt(2))
+
+    def mean(op):
+        return np.vdot(v, op @ v).real
+
+    cov = [[mean(f @ g + g @ f) / 2 - mean(f) * mean(g) for g in (x, p)] for f in (x, p)]
+    return np.linalg.eigvalsh(np.array(cov))[0]
+
+
+def test_min_var_is_principal_variance():
+    # rotating alpha rotates the quadratures: Var X moves, the principal variance does not
+    n, m, a2, R = 4, 1, 6.665, 0.7278
+    seen = []
+    for phase in (0.0, 0.6, 1.3, 2.9):
+        alpha = math.sqrt(a2) * complex(math.cos(phase), math.sin(phase))
+        rep = squeezing.quadratures(dq.build_dq(dq.CMConfig(n, m, alpha, R))[0])
+        assert rep.min_var <= min(rep.var_x, rep.var_p)
+        assert rep.min_var == pytest.approx(_oracle_principal_variance(n, m, alpha, R), abs=1e-9)
+        seen.append(rep.min_var)
+    assert max(seen) - min(seen) < 1e-12
+    assert seen[0] == pytest.approx(0.2121, abs=5e-5)
+
+
+def _patch_cpus(monkeypatch, count):
+    monkeypatch.setattr(squeezing.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+forking = pytest.mark.skipif(sys.platform != "linux", reason="map_rows forks on Linux only")
+
+
+@forking
+@pytest.mark.parametrize("table", [lambda: squeezing.table1(n_max=2, m_max=2), squeezing.table2])
+def test_map_rows_tables_match_serial(monkeypatch, table):
+    _patch_cpus(monkeypatch, 1)
+    serial = table()
+    for cpus in (2, 3):
+        _patch_cpus(monkeypatch, cpus)
+        assert table() == serial
+    _assert_no_child_left()
+
+
+@forking
+def test_map_rows_child_error_surfaces(monkeypatch):
+    _patch_cpus(monkeypatch, 2)
+
+    def row(x):
+        if x in (3, 4):  # 3 runs in the child, 4 in the parent; 3 comes first
+            raise GridTooCoarse(f"row {x} too coarse")
+        return x * x
+
+    with pytest.raises(GridTooCoarse, match=r"^row 3 too coarse$"):
+        squeezing.map_rows(row, range(6))
+    assert squeezing.map_rows(row, range(3)) == [0, 1, 4]
+    _assert_no_child_left()
+
+
+@forking
+def test_map_rows_unpicklable_result_raises(monkeypatch):
+    _patch_cpus(monkeypatch, 2)
+    with pytest.raises(Exception, match="pickle"):
+        squeezing.map_rows(lambda x: (lambda: x), range(4))
+    _assert_no_child_left()
+
+
+@forking
+def test_map_rows_child_without_result_raises(monkeypatch):
+    _patch_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def row(x):
+        if os.getpid() != parent:
+            os._exit(5)
+        return x
+
+    with pytest.raises(ChildProcessError, match="without sending its rows"):
+        squeezing.map_rows(row, range(4))
+    _assert_no_child_left()
+
+
+@forking
+def test_map_rows_interrupted_parent_kills_children(monkeypatch):
+    _patch_cpus(monkeypatch, 3)
+
+    def row(x):
+        if x == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        squeezing.map_rows(row, range(3))
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
