@@ -9,7 +9,7 @@ pipeline.
 """
 
 from . import dq, fock, imperfections, nongauss, polynomials, squeezing
-from .dq import CMConfig, DQClass, DQKind, DQState, LocusTarget, build_dq, chi, classify
+from .dq import CMConfig, DQState, LocusTarget, build_dq, chi, classify
 from .errors import (
     DimensionMismatch,
     DQSimError,
@@ -36,8 +36,6 @@ __all__ = [
     "imperfections",
     "CMConfig",
     "DQState",
-    "DQClass",
-    "DQKind",
     "LocusTarget",
     "build_dq",
     "chi",

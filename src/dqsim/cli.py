@@ -181,14 +181,13 @@ def _cmd_state(args):
     cfg = _config(args)
     state, prob = dq.build_dq(cfg)
     rep = squeezing.quadratures(state)
-    kind = dq.classify(cfg.n, cfg.m)
     rows = [
         ("n", cfg.n),
         ("m", cfg.m),
         ("alpha_sq", args.alpha_sq),
         ("R", cfg.R),
         ("chi", dq.chi(cfg)),
-        ("class", kind.label),
+        ("class", dq.classify(cfg.n, cfg.m)),
         ("displacement_re", state.displacement.real),
         ("displacement_im", state.displacement.imag),
         ("var_x", rep.var_x),

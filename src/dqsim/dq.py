@@ -37,8 +37,6 @@ from .polynomials import hermite2_rows, laguerre
 __all__ = [
     "CMConfig",
     "DQState",
-    "DQKind",
-    "DQClass",
     "LocusTarget",
     "chi",
     "classify",
@@ -78,33 +76,11 @@ def chi(cfg: CMConfig) -> float:
     return abs(cfg.alpha) ** 2 * (1.0 - cfg.R)
 
 
-class DQKind(enum.Enum):
-    PHOTON_ADDED = "added"
-    PHOTON_SUBTRACTED = "subtracted"
-    CATALYZED = "catalyzed"
-
-
-@dataclass(frozen=True)
-class DQClass:
-    """Detection class: m photons added (m < n), subtracted (m > n), or catalyzed."""
-
-    kind: DQKind
-    k: int
-
-    @property
-    def label(self) -> str:
-        if self.kind is DQKind.CATALYZED:
-            return "DQ"
-        sign = "+" if self.kind is DQKind.PHOTON_ADDED else "-"
-        return f"DQ{sign}{self.k}"
-
-
-def classify(n: int, m: int) -> DQClass:
-    if m < n:
-        return DQClass(DQKind.PHOTON_ADDED, n - m)
-    if m > n:
-        return DQClass(DQKind.PHOTON_SUBTRACTED, m - n)
-    return DQClass(DQKind.CATALYZED, 0)
+def classify(n: int, m: int) -> str:
+    """Detection class: "DQ+k" (k = n - m photons added), "DQ-k" (k = m - n subtracted) or "DQ"."""
+    if m == n:
+        return "DQ"
+    return f"DQ{'+' if m < n else '-'}{abs(n - m)}"
 
 
 @dataclass

@@ -12,9 +12,11 @@ integrates exactly (`hsd_of_coeffs`); the dense-Fock `hsd` is its oracle.
 
 Wigner functions use the convention integral W d(Re beta) d(Im beta) = 1,
 so a coherent state peaks at 2/pi.  The closed form for displaced qudits
-factors into Gaussian times a finite positive/negative Hermite sum; a
-displaced-parity evaluation in the truncated basis serves as the
-independent reference.
+factors into Gaussian times a finite positive/negative Hermite sum.  Its
+independent reference is the displaced parity of a Fock matrix rho,
+W(beta) = (2/pi) sum_nm rho_nm (-1)^n <m|D(2 beta)|n>, from the exact elements
+<m|D(g)|n> = sqrt(n!/m!) g^(m-n) e^(-|g|^2/2) L_n^(m-n)(|g|^2), m >= n, of the
+untruncated displacement (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from . import dq, fock
 from .errors import GridTooCoarse, NonPhysicalCovariance
+# unused here, but perfbench/spans.py traces nongauss.expm and fails to install without it
 from .fock import expm
 from .squeezing import bare_moment, covariance_from_moments, minimize, row_blocks
 
@@ -40,7 +43,6 @@ __all__ = [
     "hsd_max",
     "wigner_closed",
     "wigner_oracle",
-    "wigner_oracle_grid",
     "default_grid",
     "wigner_negativity",
 ]
@@ -307,61 +309,45 @@ def _wigner_poly(A: np.ndarray, g: complex, beta: np.ndarray) -> np.ndarray:
     return total
 
 
-def _padded_for_displacement(rho: fock.DensityMatrix, reach: float) -> np.ndarray:
-    """rho zero-padded (exactly) into a truncation no D(beta), |beta| <= reach, spills past.
+def wigner_oracle(rho: fock.DensityMatrix, beta):
+    """Displaced-parity Wigner function (2/pi) Tr[rho D(beta) Pi D(beta)^dag], beta scalar or array.
 
-    D(beta) moves the upper levels of rho, not only its vacuum, so the cutoff
-    covers a displacement of reach plus the reach sqrt(rho.dim) of rho's own
-    cutoff.
+    As D(beta) Pi D(beta)^dag = D(2 beta) Pi, W = (2/pi) sum_nm rho_nm (-1)^n <m|D(2 beta)|n>,
+    with the untruncated elements h_n^(k) = <n+k|D(gamma)|n> = sqrt(n!/(n+k)!) gamma^k
+    e^(-x/2) L_n^(k)(x), x = |gamma|^2, and <n|D(gamma)|n+k> = (-1)^k conj(h_n^(k))
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969); QuTiP's "laguerre" method, Johansson,
+    Nation & Nori, Comput. Phys. Commun. 184, 1234 (2013)).  The Laguerre recurrence in n,
+
+        h_(n+1)^(k) = [(2n+1+k-x) h_n^(k) - sqrt(n(n+k)) h_(n-1)^(k)] / sqrt((n+1)(n+1+k)),
+
+    started from h_0^(k) = gamma^k e^(-x/2) / sqrt(k!), carries the factorials and powers, so
+    nothing overflows (|h| <= 1) and rho is used on its own dimension: no cutoff is chosen.
+    It reads only rho's Fock matrix, independent of `wigner_closed`.
     """
-    dim = max(rho.dim, fock.Truncation.auto(reach + math.sqrt(rho.dim)).dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[: rho.dim, : rho.dim] = rho.mat
-    return mat
-
-
-def wigner_oracle(rho: fock.DensityMatrix, beta: complex) -> float:
-    """Displaced-parity Wigner value (2/pi) Tr[rho D(beta) Pi D(beta)^dag]."""
-    mat = _padded_for_displacement(rho, abs(beta))
-    dim = mat.shape[0]
-    D = fock.displacement_matrix(beta, fock.Truncation(dim))
-    P = mat @ D
-    diag = np.einsum("ij,ij->j", D.conj(), P)
-    signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    return float((2.0 / math.pi) * np.sum(signs * diag).real)
-
-
-def wigner_oracle_grid(rho: fock.DensityMatrix, grid: PhaseGrid) -> np.ndarray:
-    """Displaced-parity values over a grid.
-
-    Uses the exact split D(u + iv) = e^{iuv} e^{u(a^dag - a)} e^{iv(a^dag + a)}
-    (the commutator of the two generators is a number), so only one matrix
-    exponential per axis value is needed; the phase cancels inside
-    D^dag rho D.  Padded like `wigner_oracle` for the grid's farthest corner,
-    it agrees with the pointwise evaluation to machine precision.
-    """
-    corner = max(abs(complex(x, p)) for x in grid.xs[:: grid.xs.size - 1]
-                 for p in grid.ps[:: grid.ps.size - 1])
-    mat = _padded_for_displacement(rho, corner)
-    dim = mat.shape[0]
-    t = fock.Truncation(dim)
-    a = fock.annihilation_matrix(t)
-    gen_u = a.conj().T - a
-    gen_v = 1j * (a.conj().T + a)
-    signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    rho_u = [None] * grid.xs.size
-    for i, x in enumerate(grid.xs):
-        A = expm(float(x) * gen_u)
-        rho_u[i] = A.conj().T @ mat @ A
-    out = np.empty((grid.xs.size, grid.ps.size))
-    for j, p in enumerate(grid.ps):
-        B = expm(float(p) * gen_v)
-        # K[i,l] = sum_k conj(B)[i,k] s_k B[l,k]; then the parity trace of
-        # B^dag M B is the elementwise contraction of M with K
-        K = (B.conj() * signs[None, :]) @ B.T
-        for i, M in enumerate(rho_u):
-            out[i, j] = (2.0 / math.pi) * float(np.sum(M * K).real)
-    return out
+    gamma = 2.0 * np.asarray(beta, dtype=complex)
+    x = np.abs(gamma) ** 2
+    mat, dim = rho.mat, rho.dim
+    k = np.arange(dim, dtype=float).reshape((-1,) + (1,) * gamma.ndim)
+    h = np.empty((dim,) + gamma.shape, dtype=complex)
+    h[0] = np.exp(-0.5 * x)
+    for j in range(1, dim):
+        h[j] = h[j - 1] * gamma / math.sqrt(j)
+    h_prev = np.zeros_like(h)
+    total = np.zeros(gamma.shape, dtype=complex)
+    for n in range(dim):
+        # h holds h_n^(k) for k = 0 .. dim - 1 - n, the elements rho reaches
+        upper = np.tensordot(mat[n, n:], h, axes=1)
+        total += (-1) ** n * (upper + np.tensordot(mat[n + 1 :, n], h[1:].conj(), axes=1))
+        kk = k[: dim - 1 - n]
+        h, h_prev = (
+            ((2 * n + 1 + kk - x) * h[:-1] - np.sqrt(n * (n + kk)) * h_prev[:-1])
+            / np.sqrt((n + 1) * (n + 1 + kk)),
+            h[:-1],
+        )
+    w = (2.0 / math.pi) * total.real
+    if np.isscalar(beta) or gamma.ndim == 0:
+        return float(w)
+    return w
 
 
 def _simpson_weights(axis: np.ndarray) -> np.ndarray:

@@ -509,3 +509,15 @@ def test_cli_import_loads_no_process_pools():
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_perfbench_spans_install_on_cli_modules():
+    # perfbench/spans.py wraps dqsim names by module attribute; a deleted or
+    # unbound name makes install() raise and every traced benchmark run fail
+    code = "import dqsim.cli, spans\nspans.install()\nprint('installed')"
+    root = Path(cli.__file__).resolve().parents[2]
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "installed"

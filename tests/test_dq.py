@@ -23,11 +23,9 @@ def test_config_validation():
 
 
 def test_classify_and_chi():
-    assert dq.classify(2, 1).kind is dq.DQKind.PHOTON_ADDED
-    assert dq.classify(2, 1).k == 1
-    assert dq.classify(1, 3).kind is dq.DQKind.PHOTON_SUBTRACTED
-    assert dq.classify(3, 3).kind is dq.DQKind.CATALYZED
-    assert dq.classify(2, 1).label == "DQ+1"
+    assert dq.classify(2, 1) == "DQ+1"
+    assert dq.classify(1, 3) == "DQ-2"
+    assert dq.classify(3, 3) == "DQ"
     assert dq.chi(_cfg(0, 0, 2.0, 0.75)) == pytest.approx(1.0)
 
 

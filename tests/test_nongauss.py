@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
@@ -166,9 +166,7 @@ def test_wigner_closed_matches_oracle_pointwise():
             closed = nongauss.wigner_closed(state, beta)
             oracle = nongauss.wigner_oracle(rho, beta)
             assert closed == pytest.approx(oracle, abs=1e-7)
-    # far from the state D(beta) carries rho's upper levels past a cutoff
-    # sized for |beta| alone; the n = 4 benchmark state at beta = -3 needs
-    # the padding to cover rho's own cutoff as well
+    # far from the state: the n = 4 benchmark state at beta = -3
     cfg = dq.CMConfig(4, 1, complex(math.sqrt(6.65)), 0.7275)
     state, _ = dq.build_dq(cfg)
     rho = dq.to_fock(state, fock.Truncation.auto(cfg.alpha, cfg.n, cfg.m)).density()
@@ -177,29 +175,65 @@ def test_wigner_closed_matches_oracle_pointwise():
     )
 
 
-def test_wigner_oracle_grid_matches_pointwise():
+def test_wigner_oracle_array_matches_pointwise():
     state, _ = dq.build_dq(dq.CMConfig(2, 1, complex(1.3), 0.55))
-    # same embedding dimension for both paths so the comparison is exact
     rho = dq.to_fock(state, fock.Truncation(45)).density()
     grid = nongauss.PhaseGrid.centered(state.displacement, 1.5, 5)
-    vals = nongauss.wigner_oracle_grid(rho, grid)
+    vals = nongauss.wigner_oracle(rho, grid.mesh())
+    assert vals.shape == (5, 5)
     for i, x in enumerate(grid.xs):
         for j, p in enumerate(grid.ps):
             assert vals[i, j] == pytest.approx(
                 nongauss.wigner_oracle(rho, complex(x, p)), abs=1e-12
             )
-    # far from the state the padding must cover rho's own cutoff as well as
-    # the grid corner, as for the pointwise oracle
     cfg = dq.CMConfig(4, 1, complex(math.sqrt(6.65)), 0.7275)
     state, _ = dq.build_dq(cfg)
     rho = dq.to_fock(state, fock.Truncation.auto(cfg.alpha, cfg.n, cfg.m)).density()
     grid = nongauss.PhaseGrid(np.array([-3.0, -2.0]), np.array([0.0, 0.5]))
     np.testing.assert_allclose(
-        nongauss.wigner_oracle_grid(rho, grid),
+        nongauss.wigner_oracle(rho, grid.mesh()),
         nongauss.wigner_closed(state, grid.mesh()),
         rtol=0,
         atol=1e-7,
     )
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.floats(0.5, 16.0),
+    st.floats(0.1, 0.9),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+def test_wigner_oracle_matches_closed_form_property(n, m, alpha_sq, R, u, v):
+    cfg = dq.CMConfig(n, m, complex(math.sqrt(alpha_sq)), R)
+    state, _ = dq.build_dq(cfg)
+    rho = dq.to_fock(state, fock.Truncation.auto(cfg.alpha, n, m)).density()
+    grid = nongauss.default_grid(state, 5)
+    beta = complex(
+        grid.xs[0] + u * (grid.xs[-1] - grid.xs[0]), grid.ps[0] + v * (grid.ps[-1] - grid.ps[0])
+    )
+    assert nongauss.wigner_oracle(rho, beta) == pytest.approx(
+        nongauss.wigner_closed(state, beta), abs=1e-10
+    )
+
+
+def test_wigner_oracle_large_dimension():
+    # at dim 200, 199! overflows a float; the folded recurrence never forms it
+    t = fock.Truncation(150)
+    for k in (0, 1, 50, 149):
+        rho = fock.fock_state(k, t).density()
+        assert nongauss.wigner_oracle(rho, 0.0) == pytest.approx(
+            (2 / math.pi) * (-1) ** k, abs=1e-12
+        )
+    g = 6 + 3j
+    rho = fock.coherent(g, fock.Truncation(200)).density()
+    for beta in (g, g + 0.5):
+        assert nongauss.wigner_oracle(rho, beta) == pytest.approx(
+            (2 / math.pi) * math.exp(-2 * abs(beta - g) ** 2), abs=1e-12
+        )
 
 
 def test_wigner_closed_normalization():
@@ -215,7 +249,7 @@ def test_wigner_oracle_normalization_small_state():
     t = fock.Truncation(25)
     rho = dq.to_fock(state, t).density()
     grid = nongauss.PhaseGrid.centered(state.displacement, 5.0, 61)
-    vals = nongauss.wigner_oracle_grid(rho, grid)
+    vals = nongauss.wigner_oracle(rho, grid.mesh())
     integral = simpson(simpson(vals, x=grid.ps, axis=1), x=grid.xs)
     assert integral == pytest.approx(1.0, abs=1e-3)
 
@@ -246,7 +280,7 @@ def test_negativity_single_photon_self_consistency():
     grid = nongauss.PhaseGrid.centered(0.5 + 0j, 5.5, 61)
     closed_vals = nongauss.wigner_closed(st, grid.mesh())
     rho = dq.to_fock(st, fock.Truncation(30)).density()
-    oracle_vals = nongauss.wigner_oracle_grid(rho, grid)
+    oracle_vals = nongauss.wigner_oracle(rho, grid.mesh())
     closed_i = simpson(simpson(np.abs(closed_vals), x=grid.ps, axis=1), x=grid.xs)
     oracle_i = simpson(simpson(np.abs(oracle_vals), x=grid.ps, axis=1), x=grid.xs)
     assert closed_i == pytest.approx(oracle_i, abs=1e-4)
