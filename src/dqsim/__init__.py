@@ -11,7 +11,6 @@ pipeline.
 from . import dq, fock, imperfections, nongauss, polynomials, squeezing
 from .dq import CMConfig, DQState, LocusTarget, build_dq, chi, classify
 from .errors import (
-    DimensionMismatch,
     DQSimError,
     GridTooCoarse,
     IndexOutOfRange,
@@ -47,7 +46,6 @@ __all__ = [
     "DQSimError",
     "TruncationTooSmall",
     "ZeroProbability",
-    "DimensionMismatch",
     "NonFiniteResult",
     "NonPhysicalCovariance",
     "GridTooCoarse",

@@ -55,20 +55,6 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _round12(obj):
-    if isinstance(obj, (float, np.floating)):
-        return float(format(float(obj), ".12g"))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_round12(v) for v in obj.tolist()]
-    return obj
-
-
 def _csv_lines(header: list[str], rows: list[tuple]) -> list[str]:
     """Header and rows as CSV lines.  When every value is a float, each row takes
     one "%.12g" format, which gives the bytes of `_fmt` on each value."""
@@ -91,7 +77,8 @@ def _emit(args, header: list[str], rows: list[tuple], meta: dict) -> None:
                 **meta,
             },
             "columns": header,
-            "data": [_round12(list(row)) for row in rows],
+            "data": [[float(format(v, ".12g")) if isinstance(v, float) else v for v in row]
+                     for row in rows],
         }
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if args.out:

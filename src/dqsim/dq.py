@@ -108,10 +108,6 @@ class DQState:
             raise ZeroProbability("zero coefficient vector")
         return cls(complex(displacement), c / norm, config)
 
-    @property
-    def n_levels(self) -> int:
-        return self.coeffs.size
-
 
 def _level_factor(n: int, q: int, ratio):
     """C(n,q) sqrt(q!) ratio^(q/2), the level factor of C_q at ratio = (1-R)/R.

@@ -24,10 +24,6 @@ class ZeroProbability(DQSimError):
     """A heralded event has numerically vanishing probability."""
 
 
-class DimensionMismatch(DQSimError):
-    """Two objects live in Fock spaces of different dimension."""
-
-
 class NonFiniteResult(DQSimError):
     """A closed-form quantity overflows the floating-point range."""
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, TruncationTooSmall, ZeroProbability
+from .errors import TruncationTooSmall, ZeroProbability
 
 __all__ = [
     "TAIL_TOL",
@@ -48,9 +48,6 @@ __all__ = [
     "fock_state",
     "bs_unitary",
     "brute_force_cm",
-    "overlap",
-    "fidelity_tr",
-    "purity",
 ]
 
 TAIL_TOL = 1e-10
@@ -93,12 +90,6 @@ class FockVector:
 
     def norm2(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
-
-    def normalized(self) -> "FockVector":
-        n2 = self.norm2()
-        if n2 < 1e-300:
-            raise ZeroProbability("cannot normalize a numerically zero vector")
-        return FockVector(self.amps / math.sqrt(n2))
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amps, self.amps.conj()))
@@ -154,23 +145,6 @@ def annihilation_matrix(t: Truncation) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, t.dim, dtype=float)), 1).astype(complex)
 
 
-def _poisson_tail(mu: float, dim: int) -> float:
-    """P(K >= dim) for K ~ Poisson(mu), summed term by term (no cancellation)."""
-    if mu <= 0.0:
-        return 0.0
-    log_mu = math.log(mu)
-    total = 0.0
-    for k in range(dim, dim + 4000):
-        p = math.exp(k * log_mu - mu - math.lgamma(k + 1))
-        total += p
-        if total > 1e-6:
-            # already far beyond any tolerance checked against
-            return total
-        if k > mu and p < 1e-25:
-            break
-    return total
-
-
 def coherent(alpha: complex, t: Truncation) -> FockVector:
     """Truncated coherent state |alpha>, renormalized on the kept levels."""
     amps = np.empty(t.dim, dtype=complex)
@@ -198,21 +172,11 @@ def fock_state(k: int, t: Truncation) -> FockVector:
 def displacement_matrix(beta: complex, t: Truncation) -> np.ndarray:
     """D(beta) = exp(beta a^dag - beta* a) by matrix exponential.
 
-    Exactly unitary on the truncated space; the tail check guards against
-    displacements whose coherent support spills past the cutoff.  Recently
-    used matrices are cached (scans revisit the same displacement) and
-    copied out, so callers may modify what they get.
+    Exactly unitary on the truncated space; `coherent`'s tail check guards
+    against displacements whose coherent support spills past the cutoff.
     """
-    if _poisson_tail(abs(beta) ** 2, t.dim) >= TAIL_TOL:
-        raise TruncationTooSmall(
-            f"displacement |beta|^2={abs(beta)**2:.3f} spills past dim={t.dim}"
-        )
-    return _displacement(complex(beta), t.dim).copy()
-
-
-@functools.lru_cache(maxsize=64)
-def _displacement(beta: complex, dim: int) -> np.ndarray:
-    a = annihilation_matrix(Truncation(dim))
+    coherent(beta, t)
+    a = annihilation_matrix(t)
     return expm(beta * a.conj().T - np.conj(beta) * a)
 
 
@@ -337,27 +301,3 @@ def brute_force_cm(
     if prob < 1e-300:
         raise ZeroProbability(f"herald m={m} has vanishing probability for n={n}, alpha={alpha}")
     return FockVector(col / math.sqrt(prob)), prob
-
-
-# ---------------------------------------------------------------------------
-# scalar reductions
-
-
-def overlap(v: FockVector, w: FockVector) -> complex:
-    """Inner product <v|w>."""
-    if v.dim != w.dim:
-        raise DimensionMismatch(f"dims {v.dim} != {w.dim}")
-    return complex(np.vdot(v.amps, w.amps))
-
-
-def fidelity_tr(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Tr(rho sigma); equals the usual fidelity when either state is pure."""
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dims {rho.dim} != {sigma.dim}")
-    val = complex(np.trace(rho.mat @ sigma.mat))
-    return float(val.real)
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2)."""
-    return fidelity_tr(rho, rho)

@@ -32,7 +32,6 @@ from .polynomials import hermite2_rows
 __all__ = [
     "ImperfectionParams",
     "povm_element",
-    "mixed_source",
     "herald_terms",
     "mixture",
     "fidelity_rows",
@@ -75,18 +74,6 @@ def povm_element(m: int, eta_d: float, t: fock.Truncation) -> fock.DensityMatrix
     if not 0.0 <= eta_d <= 1.0:
         raise ValueError("eta_d must lie in [0, 1]")
     weights = [_weight(k, m, eta_d) if k >= m else 0.0 for k in range(t.dim)]
-    return fock.DensityMatrix(np.diag(weights).astype(complex))
-
-
-def mixed_source(n: int, eta_s: float, t: fock.Truncation) -> fock.DensityMatrix:
-    """Convex mixture (1-eta_s)|0><0| + eta_s|n><n| of vacuum and the n-photon state."""
-    if not 0.0 <= eta_s <= 1.0:
-        raise ValueError("eta_s must lie in [0, 1]")
-    if not 0 <= n < t.dim:
-        raise ValueError(f"n={n} outside truncation dim={t.dim}")
-    weights = np.zeros(t.dim)
-    weights[0] += 1.0 - eta_s
-    weights[n] += eta_s
     return fock.DensityMatrix(np.diag(weights).astype(complex))
 
 

@@ -47,6 +47,10 @@ __all__ = [
     "wigner_negativity",
 ]
 
+# (lo, hi, step) of |alpha|^2 and of R: hsd_max's box and coarse scan
+HSD_ALPHA_SQ_AXIS = (0.05, 16.0, 0.25)
+HSD_R_AXIS = (0.05, 0.95, 0.015)
+
 
 @dataclass(frozen=True)
 class GaussianRef:
@@ -212,24 +216,21 @@ def hsd_scan(n: int, m: int, alpha_sq_values, R_values) -> np.ndarray:
     return hsd_of_coeffs(dq.coefficients_grid(n, m, np.sqrt(a_vals)[:, None], r_vals[None, :]))
 
 
-def hsd_max(
-    n: int,
-    m: int,
-    alpha_sq_range: tuple[float, float] = (0.05, 16.0),
-    R_range: tuple[float, float] = (0.05, 0.95),
-    alpha_sq_step: float = 0.25,
-    R_step: float = 0.015,
-) -> tuple[float, float, float, bool]:
-    """Maximal delta over the box; returns (value, alpha_sq, R, on_boundary)."""
-    a_vals = np.arange(alpha_sq_range[0], alpha_sq_range[1] + alpha_sq_step / 2, alpha_sq_step)
-    r_vals = np.arange(R_range[0], R_range[1] + R_step / 2, R_step)
+def hsd_max(n: int, m: int) -> tuple[float, float, float, bool]:
+    """Maximal delta over the HSD_ALPHA_SQ_AXIS x HSD_R_AXIS box.
+
+    Returns (value, alpha_sq, R, on_boundary).
+    """
+    (a_lo, a_hi, a_step), (r_lo, r_hi, r_step) = HSD_ALPHA_SQ_AXIS, HSD_R_AXIS
+    a_vals = np.arange(a_lo, a_hi + a_step / 2, a_step)
+    r_vals = np.arange(r_lo, r_hi + r_step / 2, r_step)
     grid = hsd_scan(n, m, a_vals, r_vals)
     ia, ir = np.unravel_index(np.argmax(grid), grid.shape)
 
     def objective(p):
         a2, r = p
-        a2 = min(max(a2, alpha_sq_range[0]), alpha_sq_range[1])
-        r = min(max(r, R_range[0]), R_range[1])
+        a2 = min(max(a2, a_lo), a_hi)
+        r = min(max(r, r_lo), r_hi)
         c = dq.coefficients_grid(n, m, math.sqrt(a2), r)
         return -hsd_of_coeffs(c)
 
@@ -237,15 +238,15 @@ def hsd_max(
         objective, np.array([a_vals[ia], r_vals[ir]]), xatol=1e-5, fatol=1e-9, maxiter=2000
     )
     best = -float(res.fun)
-    a_best = float(min(max(res.x[0], alpha_sq_range[0]), alpha_sq_range[1]))
-    r_best = float(min(max(res.x[1], R_range[0]), R_range[1]))
+    a_best = float(min(max(res.x[0], a_lo), a_hi))
+    r_best = float(min(max(res.x[1], r_lo), r_hi))
     if best < float(grid[ia, ir]):
         best, a_best, r_best = float(grid[ia, ir]), float(a_vals[ia]), float(r_vals[ir])
     on_boundary = (
-        a_best - alpha_sq_range[0] < alpha_sq_step
-        or alpha_sq_range[1] - a_best < alpha_sq_step
-        or r_best - R_range[0] < R_step
-        or R_range[1] - r_best < R_step
+        a_best - a_lo < a_step
+        or a_hi - a_best < a_step
+        or r_best - r_lo < r_step
+        or r_hi - r_best < r_step
     )
     return best, a_best, r_best, on_boundary
 

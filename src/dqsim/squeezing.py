@@ -53,6 +53,11 @@ MAX_MOMENT_ORDER = 4
 # peak memory no longer grows with the grid.
 BLOCK_CELLS = 2**14
 
+# (lo, hi, step) of |alpha|^2 and of R: optimize_cm_squeezing's box and coarse scan
+CM_ALPHA_SQ_AXIS = (0.05, 30.0, 0.05)
+CM_R_AXIS = (0.01, 0.99, 0.0025)
+TABLE2_N_MAX = 6
+
 
 @dataclass(frozen=True)
 class QuadratureReport:
@@ -341,29 +346,21 @@ def _variance_cells(n: int, m: int, alpha_sq: np.ndarray, R: np.ndarray):
     return variance_of_coeffs(c)
 
 
-def optimize_cm_squeezing(
-    n: int,
-    m: int,
-    alpha_sq_range: tuple[float, float] = (0.05, 30.0),
-    R_range: tuple[float, float] = (0.01, 0.99),
-    alpha_sq_step: float = 0.05,
-    R_step: float = 0.0025,
-) -> OptimumRecord:
+def optimize_cm_squeezing(n: int, m: int) -> OptimumRecord:
     """Global minimum of the X variance over the (|alpha|^2, R) box.
 
-    Coarse grid scan at the stated steps, then a Nelder-Mead refinement
-    started from the best cell.  Box-boundary hits are flagged, not
-    rejected.
+    Coarse grid scan over CM_ALPHA_SQ_AXIS x CM_R_AXIS, then a Nelder-Mead
+    refinement started from the best cell.  Box-boundary hits are flagged,
+    not rejected.
 
     For m = 0 (optimum on the line |alpha|^2 R = const) and n = 1 (on the
     `n1_optimal_alpha_sq` locus) the optimum is a flat set, so the
     (|alpha|^2, R) returned there is one arbitrary point of it, moved by
     last-bit rounding changes; only ``min_var`` is reproducible.
     """
-    a_lo, a_hi = alpha_sq_range
-    r_lo, r_hi = R_range
-    a_vals = np.arange(a_lo, a_hi + alpha_sq_step / 2, alpha_sq_step)
-    r_vals = np.arange(r_lo, r_hi + R_step / 2, R_step)
+    (a_lo, a_hi, a_step), (r_lo, r_hi, r_step) = CM_ALPHA_SQ_AXIS, CM_R_AXIS
+    a_vals = np.arange(a_lo, a_hi + a_step / 2, a_step)
+    r_vals = np.arange(r_lo, r_hi + r_step / 2, r_step)
     V = variance_x_map(n, m, a_vals[:, None], r_vals[None, :])
     flat = np.nanargmin(V)
     ia, ir = np.unravel_index(flat, V.shape)
@@ -383,10 +380,10 @@ def optimize_cm_squeezing(
     if best_v > coarse_min:
         best_a, best_r, best_v = float(a_vals[ia]), float(r_vals[ir]), coarse_min
     boundary = (
-        best_a - a_lo < alpha_sq_step
-        or a_hi - best_a < alpha_sq_step
-        or best_r - r_lo < R_step
-        or r_hi - best_r < R_step
+        best_a - a_lo < a_step
+        or a_hi - best_a < a_step
+        or best_r - r_lo < r_step
+        or r_hi - best_r < r_step
     )
     return OptimumRecord(n, m, best_v, best_a, best_r, boundary, res.nit, res.nfev, res.success)
 
@@ -454,21 +451,21 @@ def optimize_fock_superposition(n: int) -> tuple[float, np.ndarray]:
     return float(variance_of_coeffs(c)), c
 
 
-def table1(n_max: int = 4, m_max: int = 4, **kwargs) -> list[OptimumRecord]:
+def table1(n_max: int = 4, m_max: int = 4) -> list[OptimumRecord]:
     """Optimal squeezing for every heralding cell n = 1..n_max, m = 0..m_max.
 
     Each cell is tuned on its own, so the cells run through `map_rows`.
     """
     cells = [(n, m) for n in range(1, n_max + 1) for m in range(0, m_max + 1)]
-    return map_rows(lambda cell: optimize_cm_squeezing(*cell, **kwargs), cells)
+    return map_rows(lambda cell: optimize_cm_squeezing(*cell), cells)
 
 
-def table2(n_max: int = 6) -> list[Table2Row]:
+def table2() -> list[Table2Row]:
     """Single-photon-herald optima against the unconstrained superposition optima.
 
-    The rows n = 1..n_max are independent and run through `map_rows`.
+    The rows n = 1..TABLE2_N_MAX are independent and run through `map_rows`.
     """
-    return map_rows(_table2_row, range(1, n_max + 1))
+    return map_rows(_table2_row, range(1, TABLE2_N_MAX + 1))
 
 
 def _table2_row(n: int) -> Table2Row:

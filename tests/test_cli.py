@@ -111,19 +111,25 @@ def test_bad_grid_exit_code(capsys):
     "argv, quantity",
     [
         # vacuum input can never herald a photon
-        (["--n", "0", "--m", "2", "--alpha-sq", "0", "--R", "0.5"], "all coefficients vanish"),
+        (["state", "--n", "0", "--m", "2", "--alpha-sq", "0", "--R", "0.5"],
+         "all coefficients vanish"),
         # H_{2-q,200}(x, x) overflows at x^2 = 1500
-        (["--n", "2", "--m", "200", "--alpha-sq", "3000", "--R", "0.5"], "C_q overflow"),
+        (["state", "--n", "2", "--m", "200", "--alpha-sq", "3000", "--R", "0.5"], "C_q overflow"),
         # exp(-|alpha|^2 (1 - R)) underflows
-        (["--n", "2", "--m", "1", "--alpha-sq", "100000", "--R", "0.5"], "success probability"),
+        (["state", "--n", "2", "--m", "1", "--alpha-sq", "100000", "--R", "0.5"],
+         "success probability"),
         # m! no longer fits in a float, and R^n / (m! n!) underflows
-        (["--n", "2", "--m", "171", "--alpha-sq", "1", "--R", "0.5"], "success probability"),
+        (["state", "--n", "2", "--m", "171", "--alpha-sq", "1", "--R", "0.5"],
+         "success probability"),
+        # the coefficients are finite, but the degree-240 Wigner polynomial overflows
+        (["wigner", "--n", "120", "--m", "0", "--alpha-sq", "1", "--R", "0.5", "--points", "5"],
+         "NonFiniteResult: Wigner function overflows on the phase-space grid"),
     ],
     ids=["zero-probability", "coefficient-overflow", "probability-underflow",
-         "factorial-overflow"],
+         "factorial-overflow", "wigner-overflow"],
 )
 def test_numerical_failure_exit_code(capsys, argv, quantity):
-    rc = _run(["state"] + argv)
+    rc = _run(argv)
     assert rc == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and quantity in err
