@@ -1,0 +1,37 @@
+#!/usr/bin/env bash
+# Compare the stdout of the optimizer and scan commands between two dqsim
+# source trees, byte for byte:
+#
+#     bash .github/scripts/byte-identity.sh BASE_TREE HEAD_TREE
+#
+# The flat-valley table1 rows (m = 0 and n = 1) move with any last-bit
+# rounding change, so a kernel change must leave these outputs identical
+# until the exact optimizer (ROADMAP item 2) replaces the simplex path.
+# Exits 1 if any output differs.
+set -euo pipefail
+base=$(cd "$1" && pwd)
+head=$(cd "$2" && pwd)
+out=$(mktemp -d)
+status=0
+while read -r name args; do
+  for side in base head; do
+    tree=${!side}
+    # shellcheck disable=SC2086  # args splits into the command's words
+    PYTHONPATH="$tree/src" python -m dqsim.cli $args >"$out/$side.$name" 2>/dev/null
+  done
+  if cmp -s "$out/base.$name" "$out/head.$name"; then
+    echo "same     $name"
+  else
+    echo "DIFFERS  $name"
+    status=1
+  fi
+done <<'COMMANDS'
+table1 table1 --format json
+table2 table2 --format json
+table3 table3 --format json
+optimize optimize --n 4 --m 3 --format json
+scan scan --n 2 --m 1
+hsd-scan hsd-scan --n 2 --m 1
+COMMANDS
+rm -rf "$out"
+exit "$status"

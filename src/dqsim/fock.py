@@ -146,12 +146,21 @@ def annihilation_matrix(t: Truncation) -> np.ndarray:
 
 
 def coherent(alpha: complex, t: Truncation) -> FockVector:
-    """Truncated coherent state |alpha>, renormalized on the kept levels."""
-    amps = np.empty(t.dim, dtype=complex)
+    """Truncated coherent state |alpha>, renormalized on the kept levels.
+
+    |<k|alpha>| is exp(k log|alpha| - lgamma(k + 1)/2 - |alpha|^2/2) at its
+    peak k0, and from there the ratios |alpha|/sqrt(k), all below 1 walking
+    away from k0, so nothing overflows; the phase is (alpha/|alpha|)^k.
+    """
+    amps = np.zeros(t.dim, dtype=complex)
     amps[0] = 1.0
-    for k in range(1, t.dim):
-        amps[k] = amps[k - 1] * alpha / math.sqrt(k)
-    amps *= math.exp(-abs(alpha) ** 2 / 2.0)
+    if alpha != 0:
+        r, k0 = abs(alpha), min(int(abs(alpha) ** 2), t.dim - 1)
+        ratio = r / np.sqrt(np.arange(1, t.dim))
+        mod = np.ones(t.dim)
+        mod[k0 + 1 :], mod[:k0] = np.cumprod(ratio[k0:]), np.cumprod(1 / ratio[:k0][::-1])[::-1]
+        peak = math.exp(k0 * math.log(r) - math.lgamma(k0 + 1) / 2 - r * r / 2)
+        amps = peak * mod * (alpha / r) ** np.arange(t.dim)
     kept = float(np.vdot(amps, amps).real)
     if 1.0 - kept >= TAIL_TOL:
         raise TruncationTooSmall(

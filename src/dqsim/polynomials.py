@@ -15,23 +15,32 @@ same `hermite2` sum over the same powers, so the two agree bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 __all__ = ["hermite2", "hermite2_rows", "laguerre"]
 
 
 def _powers(x, top: int) -> list:
-    """x ** 0 .. x ** top, each by the ``**`` of an integer exponent."""
-    return [x**j for j in range(top + 1)]
+    """x ** 0 .. x ** top, each by the ``**`` of an integer exponent (x ** 1 is x)."""
+    return [x**0, x] + [x**j for j in range(2, top + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _terms(n: int, m: int) -> tuple:
+    """(coeff, i, j) of H_{n,m}(x, y) = sum coeff x^i y^j, in summation order."""
+    return tuple(((-1) ** k * math.comb(n, k) * math.comb(m, k) * math.factorial(k), n - k, m - k)
+                 for k in range(min(n, m) + 1))
 
 
 def _hermite_sum(n: int, m: int, xp: list, yp: list):
     """H_{n,m} from the power tables xp[j] = x ** j and yp[j] = y ** j."""
     acc = None
-    for k in range(min(n, m) + 1):
-        coeff = (-1) ** k * math.comb(n, k) * math.comb(m, k) * math.factorial(k)
-        term = coeff * xp[n - k] * yp[m - k]
+    for coeff, i, j in _terms(n, m):
+        term = coeff * xp[i] * yp[j]
         acc = term if acc is None else acc + term
     return acc
 
@@ -48,14 +57,34 @@ def hermite2(n: int, m: int, x, y):
     return _hermite_sum(n, m, _powers(x, n), _powers(y, m))
 
 
-def hermite2_rows(n: int, m: int, x, y) -> list:
+def hermite2_rows(n: int, m: int, x, y, out=None, work=None) -> list:
     """[H_{n-q,m}(x, y) for q = 0..n], equal to `hermite2` row by row.
 
     The powers of x and y are computed once for the whole family (once in
-    all when y is x) instead of once per row.
+    all when y is x) instead of once per row.  With out, a real array of
+    shape (n + 1,) + x.shape, and y = x, row q is accumulated in out[q] in
+    place and out is returned; work (max(n, m, 1) rows of x's shape) holds
+    x ** 2 .. x ** max(n, m) and a term buffer.  A factor x ** 0 or a
+    coefficient 1 is left out of its term, as multiplying by 1 is exact.
     """
     if n < 0 or m < 0:
         raise ValueError("hermite2 indices must be non-negative")
+    if out is not None:
+        top = max(n, m)  # as x ** j runs: np.square for j = 2, the power loop above
+        xp = [1.0, x] + [np.power(x, j, out=work[j - 2]) if j > 2 else np.square(x, out=work[0])
+                         for j in range(2, top + 1)]
+        for q, row in enumerate(out):
+            for k, (coeff, i, j) in enumerate(_terms(n - q, m)):
+                t = work[max(top, 1) - 1] if k else row
+                if i and j and coeff == 1:
+                    np.multiply(xp[i], xp[j], out=t)
+                else:
+                    np.multiply(coeff, xp[i or j], out=t)
+                    if i and j:
+                        t *= xp[j]
+                if k:
+                    row += t
+        return out
     if y is x:
         xp = yp = _powers(x, max(n, m))
     else:

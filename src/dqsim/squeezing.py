@@ -15,7 +15,9 @@ their rows over the CPUs.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import pickle
 import sys
@@ -26,6 +28,7 @@ import numpy as np
 
 from . import dq
 from .errors import IndexOutOfRange
+from .polynomials import hermite2_rows
 
 __all__ = [
     "QuadratureReport",
@@ -168,10 +171,16 @@ def bare_moment(c, u: int, v: int) -> np.ndarray:
     c = np.asarray(c)
     conj = np.conj if np.iscomplexobj(c) else (lambda z: z)
     total = np.zeros(c.shape[1:], dtype=c.dtype)
-    for k in range(c.shape[0] - max(u, v)):
-        w = math.sqrt(math.perm(k + v, v) * math.perm(k + u, u))
-        total = total + conj(c[k + u]) * c[k + v] * w
+    for i, j, w in _moment_terms(c.shape[0], u, v):
+        total = total + conj(c[i]) * c[j] * w
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_terms(levels: int, u: int, v: int) -> tuple:
+    """(i, j, w) of <a^dag^u a^v> = sum_k conj(c_i) c_j w, i = k + u, j = k + v, in order."""
+    return tuple((k + u, k + v, math.sqrt(math.perm(k + v, v) * math.perm(k + u, u)))
+                 for k in range(levels - max(u, v)))
 
 
 def moment(state: dq.DQState, l: int, s: int) -> complex:
@@ -319,39 +328,91 @@ def variance_x_map(n: int, m: int, alpha_sq, R) -> np.ndarray:
     """X-quadrature variance of the heralded qudit over broadcast real grids.
 
     Cells where every coefficient vanishes (only alpha = 0 with m > n)
-    come back as NaN.  A grid is evaluated in `row_blocks` written into one
-    result; each cell's arithmetic is the whole-grid one, so the result is
-    bit-identical to a single-block evaluation.
+    come back as NaN.  A 0-d input runs `_variance_point` and a grid
+    `_variance_blocks`; each rounds every cell as one numpy evaluation of
+    coefficients_grid, the norm and variance_of_coeffs does.
     """
     alpha_sq, R = np.asarray(alpha_sq, float), np.asarray(R, float)
     shape = np.broadcast_shapes(alpha_sq.shape, R.shape)
     if not shape:
-        return _variance_cells(n, m, alpha_sq, R)
+        return np.float64(_variance_point(n, m, float(alpha_sq), float(R)))
+    out = np.empty(shape)
+    for lo, hi, v in _variance_blocks(n, m, alpha_sq, R):
+        out[lo:hi] = v
+    return out
+
+
+def _variance_blocks(n: int, m: int, alpha_sq: np.ndarray, R: np.ndarray):
+    """(lo, hi, V) for each of the `row_blocks` of the grid, in order.
+
+    C_q, work rows and the norm live in buffers for one block, reused by
+    the next: the work rows take the power table, then the squares for
+    numpy's own sum, then variance_of_coeffs' moments, term by term.
+    """
+    shape = np.broadcast_shapes(alpha_sq.shape, R.shape)
+    blocks = row_blocks(shape)
+    size = (blocks[0][1] if blocks else 0,) + shape[1:]
+    c, work = np.empty((n + 1,) + size), np.empty((max(n, m, 3) + 1,) + size)
+    norm = np.empty(size)
 
     def rows(a, lo, hi):  # an input broadcast along the leading axis passes whole
         return a[lo:hi] if a.ndim == len(shape) and a.shape[0] > 1 else a
 
-    out = np.empty(shape)
-    for lo, hi in row_blocks(shape):
-        out[lo:hi] = _variance_cells(n, m, rows(alpha_sq, lo, hi), rows(R, lo, hi))
-    return out
+    for lo, hi in blocks:
+        cb, wb, nb = c[:, : hi - lo], work[:, : hi - lo], norm[: hi - lo]
+        dq.coefficients_grid(n, m, np.sqrt(rows(alpha_sq, lo, hi)), rows(R, lo, hi), cb, wb)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.sqrt(np.add.reduce(np.multiply(cb, cb, out=wb[: n + 1]), axis=0, out=nb), out=nb)
+            cb /= nb
+            empty = ~(nb > 0)
+        if empty.any():  # np.where(s > 0, c / sqrt(s), nan)
+            cb[:, empty] = np.nan
+        a1, var, n1, term = wb[:4]
+        for total, (u, v) in ((a1, (0, 1)), (var, (0, 2)), (n1, (1, 1))):
+            total.fill(0.0)
+            for i, j, w in _moment_terms(n + 1, u, v):
+                total += np.multiply(np.multiply(cb[i], cb[j], out=term), w, out=term)
+        var += 0.5  # 0.5 + <a^2> + <a^dag a> - (2.0 <a>) <a>
+        var += n1
+        var -= np.multiply(np.multiply(a1, 2.0, out=term), a1, out=term)
+        yield lo, hi, var
 
 
-def _variance_cells(n: int, m: int, alpha_sq: np.ndarray, R: np.ndarray):
-    """`variance_x_map` on one block: every cell at once."""
-    c = dq.coefficients_grid(n, m, np.sqrt(alpha_sq), R)
-    s = np.sum(c * c, axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c = np.where(s > 0, c / np.sqrt(s), np.nan)
-    return variance_of_coeffs(c)
+def _variance_point(n: int, m: int, alpha_sq: float, R: float) -> float:
+    """`variance_x_map` at one point, on Python floats, rounded as the 0-d numpy path.
+
+    float ** int is np.float64 ** int, each level keeps its own 0-d np.power
+    (one vector np.power rounds differently), and sums run left to right as
+    np.sum's do below 8 terms (pairwise from 8).  Where a float operation
+    raises, `dq.coefficients_grid` gives the coefficients, with numpy's inf.
+    """
+    try:
+        x = math.sqrt(alpha_sq) * math.sqrt(1.0 - R)
+        ratio = (1.0 - R) / R
+        c = [h * float(dq._level_factor(n, q, ratio)) if q else h
+             for q, h in enumerate(hermite2_rows(n, m, x, x))]
+    except (ArithmeticError, ValueError):
+        c = dq.coefficients_grid(n, m, np.sqrt(alpha_sq), R).tolist()
+
+    def total(terms):  # 0.0 + t_0 + t_1 + ..., left to right
+        return functools.reduce(operator.add, terms, 0.0)
+
+    s = float(np.sum(np.square(c))) if n >= 7 else total(h * h for h in c)
+    root = math.sqrt(s) if s > 0 else math.nan  # as np.where(s > 0, c / sqrt(s), nan)
+    c = [h / root for h in c]
+    a1, a2, n1 = (total(c[i] * c[j] * w for i, j, w in _moment_terms(n + 1, u, v))
+                  for u, v in ((0, 1), (0, 2), (1, 1)))
+    return 0.5 + a2 + n1 - 2.0 * a1 * a1
 
 
 def optimize_cm_squeezing(n: int, m: int) -> OptimumRecord:
     """Global minimum of the X variance over the (|alpha|^2, R) box.
 
     Coarse grid scan over CM_ALPHA_SQ_AXIS x CM_R_AXIS, then a Nelder-Mead
-    refinement started from the best cell.  Box-boundary hits are flagged,
-    not rejected.
+    refinement of `_variance_point` started from the best cell.  The scan
+    keeps a running argmin over `_variance_blocks` with NaN read as +inf,
+    np.nanargmin's first least cell, without holding the grid.
+    Box-boundary hits are flagged, not rejected.
 
     For m = 0 (optimum on the line |alpha|^2 R = const) and n = 1 (on the
     `n1_optimal_alpha_sq` locus) the optimum is a flat set, so the
@@ -361,16 +422,19 @@ def optimize_cm_squeezing(n: int, m: int) -> OptimumRecord:
     (a_lo, a_hi, a_step), (r_lo, r_hi, r_step) = CM_ALPHA_SQ_AXIS, CM_R_AXIS
     a_vals = np.arange(a_lo, a_hi + a_step / 2, a_step)
     r_vals = np.arange(r_lo, r_hi + r_step / 2, r_step)
-    V = variance_x_map(n, m, a_vals[:, None], r_vals[None, :])
-    flat = np.nanargmin(V)
-    ia, ir = np.unravel_index(flat, V.shape)
-    coarse_min = float(V[ia, ir])
+    coarse_min, flat = math.inf, None
+    for lo, _, v in _variance_blocks(n, m, a_vals[:, None], r_vals[None, :]):
+        v[np.isnan(v)] = np.inf
+        j = int(np.argmin(v))
+        if flat is None or v.flat[j] < coarse_min:
+            coarse_min, flat = float(v.flat[j]), lo * r_vals.size + j
+    ia, ir = divmod(flat, r_vals.size)
 
     def objective(p):
-        a, r = p
+        a, r = float(p[0]), float(p[1])
         if not (a_lo <= a <= a_hi and r_lo <= r <= r_hi):
             return 1e6
-        return float(variance_x_map(n, m, a, r))
+        return _variance_point(n, m, a, r)
 
     res = minimize(
         objective, np.array([a_vals[ia], r_vals[ir]]), xatol=1e-6, fatol=1e-9, maxiter=4000

@@ -29,6 +29,32 @@ def test_coherent_amplitude_ratio():
     assert v.norm2() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_coherent_large_amplitude_is_normalized():
+    # the running product alpha^k / sqrt(k!) overflows from |alpha|^2 ~ 1420; the log-space
+    # peak and the ratios below 1 do not
+    v = fock.coherent(math.sqrt(1500), fock.Truncation(1900))
+    p = np.abs(v.amps) ** 2
+    assert np.all(np.isfinite(v.amps))
+    assert v.norm2() == pytest.approx(1.0, abs=1e-12)
+    assert np.dot(np.arange(p.size), p) == pytest.approx(1500.0, rel=1e-9)
+
+
+def test_coherent_matches_product_recurrence():
+    # the product recurrence alpha^k / sqrt(k!), accurate to 2e-16 where it does not overflow
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        alpha = math.sqrt(rng.uniform(0.0, 30.0)) * np.exp(1j * rng.choice([0.0, math.pi,
+                                                                             rng.uniform(-3, 3)]))
+        t = fock.Truncation.auto(alpha)
+        ref = np.empty(t.dim, dtype=complex)
+        ref[0] = 1.0
+        for k in range(1, t.dim):
+            ref[k] = ref[k - 1] * alpha / math.sqrt(k)
+        ref *= math.exp(-abs(alpha) ** 2 / 2.0)
+        ref /= math.sqrt(float(np.vdot(ref, ref).real))
+        assert np.max(np.abs(fock.coherent(alpha, t).amps - ref)) <= 1e-15
+
+
 def test_coherent_truncation_guard():
     with pytest.raises(TruncationTooSmall):
         fock.coherent(4.0, fock.Truncation(18))

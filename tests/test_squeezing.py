@@ -2,12 +2,18 @@ import math
 import os
 import sys
 import time
+import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqsim import dq, fock, squeezing
 from dqsim.errors import GridTooCoarse, IndexOutOfRange
+from dqsim.polynomials import hermite2
 
 
 def _dense_moment(state, l, s, dim=45):
@@ -104,24 +110,91 @@ def test_variance_map_matches_quadratures():
             assert grid[i, j] == pytest.approx(rep.var_x, abs=1e-12)
 
 
+def _variance_oracle(n, m, alpha_sq, R):
+    """Var X as one whole-grid numpy evaluation, the rounding both kernels must keep.
+
+    The coefficients are _level_factor * hermite2 over the whole grid (a
+    0-d input stays in numpy scalars), the norm is np.sum over the levels,
+    cells without a positive norm get NaN coefficients, and the moments
+    are variance_of_coeffs'.
+    """
+    alpha_sq, R = np.asarray(alpha_sq, float), np.asarray(R, float)
+    x = np.sqrt(alpha_sq) * np.sqrt(1.0 - R)
+    ratio = (1.0 - R) / R
+    c = np.array([dq._level_factor(n, q, ratio) * hermite2(n - q, m, x, x) for q in range(n + 1)])
+    s = np.sum(c * c, axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = np.where(s > 0, c / np.sqrt(s), np.nan)
+    return squeezing.variance_of_coeffs(c)
+
+
+_alpha_sq = st.one_of(st.just(0.0), st.floats(0.0, 30.0))
+_reflectivity = st.floats(0.01, 0.99)
+
+
+@settings(max_examples=400)
+@given(n=st.integers(0, 6), m=st.integers(0, 6), alpha_sq=_alpha_sq, R=_reflectivity)
+def test_variance_point_equals_oracle_bit_for_bit(n, m, alpha_sq, R):
+    # the Nelder-Mead objective's float kernel against the 0-d numpy evaluation
+    want = _variance_oracle(n, m, alpha_sq, R)
+    for got in (squeezing._variance_point(n, m, alpha_sq, R),
+                squeezing.variance_x_map(n, m, alpha_sq, R)):
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def _grid_inputs(a_vals, r_vals):
+    """1-d, 2-d and broadcast (alpha_sq, R) grids over the two axes."""
+    k = min(a_vals.size, r_vals.size)
+    mesh_a, mesh_r = np.meshgrid(a_vals, r_vals, indexing="ij")
+    return [(a_vals[:k], r_vals[:k]), (mesh_a, mesh_r), (a_vals[:, None], r_vals[None, :]),
+            (a_vals, r_vals[0]), (a_vals[0], r_vals[None, :])]
+
+
 @pytest.mark.parametrize("block_cells", [1, 1000, squeezing.BLOCK_CELLS])
-@pytest.mark.parametrize("n, m", [(1, 0), (2, 3), (4, 4)])
+@settings(max_examples=40)
+@given(n=st.integers(0, 6), m=st.integers(0, 6),
+       a_vals=st.lists(_alpha_sq, min_size=1, max_size=9),
+       r_vals=st.lists(_reflectivity, min_size=1, max_size=7))
+def test_variance_grid_equals_oracle_bit_for_bit(block_cells, n, m, a_vals, r_vals):
+    with mock.patch.object(squeezing, "BLOCK_CELLS", block_cells):
+        for alpha_sq, R in _grid_inputs(np.array(a_vals), np.array(r_vals)):
+            got = squeezing.variance_x_map(n, m, alpha_sq, R)
+            assert np.array_equal(got, _variance_oracle(n, m, alpha_sq, R), equal_nan=True)
+
+
+@pytest.mark.parametrize("block_cells", [1, 1000, squeezing.BLOCK_CELLS])
+@pytest.mark.parametrize("n, m", [(1, 0), (2, 3), (4, 4), (0, 2)])
 def test_variance_map_blocks_equal_whole_grid(monkeypatch, n, m, block_cells):
-    # row blocks, ragged last block included, give the single-block values bit for bit;
-    # alpha = 0 with m > n is the documented NaN row
+    # row blocks, ragged last block included, give the single-block values bit for bit,
+    # and both the oracle's; alpha = 0 with m > n is the documented NaN row (n = 0 has no
+    # moment terms, so the oracle gives 1/2 there)
     a_vals = np.arange(0.0, 30.0, 0.25)
     r_vals = np.arange(0.01, 0.99, 0.0025)
     monkeypatch.setattr(squeezing, "BLOCK_CELLS", 10**9)
     whole = squeezing.variance_x_map(n, m, a_vals[:, None], r_vals[None, :])
+    assert np.array_equal(whole, _variance_oracle(n, m, a_vals[:, None], r_vals[None, :]),
+                          equal_nan=True)
     monkeypatch.setattr(squeezing, "BLOCK_CELLS", block_cells)
     assert len(squeezing.row_blocks(whole.shape)) > 1
     blocked = squeezing.variance_x_map(n, m, a_vals[:, None], r_vals[None, :])
     assert np.array_equal(blocked, whole, equal_nan=True)
-    assert np.isnan(whole[0]).all() == (m > n)
+    assert np.isnan(whole[0]).all() == (m > n > 0)
     # a broadcast leading axis and a 1-d grid take the same path
     assert np.array_equal(squeezing.variance_x_map(n, m, 2.5, r_vals[None, :]), whole[10:11])
     assert np.array_equal(squeezing.variance_x_map(n, m, a_vals, 0.01), whole[:, 0],
                           equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_variance_map_sums_many_levels_as_np_sum(n):
+    # from 8 levels np.sum adds pairwise along a lone column and row after row across a
+    # grid; the kernels follow it on each grid (a one-cell grid included) and at a point
+    a_vals, r_vals = np.arange(0.5, 30.0, 1.5), np.arange(0.05, 0.99, 0.05)
+    for alpha_sq, R in [(a_vals[:, None], r_vals[None, :]), (a_vals[3:4, None], r_vals[None, 5:6])]:
+        got = squeezing.variance_x_map(n, 2, alpha_sq, R)
+        assert np.array_equal(got, _variance_oracle(n, 2, alpha_sq, R))
+    for a, r in zip(a_vals, r_vals):
+        assert squeezing._variance_point(n, 2, a, r) == _variance_oracle(n, 2, a, r)
 
 
 def test_bare_moment_batch_axes_against_dense_oracle():
@@ -152,6 +225,59 @@ def test_optimizer_not_above_coarse_grid():
     r_vals = np.arange(0.05, 0.99, 0.02)
     V = squeezing.variance_x_map(1, 1, a_vals[:, None], r_vals[None, :])
     assert rec.min_var <= np.nanmin(V) + 1e-9
+
+
+def test_coarse_scan_argmin_is_nanargmin_first_occurrence(monkeypatch):
+    # ties within a block and across blocks, NaN cells and an all-NaN block: the running
+    # argmin over the blocks picks the cell np.nanargmin picks on the whole grid
+    (a_lo, a_hi, a_step), (r_lo, r_hi, r_step) = squeezing.CM_ALPHA_SQ_AXIS, squeezing.CM_R_AXIS
+    a_vals = np.arange(a_lo, a_hi + a_step / 2, a_step)
+    r_vals = np.arange(r_lo, r_hi + r_step / 2, r_step)
+    V = np.random.default_rng(7).uniform(1.0, 2.0, (a_vals.size, r_vals.size))
+    V[0, :7] = np.nan
+    V[41:82] = np.nan
+    for cell in [(100, 7), (30, 200), (30, 5), (599, 392)]:
+        V[cell] = 0.5
+    assert len(squeezing.row_blocks(V.shape)) > 3
+
+    def blocks(n, m, alpha_sq, R):
+        for lo, hi in squeezing.row_blocks(V.shape):
+            yield lo, hi, V[lo:hi].copy()
+
+    monkeypatch.setattr(squeezing, "_variance_blocks", blocks)
+    monkeypatch.setattr(squeezing, "minimize", lambda fun, x0, **kw: SimpleNamespace(
+        x=np.array(x0), fun=math.inf, nfev=0, nit=1, success=True))
+    rec = squeezing.optimize_cm_squeezing(2, 1)
+    ia, ir = np.unravel_index(np.nanargmin(V), V.shape)
+    assert (ia, ir) == (30, 5)
+    assert (rec.alpha_sq, rec.R, rec.min_var) == (a_vals[ia], r_vals[ir], 0.5)
+
+
+def test_table1_equals_oracle_run(monkeypatch):
+    # records, nit and nfev included, equal those of a run whose scan and objective are
+    # the whole-grid numpy oracle
+    fast = squeezing.table1(n_max=2, m_max=2)
+
+    def blocks(n, m, alpha_sq, R):
+        V = _variance_oracle(n, m, alpha_sq, R)
+        yield 0, V.shape[0], V
+
+    monkeypatch.setattr(squeezing, "_variance_blocks", blocks)
+    monkeypatch.setattr(squeezing, "_variance_point",
+                        lambda n, m, a, r: float(_variance_oracle(n, m, a, r)))
+    assert squeezing.table1(n_max=2, m_max=2) == fast
+
+
+def test_optimizer_scan_memory_peak():
+    # one block's buffers, not the 600 x 393 grid and np.nanargmin's copy of it (4.5 MiB)
+    squeezing.optimize_cm_squeezing(1, 0)
+    tracemalloc.start()
+    try:
+        squeezing.optimize_cm_squeezing(6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * 2**20
 
 
 def _captured_objective(monkeypatch, module, run):
