@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Compare the stdout of the optimizer and scan commands between two dqsim
-# source trees, byte for byte:
+# Compare the stdout of the table, optimizer, scan, state, Wigner and
+# fidelity commands between two dqsim source trees, byte for byte:
 #
 #     bash .github/scripts/byte-identity.sh BASE_TREE HEAD_TREE
 #
 # The flat-valley table1 rows (m = 0 and n = 1) move with any last-bit
 # rounding change, so a kernel change must leave these outputs identical
 # until the exact optimizer (ROADMAP item 2) replaces the simplex path.
+# The CSV and JSON writers of the grid and report commands are covered too.
 # Exits 1 if any output differs.
 set -euo pipefail
 base=$(cd "$1" && pwd)
@@ -32,6 +33,10 @@ table3 table3 --format json
 optimize optimize --n 4 --m 3 --format json
 scan scan --n 2 --m 1
 hsd-scan hsd-scan --n 2 --m 1
+scan-json scan --n 1 --m 0 --format json
+wigner wigner --n 2 --m 1 --alpha-sq 5.45 --R 0.8175
+state-json state --n 2 --m 1 --alpha-sq 5.45 --R 0.8175 --eta-d 0.9 --format json
+fidelity-map fidelity-map --n 2 --m 1 --alpha-sq 5.45 --R 0.8175
 COMMANDS
 rm -rf "$out"
 exit "$status"

@@ -26,11 +26,11 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
-from itertools import chain, product
+from collections import namedtuple
+from itertools import product
 
 import numpy as np
 
@@ -43,6 +43,11 @@ _TABLE3_CONFIGS = [
     (3, 6.00, 0.7650),
     (4, 6.65, 0.7275),
 ]
+_WIGNER_POINTS = 201  # wigner's --points without --grid
+
+# A command's output over a 2-d grid: one (x, y, value) row per cell, x varying
+# slowest and values read in C order.
+Grid = namedtuple("Grid", "xs ys values")
 
 
 def _fmt(x) -> str:
@@ -55,20 +60,38 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _csv_lines(header: list[str], rows: list[tuple]) -> list[str]:
-    """Header and rows as CSV lines.  When every value is a float, each row takes
-    one "%.12g" format, which gives the bytes of `_fmt` on each value."""
-    if set(map(type, chain.from_iterable(rows))) <= {float}:
-        floats = ",".join(["%.12g"] * len(header))
-        return [",".join(header)] + [floats % row for row in rows]
-    return [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+def _grid_csv(header: list[str], grid: Grid) -> str:
+    """CSV text of a grid, the bytes of "%.12g,%.12g,%.12g" on each (x, y, value) row.
+
+    Each axis value is formatted once into a template that holds one "%.12g"
+    per cell, and every value is formatted in one % pass over it."""
+    cells = ["%.12g,%%.12g" % y for y in np.asarray(grid.ys, float).tolist()]
+    template = "\n".join(
+        x + "," + ("\n" + x + ",").join(cells)
+        for x in ["%.12g" % x for x in np.asarray(grid.xs, float).tolist()]
+    )
+    values = tuple(np.asarray(grid.values, float).ravel().tolist())
+    return ",".join(header) + "\n" + template % values + "\n"
 
 
-def _emit(args, header: list[str], rows: list[tuple], meta: dict) -> None:
+def _long_rows(grid: Grid) -> list[tuple]:
+    """One (x, y, value) row per cell of a grid."""
+    xs, ys, values = grid
+    return [(float(x), float(y), float(v)) for (x, y), v in zip(product(xs, ys), values.flat)]
+
+
+def _emit(args, header: list[str], rows, meta: dict) -> None:
+    """Write rows, a list of tuples or a Grid, as CSV or JSON to --out or stdout."""
     if args.format == "csv":
-        lines = _csv_lines(header, rows)
-        text = "\n".join(lines) + "\n"
+        if isinstance(rows, Grid):
+            text = _grid_csv(header, rows)
+        else:
+            text = "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
     else:
+        import json  # imported here, its only use, to keep it off start-up
+
+        if isinstance(rows, Grid):
+            rows = _long_rows(rows)
         obj = {
             "meta": {
                 "tool": "dqsim",
@@ -82,15 +105,15 @@ def _emit(args, header: list[str], rows: list[tuple], meta: dict) -> None:
         }
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise argparse.ArgumentTypeError(
+                f"cannot write --out {args.out}: {exc.strerror or exc}"
+            ) from None
     else:
         sys.stdout.write(text)
-
-
-def _long_rows(xs, ys, values) -> list[tuple]:
-    """One (x, y, value) row per cell of a 2-d grid, x varying slowest."""
-    return [(float(x), float(y), float(v)) for (x, y), v in zip(product(xs, ys), values.flat)]
 
 
 def _parse_range(spec: str, name: str):
@@ -203,7 +226,7 @@ def _cmd_scan(args):
         args, lambda n, m, a, r: squeezing.variance_x_map(n, m, a[:, None], r[None, :])
     )
     meta = {"command": "scan", "n": args.n, "m": args.m}
-    return ["alpha_sq", "R", "value"], _long_rows(a_vals, r_vals, V), meta
+    return ["alpha_sq", "R", "value"], Grid(a_vals, r_vals, V), meta
 
 
 _OPTIMUM_HEADER = ["n", "m", "min_var", "alpha_sq", "R", "boundary_hit"]
@@ -271,23 +294,27 @@ def _cmd_table3(args):
 
 
 def _cmd_wigner(args):
+    if args.grid and args.points is not None:
+        raise argparse.ArgumentTypeError(
+            "--grid HALFWIDTH:POINTS sets the wigner points; give --grid or --points, not both"
+        )
     square = _parse_square(args.grid) if args.grid else None
     state, _ = dq.build_dq(_config(args))
     if square:
         grid = nongauss.PhaseGrid.centered(state.displacement, *square)
     else:
-        grid = nongauss.default_grid(state, args.points)
+        grid = nongauss.default_grid(state, args.points or _WIGNER_POINTS)
     with np.errstate(all="ignore"):
         W = nongauss.wigner_closed(state, grid.mesh())
     if not np.all(np.isfinite(W)):
         raise NonFiniteResult("Wigner function overflows on the phase-space grid")
-    return ["re_beta", "im_beta", "value"], _long_rows(grid.xs, grid.ps, W), {"command": "wigner"}
+    return ["re_beta", "im_beta", "value"], Grid(grid.xs, grid.ps, W), {"command": "wigner"}
 
 
 def _cmd_hsd_scan(args):
     a_vals, r_vals, grid = _scan_map(args, nongauss.hsd_scan)
     meta = {"command": "hsd-scan", "n": args.n, "m": args.m}
-    return ["alpha_sq", "R", "value"], _long_rows(a_vals, r_vals, grid), meta
+    return ["alpha_sq", "R", "value"], Grid(a_vals, r_vals, grid), meta
 
 
 def _cmd_fidelity_map(args):
@@ -343,8 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eta-d", type=float, help="detector efficiency in [0, 1]")
             p.add_argument("--eta-s", type=float, help="source purity weight in [0, 1]")
         if points:
+            # with --grid, the default is applied by the command, so that giving
+            # both flags can be told from leaving --points out
             p.add_argument(
-                "--points", type=int, default=points, help="grid points per axis, 4k + 1"
+                "--points", type=int, default=None if grid else points,
+                help="grid points per axis, 4k + 1",
             )
 
     p = sub.add_parser("state", help="single-configuration report")
@@ -360,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table3", help="benchmark success probabilities and negativities")
     add_common(p, etas=True, points=401)
     p = sub.add_parser("wigner", help="Wigner samples for one configuration")
-    add_common(p, config="full", grid=True, points=201)
+    add_common(p, config="full", grid=True, points=_WIGNER_POINTS)
     p = sub.add_parser("hsd-scan", help="non-Gaussianity over an (|alpha|^2, R) grid")
     add_common(p, config=True, grid="0.05:16:80,0.05:0.95:46")
     p = sub.add_parser("fidelity-map", help="fidelity over an (eta_d, eta_s) grid")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -117,6 +116,8 @@ def laguerre(n: int, a: int, x) -> float:
     """
     if n < 0:
         raise ValueError("laguerre degree must be non-negative")
+    from fractions import Fraction  # imported here, its only use, to keep it off start-up
+
     xf = Fraction(x)
     acc = Fraction(0)
     for k in range(n + 1):

@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -527,3 +529,79 @@ def test_perfbench_spans_install_on_cli_modules():
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "installed"
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    assert _run(["table2", "--out", str(target)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and str(target) in lines[0] and "Traceback" not in lines[0]
+    assert not target.parent.exists()
+
+
+def test_wigner_grid_and_points_together_exit_2(capsys):
+    config = ["--n", "1", "--m", "1", "--alpha-sq", "1.0", "--R", "0.5"]
+    assert _run(["wigner", *config, "--grid", "3:9", "--points", "13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and "--points" in captured.err
+    # each flag alone sets the points per axis; without either, 201
+    for flags, points in ((["--grid", "3:9"], 9), (["--points", "13"], 13), ([], 201)):
+        assert _run(["wigner", *config, *flags]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + points**2
+
+
+_STARTUP_PROBE = """
+import os, sys, types
+import dqsim.cli
+
+def ran():
+    return sorted(name for name, mod in sys.modules.items()
+                  if name.startswith("dqsim.") and type(mod) is types.ModuleType)
+
+print(sorted(name for name in sys.modules if name.startswith("dqsim.")))
+print(ran(), [name for name in ("fractions", "json") if name in sys.modules])
+dqsim.cli.main(["optimize", "--n", "1", "--m", "0", "--out", os.devnull])
+print(ran())
+"""
+
+
+def test_cli_import_runs_only_what_a_command_uses():
+    # type() reads a lazily loaded module's class without running it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    registered, imported, after_optimize = proc.stdout.splitlines()
+    submodules = ["cli", "dq", "errors", "fock", "imperfections", "nongauss", "polynomials",
+                  "squeezing"]
+    assert registered == str([f"dqsim.{name}" for name in submodules])
+    assert imported == "['dqsim.cli', 'dqsim.errors'] []"
+    assert after_optimize == str(["dqsim.cli", "dqsim.dq", "dqsim.errors", "dqsim.polynomials",
+                                  "dqsim.squeezing"])
+
+
+def _per_row_csv(header, xs, ys, values):
+    """The row-at-a-time CSV the grid writer replaces."""
+    rows = zip(product(xs, ys), np.asarray(values).flat)
+    return "\n".join([",".join(header)] + ["%.12g,%.12g,%.12g" % (float(x), float(y), float(v))
+                                           for (x, y), v in rows]) + "\n"
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1e300,
+            1 / 3, 123456789012.5, 1e-5, 1e16]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 5), (13, 2)])
+def test_grid_csv_equals_per_row_format(shape):
+    rng = np.random.default_rng(sum(shape))
+    xs = np.concatenate([[-0.0], rng.normal(size=shape[0] - 1) * 10.0 ** rng.integers(-8, 9)])
+    ys = np.linspace(0.05, 0.95, shape[1])
+    values = rng.choice(np.concatenate([_SPECIAL, rng.normal(size=20)]), size=shape)
+    header = ["x", "y", "value"]
+    expected = _per_row_csv(header, xs, ys, values)
+    assert cli._grid_csv(header, cli.Grid(xs, ys, values)) == expected
+    # every special value, in every cell position of a grid
+    for v in _SPECIAL:
+        grid = cli.Grid(xs, ys, np.full(shape, v))
+        assert cli._grid_csv(header, grid) == _per_row_csv(header, xs, ys, grid.values)
