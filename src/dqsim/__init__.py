@@ -16,7 +16,6 @@ import sys
 
 from .errors import (
     DQSimError,
-    GridTooCoarse,
     IndexOutOfRange,
     NonFiniteResult,
     NonPhysicalCovariance,
@@ -79,7 +78,6 @@ __all__ = [
     "ZeroProbability",
     "NonFiniteResult",
     "NonPhysicalCovariance",
-    "GridTooCoarse",
     "NoRootInBracket",
     "IndexOutOfRange",
 ]

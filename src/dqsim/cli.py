@@ -7,7 +7,7 @@ scan          min quadrature variance over an (|alpha|^2, R) grid
 optimize      best squeezing over a box for one (n, m)
 table1        squeezing optima for n = 1..4, m = 0..4
 table2        optimal Fock-superposition squeezing vs the m = 1 heralded states
-table3        success probability and Wigner negativity of the benchmark states
+table3        success probability and exact Wigner negativity of the benchmark states
 wigner        Wigner function samples on a phase-space grid
 hsd-scan      Hilbert-Schmidt non-Gaussianity over an (|alpha|^2, R) grid
 fidelity-map  ideal/realized fidelity over an (eta_d, eta_s) grid
@@ -35,7 +35,7 @@ from itertools import product
 import numpy as np
 
 from . import __version__, dq, imperfections, nongauss, squeezing
-from .errors import TOLERANCES, DQSimError, GridTooCoarse, NonFiniteResult
+from .errors import TOLERANCES, DQSimError, NonFiniteResult
 
 _TABLE3_CONFIGS = [
     (1, 3.05, 0.6000),
@@ -129,11 +129,6 @@ def _parse_range(spec: str, name: str):
     return np.linspace(lo, hi, num)
 
 
-def _points_ok(pts: int) -> bool:
-    """Phase-space grids need 4k + 1 points per axis (Simpson on both halvings)."""
-    return pts >= 5 and (pts - 1) % 4 == 0
-
-
 def _parse_grid2(spec: str):
     parts = spec.split(",")
     if len(parts) != 2:
@@ -169,12 +164,12 @@ def _parse_square(spec: str) -> tuple[float, int]:
     try:
         half_s, pts_s = spec.split(":")
         half, pts = float(half_s), int(pts_s)
-        if not (0 < half < math.inf and _points_ok(pts)):
+        if not (0 < half < math.inf and pts >= 2):
             raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad wigner grid '{spec}', expected HALFWIDTH:POINTS with finite HALFWIDTH > 0"
-            " and POINTS = 4k + 1 (e.g. 6:201)"
+            " and POINTS >= 2 (e.g. 6:201)"
         )
     return half, pts
 
@@ -265,13 +260,11 @@ def _cmd_table2(args):
 
 
 def _cmd_table3(args):
-    """Success probability and Wigner negativity of the four benchmark states.
+    """Success probability and exact Wigner negativity of the four benchmark states.
 
-    The states are independent, so they run through `squeezing.map_rows`;
-    a grid too coarse for a state exits 3 naming --points.
+    The states are independent, so they run through `squeezing.map_rows`.
     """
-    eta_d = args.eta_d if args.eta_d is not None else 0.9
-    eta_s = args.eta_s if args.eta_s is not None else 0.9
+    eta_d, eta_s = (0.9 if v is None else v for v in (args.eta_d, args.eta_s))
     imp = imperfections.ImperfectionParams(eta_d, eta_s)
 
     def row(config):
@@ -279,16 +272,11 @@ def _cmd_table3(args):
         cfg = dq.CMConfig(n, 1, complex(math.sqrt(a2)), R)
         state, prob_ideal = dq.build_dq(cfg)
         _, prob = imperfections.realized_qudit(cfg, imp)
-        wn = nongauss.wigner_negativity(state, nongauss.default_grid(state, args.points))
-        return (n, a2, R, prob, wn, prob_ideal)
+        return (n, a2, R, prob, nongauss.wigner_negativity(state), prob_ideal)
 
-    try:
-        rows = squeezing.map_rows(row, _TABLE3_CONFIGS)
-    except GridTooCoarse as exc:
-        raise GridTooCoarse(f"{exc} at --points {args.points}; raise --points") from None
     return (
         ["n", "alpha_sq", "R", "success_prob", "wigner_negativity", "success_prob_ideal"],
-        rows,
+        squeezing.map_rows(row, _TABLE3_CONFIGS),
         {"command": "table3", "eta_d": eta_d, "eta_s": eta_s},
     )
 
@@ -353,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=False, grid=None, etas=False, points=0):
+    def add_common(p, config=False, grid=None, etas=False):
         p.add_argument("--out", help="output file path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if config:
@@ -369,13 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         if etas:
             p.add_argument("--eta-d", type=float, help="detector efficiency in [0, 1]")
             p.add_argument("--eta-s", type=float, help="source purity weight in [0, 1]")
-        if points:
-            # with --grid, the default is applied by the command, so that giving
-            # both flags can be told from leaving --points out
-            p.add_argument(
-                "--points", type=int, default=None if grid else points,
-                help="grid points per axis, 4k + 1",
-            )
 
     p = sub.add_parser("state", help="single-configuration report")
     add_common(p, config="full", etas=True)
@@ -388,9 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="heralded vs free superposition optima")
     add_common(p)
     p = sub.add_parser("table3", help="benchmark success probabilities and negativities")
-    add_common(p, etas=True, points=401)
+    add_common(p, etas=True)
     p = sub.add_parser("wigner", help="Wigner samples for one configuration")
-    add_common(p, config="full", grid=True, points=_WIGNER_POINTS)
+    add_common(p, config="full", grid=True)
+    p.add_argument("--points", type=int, help=f"points per axis, >= 2 (default {_WIGNER_POINTS})")
     p = sub.add_parser("hsd-scan", help="non-Gaussianity over an (|alpha|^2, R) grid")
     add_common(p, config=True, grid="0.05:16:80,0.05:0.95:46")
     p = sub.add_parser("fidelity-map", help="fidelity over an (eta_d, eta_s) grid")
@@ -407,7 +389,7 @@ def run(args) -> int:
         "m": (lambda v: v >= 0, "must be >= 0"),
         "eta_d": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
         "eta_s": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-        "points": (_points_ok, "must be 4k + 1 with k >= 1"),
+        "points": (lambda v: v >= 2, "must be >= 2"),
     }
     for name, (ok, rule) in validators.items():
         val = getattr(args, name, None)

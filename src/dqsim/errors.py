@@ -32,10 +32,6 @@ class NonPhysicalCovariance(DQSimError):
     """A quadrature covariance matrix violates det(sigma) >= 1/4."""
 
 
-class GridTooCoarse(DQSimError):
-    """A phase-space grid is too coarse or too small for the requested integral."""
-
-
 class NoRootInBracket(DQSimError):
     """Root search found no sign change in the scanned interval."""
 

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dq, fock
-from .errors import GridTooCoarse, NonPhysicalCovariance
+from .errors import NonPhysicalCovariance
 # unused here, but perfbench/spans.py traces nongauss.expm and fails to install without it
 from .fock import expm
-from .squeezing import bare_moment, covariance_from_moments, minimize, row_blocks
+from .squeezing import bare_moment, covariance_from_moments, minimize
 
 __all__ = [
     "GaussianRef",
@@ -83,15 +83,15 @@ class PhaseGrid:
 
     @classmethod
     def centered(cls, center: complex, half_width: float, points: int = 201) -> "PhaseGrid":
-        if points % 2 == 0 or (points - 1) % 4 != 0:
-            raise ValueError("points must be of the form 4k + 1 (e.g. 201, 401)")
+        if points < 2:
+            raise ValueError(f"points must be >= 2, got {points}")
         xs = np.linspace(center.real - half_width, center.real + half_width, points)
         ps = np.linspace(center.imag - half_width, center.imag + half_width, points)
         return cls(xs, ps)
 
-    def mesh(self, rows: slice = slice(None)) -> np.ndarray:
-        """beta over the grid, or over the given rows (x values) of it."""
-        return self.xs[rows, None] + 1j * self.ps[None, :]
+    def mesh(self) -> np.ndarray:
+        """beta over the grid."""
+        return self.xs[:, None] + 1j * self.ps[None, :]
 
 
 def default_grid(state: dq.DQState, points: int = 201) -> PhaseGrid:
@@ -351,46 +351,70 @@ def wigner_oracle(rho: fock.DensityMatrix, beta):
     return w
 
 
-def _simpson_weights(axis: np.ndarray) -> np.ndarray:
-    """Composite-Simpson weights h/3 (1, 4, 2, 4, ..., 2, 4, 1) of a uniform odd-length axis."""
-    size = axis.size
-    if size < 3 or size % 2 == 0:
-        raise ValueError(f"Simpson's rule needs an odd number (>= 3) of points, got {size}")
-    h = (axis[-1] - axis[0]) / (size - 1)
-    if np.max(np.abs(np.diff(axis) - h)) > 1e-9 * abs(h):
-        raise ValueError("Simpson's rule needs a uniformly spaced axis")
-    w = np.full(size, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (h / 3.0)
+def wigner_negativity(state: dq.DQState) -> float:
+    """Negativity volume N = integral |W| - 1 (Kenfack & Zyczkowski, J. Opt. B 6, 396 (2004))."""
+    return _negativity(state.coeffs)[0]
 
 
-def _simpson2d(values: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> float:
-    return float(_simpson_weights(xs) @ values @ _simpson_weights(ps))
+def _negativity(coeffs, lines: int = 401) -> tuple[float, np.ndarray]:
+    """(N, breakpoints) of the superposition coeffs, exact to rounding.
 
-
-def wigner_negativity(state: dq.DQState, grid: PhaseGrid | None = None) -> float:
-    """Negativity volume: integral of |W| minus one, by composite Simpson.
-
-    The grid must cover the support (boundary values are checked) and be
-    fine enough that the full-step and double-step Simpson estimates agree
-    to 1e-3; otherwise GridTooCoarse is raised.  |W| is evaluated in
-    `row_blocks` of the grid into one array, each point bit-identical to a
-    whole-grid `wigner_closed`, so the checks and sums see the same values.
+    N = 2 integral_{P<0} |W| as W integrates to 1, and the displacement only shifts W (g = 0 here).
+    With E = sum_u d_u z^u, P = sum_k (-1)^k |E^(k)(z)|^2 / k! at z = -2 conj(beta), and |E^(k)/E|
+    <= (n/D)^k at distance D from E's roots: P < 0 only within 0.533 n of the -conj(root) / 2.  The
+    p-integral G(x) of |W| over P < 0 is smooth but where a critical value of P(x, .) changes sign;
+    `lines` lines and bisection find those x, and x = mid - half cos(phi) makes each piece analytic.
     """
-    if grid is None:
-        grid = default_grid(state)
-    if (grid.xs.size - 1) % 4 != 0 or (grid.ps.size - 1) % 4 != 0:
-        raise ValueError("negativity grids need 4k+1 points per axis")
-    absW = np.empty((grid.xs.size, grid.ps.size))
-    for lo, hi in row_blocks(absW.shape):
-        absW[lo:hi] = np.abs(wigner_closed(state, grid.mesh(slice(lo, hi))))
-    peak = float(absW.max())
-    edge = max(absW[0, :].max(), absW[-1, :].max(), absW[:, 0].max(), absW[:, -1].max())
-    if edge > 1e-7 * peak:
-        raise GridTooCoarse(f"grid does not cover the state support (edge/peak {edge/peak:.2e})")
-    fine = _simpson2d(absW, grid.xs, grid.ps)
-    coarse = _simpson2d(absW[::2, ::2], grid.xs[::2], grid.ps[::2])
-    if abs(fine - coarse) > 1e-3:
-        raise GridTooCoarse(f"Simpson refinement gap {abs(fine - coarse):.2e} > 1e-3")
-    return fine - 1.0
+    from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
+    from numpy.polynomial.legendre import leggauss
+
+    c = np.trim_zeros(np.asarray(coeffs, dtype=complex), "b")
+    n = c.size - 1
+    if n == 0:
+        return 0.0, np.empty(0)
+    d = c * (-1.0) ** np.arange(n + 1) / np.sqrt([math.factorial(u) for u in range(n + 1)])
+    centers = -np.conj(np.roots(d[::-1])) / 2
+    mid = centers.mean()  # the window: |Re, Im (beta - mid)| <= half
+    half = np.max(np.abs(centers - mid)) + 0.55 * n
+    u, w = leggauss(20)
+
+    def roots(a):  # complex roots of the Chebyshev series in the rows of a
+        mat = np.zeros((a.shape[0], a.shape[1] - 1, a.shape[1] - 1))
+        i = np.arange(a.shape[1] - 2)
+        mat[:, i + 1, i], mat[:, i, i + 1] = 0.5, np.where(i, 0.5, 1.0)  # t T_j, from T_(j -/+ 1)
+        mat[:, -1] -= a[:, :-1] / a[:, -1:] / (2.0 if i.size else 1.0)
+        return np.linalg.eigvals(mat)
+
+    # P(beta) = sum_ij coef[i, j] T_i(Re(beta - mid) / half) T_j(Im(beta - mid) / half)
+    z = chebpts1(2 * n + 1)
+    to_cheb = np.linalg.inv(chebvander(z, 2 * n))
+    coef = to_cheb @ _wigner_poly(c, 0j, mid + half * (z[:, None] + 1j * z)) @ to_cheb.T
+
+    def signs(xs):  # sign of P at each real critical point of P(x, .), in order; 0 pads
+        a = chebvander((xs - mid.real) / half, 2 * n) @ coef
+        q = roots(chebder(a, axis=1))
+        t = np.sort(np.where((np.abs(q.imag) < 1e-9) & (np.abs(q.real) < 1), q.real, 2.0))
+        return np.where(t < 2, np.sign(np.einsum("lj,lij->li", a, chebvander(t, 2 * n))), 0)
+
+    xs = mid.real + half * np.linspace(-1.0, 1.0, lines)
+    sig = signs(xs)
+    jump = np.flatnonzero(np.any(sig[1:] != sig[:-1], axis=1))
+    lo, hi, s_lo, s_hi = xs[jump], xs[jump + 1], sig[jump], sig[jump + 1]
+    while lo.size and np.max(hi - lo) > 1e-6:
+        x, s_x = 0.5 * (lo + hi), signs(0.5 * (lo + hi))
+        left, right = np.any(s_x != s_lo, axis=1), np.any(s_x != s_hi, axis=1)
+        lo, hi = np.r_[lo[left], x[right]], np.r_[x[left], hi[right]]
+        s_lo, s_hi = np.r_[s_lo[left], s_x[right]], np.r_[s_x[left], s_hi[right]]
+    # a fold of P(x, .) where it is positive leaves the negative intervals, and G, smooth
+    b = np.sort(0.5 * (lo + hi)[np.sum(s_lo < 0, axis=1) != np.sum(s_hi < 0, axis=1)])
+    phi = 0.5 * math.pi * (u + 1.0)
+    x_mid, x_half = 0.5 * (b[1:] + b[:-1]), 0.5 * np.diff(b)
+    xs = (x_mid[:, None] - x_half[:, None] * np.cos(phi)).ravel()
+    a = chebvander((xs - mid.real) / half, 2 * n) @ coef
+    ends = np.sort(np.c_[np.clip(roots(a).real, -1.0, 1.0), -np.ones(xs.size), np.ones(xs.size)])
+    t_mid, t_half = 0.5 * (ends[:, 1:] + ends[:, :-1]), 0.5 * np.diff(ends)
+    line, j = np.nonzero(np.einsum("lj,lij->li", a, chebvander(t_mid, 2 * n)) < 0)
+    beta = xs[line, None] + 1j * (mid.imag + half * (t_mid[line, j, None] + t_half[line, j, None] * u))
+    absw = -np.exp(-2.0 * np.abs(beta) ** 2) * _wigner_poly(c, 0j, beta)
+    g = np.bincount(line, t_half[line, j] * (absw @ w), xs.size).reshape(x_half.size, u.size)
+    return 2.0 * half * float(np.sum(x_half[:, None] * np.sin(phi) * g * w)), b

@@ -278,7 +278,9 @@ def _squeezed_qubit_proof(state, wn_ref):
 
 
 def _converged_negativity_proof(state, wn_ref):
-    """Closed form pinned to the displaced-parity oracle, then a refined integral."""
+    """Closed form pinned to the displaced-parity oracle, then the exact negativity.
+
+    A 1601-point Simpson sum of |W| cross-checks the exact value independently."""
     cfg = state.config
     rho = dq.to_fock(state, fock.Truncation.auto(cfg.alpha, cfg.n, cfg.m)).density()
     g = state.displacement
@@ -288,11 +290,15 @@ def _converged_negativity_proof(state, wn_ref):
     pointwise = max(
         abs(nongauss.wigner_closed(state, b) - nongauss.wigner_oracle(rho, b)) for b in points
     )
+    exact = nongauss.wigner_negativity(state)
     fine = nongauss.default_grid(state, 1601)
     absW = np.abs(nongauss.wigner_closed(state, fine.mesh()))
     refined = float(simpson(simpson(absW, x=fine.ps, axis=1), x=fine.xs)) - 1.0
-    ok = pointwise <= 1e-7 and abs(refined - wn_ref) <= 2e-4
-    return ok, f"closed vs oracle {pointwise:.1e}, 1601-point negativity {refined:.5f}"
+    ok = pointwise <= 1e-7 and abs(exact - wn_ref) <= 2e-4 and abs(refined - exact) <= 2e-5
+    return ok, (
+        f"closed vs oracle {pointwise:.1e}, exact negativity {exact:.6f},"
+        f" 1601-point Simpson {refined:.6f}"
+    )
 
 
 # n: (alpha_sq, R, wigner negativity, reason, proof) for the negativity column
@@ -308,7 +314,7 @@ TABLE3_NEGATIVITY_ERRATA = {
         6.65,
         0.7275,
         0.0759,
-        "the published value sits above the grid-converged negativity",
+        "the published value sits above the exact negativity",
         _converged_negativity_proof,
     ),
 }
@@ -321,7 +327,7 @@ def test_table3_wigner_negativity(n):
         n, (a2_pub, r_pub, wn_pub, None, None)
     )
     state, _ = dq.build_dq(dq.CMConfig(n, 1, complex(math.sqrt(a2)), R))
-    wn = nongauss.wigner_negativity(state, nongauss.default_grid(state, 401))
+    wn = nongauss.wigner_negativity(state)
     ok = abs(wn - wn_ref) <= 2e-3
     detail = f"{wn:.5f} at ({a2:.4f}, {R}) vs published {wn_pub}, verified {wn_ref}"
     if reason is not None:

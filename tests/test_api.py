@@ -30,7 +30,7 @@ def _state():
         (lambda: dq.CMConfig(1, 1, float("inf"), 0.5), "alpha must be finite"),
         (lambda: dq.DQState(0j, np.eye(2)), "1-d"),
         (lambda: fock.DensityMatrix(np.zeros((2, 3))), "square"),
-        (lambda: nongauss.PhaseGrid.centered(0j, 5.0, 203), r"4k \+ 1"),
+        (lambda: nongauss.PhaseGrid.centered(0j, 5.0, 1), "points must be >= 2"),
         (lambda: squeezing.moment(_state(), -1, 0), "non-negative"),
         (lambda: squeezing.optimize_fock_superposition(0), "two superposed levels"),
     ],

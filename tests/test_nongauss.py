@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from dqsim import dq, fock, nongauss, squeezing
-from dqsim.errors import GridTooCoarse, NonPhysicalCovariance
+from dqsim.errors import NonPhysicalCovariance
 
 
 def test_match_reference_coherent():
@@ -254,21 +256,6 @@ def test_wigner_oracle_normalization_small_state():
     assert integral == pytest.approx(1.0, abs=1e-3)
 
 
-@pytest.mark.parametrize("block_cells", [1, 1000, 2**14])
-def test_negativity_blocks_equal_whole_grid(monkeypatch, block_cells):
-    # the blocked |W| that the edge check and Simpson sums see is the whole-grid one
-    state, _ = dq.build_dq(dq.CMConfig(3, 1, complex(math.sqrt(6.0)), 0.765))
-    grid = nongauss.default_grid(state, 401)
-    seen = []
-    simpson2d = nongauss._simpson2d
-    monkeypatch.setattr(nongauss, "_simpson2d", lambda v, *a: seen.append(v) or simpson2d(v, *a))
-    monkeypatch.setattr(squeezing, "BLOCK_CELLS", block_cells)
-    value = nongauss.wigner_negativity(state, grid)
-    assert np.array_equal(seen[0], np.abs(nongauss.wigner_closed(state, grid.mesh())))
-    monkeypatch.setattr(squeezing, "BLOCK_CELLS", 10**9)
-    assert nongauss.wigner_negativity(state, grid) == value
-
-
 def test_negativity_gaussian_state_zero():
     st = dq.DQState.from_coeffs([1.0], displacement=0.9 + 0.2j)
     assert nongauss.wigner_negativity(st) == pytest.approx(0.0, abs=1e-4)
@@ -286,40 +273,111 @@ def test_negativity_single_photon_self_consistency():
     assert closed_i == pytest.approx(oracle_i, abs=1e-4)
 
 
-@pytest.mark.parametrize("nx, np_", [(5, 9), (41, 21), (201, 401)])
-def test_simpson_weights_match_scipy(nx, np_):
-    rng = np.random.default_rng(nx)
-    xs = np.linspace(-3.7, 5.2, nx)
-    ps = np.linspace(10.0, 10.5, np_)
-    vals = np.exp(-0.3 * xs[:, None] ** 2) * np.cos(ps[None, :]) + rng.random((nx, np_))
-    ref = simpson(simpson(vals, x=ps, axis=1), x=xs)
-    assert nongauss._simpson2d(vals, xs, ps) == pytest.approx(ref, rel=1e-13, abs=1e-13)
-
-
-def test_simpson_weights_reject_even_or_uneven_axes():
-    with pytest.raises(ValueError, match="odd"):
-        nongauss._simpson_weights(np.linspace(0.0, 1.0, 8))
-    with pytest.raises(ValueError, match="uniformly"):
-        nongauss._simpson_weights(np.array([0.0, 0.1, 0.3, 0.4, 0.5]))
-
-
-def test_negativity_needs_4k_plus_1_points_on_both_axes():
-    # 4k + 3 points on ps leave an even-length axis after the coarse halving
-    st = dq.DQState.from_coeffs([0, 1.0])
-    grid = nongauss.PhaseGrid(np.linspace(-6.0, 6.0, 201), np.linspace(-6.0, 6.0, 203))
-    with pytest.raises(ValueError, match="4k\\+1"):
-        nongauss.wigner_negativity(st, grid)
-
-
 def test_negativity_nonnegative_and_grid_checks():
-    st = dq.DQState.from_coeffs([0, 1.0])
-    val = nongauss.wigner_negativity(st, nongauss.default_grid(st, 401))
-    assert val >= -1e-4
-    with pytest.raises(GridTooCoarse):
-        nongauss.wigner_negativity(st, nongauss.PhaseGrid.centered(0j, 6.0, 41))
-    with pytest.raises(GridTooCoarse):
-        # window far too small to cover the support
-        nongauss.wigner_negativity(st, nongauss.PhaseGrid.centered(0j, 1.5, 201))
+    assert nongauss.wigner_negativity(dq.DQState.from_coeffs([0, 1.0])) >= 0.0
+
+
+# |alpha|^2, R and the negativity of each Table 3 state (n, m = 1), and the n = 1 erratum point
+NEGATIVITY_PINS = [
+    (1, 3.05, 0.6000, 0.392181979122),
+    (2, 5.45, 0.8175, 0.057764716695),
+    (3, 6.00, 0.7650, 0.070252599052),
+    (4, 6.65, 0.7275, 0.075943378920),
+    (1, 3.05**2, 0.6000, 0.030057248046),
+]
+
+
+def _pinned_state(n, alpha_sq, R):
+    return dq.build_dq(dq.CMConfig(n, 1, complex(math.sqrt(alpha_sq)), R))[0]
+
+
+def test_negativity_single_photon_closed_form():
+    # |1>: W = (2/pi) e^(-2r^2) (4r^2 - 1), so N = 4 / sqrt(e) - 2
+    value = nongauss.wigner_negativity(dq.DQState.from_coeffs([0, 1.0]))
+    assert abs(value - (4.0 / math.sqrt(math.e) - 2.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_negativity_fock_states_match_radial_integral(n):
+    # W = (2/pi) e^(-2r^2) (-1)^n L_n(4r^2); |W| integrates piecewise between L_n's roots
+    from numpy.polynomial.laguerre import laggauss
+
+    with mpmath.workdps(30):
+        radius = [mpmath.mpf(0)] + [mpmath.sqrt(x) / 2 for x in laggauss(n)[0]] + [mpmath.inf]
+        total = mpmath.quad(
+            lambda r: 4 * r * mpmath.exp(-2 * r * r) * abs(mpmath.laguerre(n, 0, 4 * r * r)), radius
+        )
+    value = nongauss.wigner_negativity(dq.DQState.from_coeffs(np.eye(n + 1)[n]))
+    assert abs(value - float(total - 1)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, alpha_sq, R, pinned", NEGATIVITY_PINS)
+def test_negativity_pinned_values(n, alpha_sq, R, pinned):
+    assert abs(nongauss.wigner_negativity(_pinned_state(n, alpha_sq, R)) - pinned) <= 1e-12
+
+
+@pytest.mark.parametrize("n, alpha_sq, R, pinned", NEGATIVITY_PINS)
+def test_negativity_ignores_displacement(n, alpha_sq, R, pinned):
+    coeffs = _pinned_state(n, alpha_sq, R).coeffs
+    values = {
+        nongauss.wigner_negativity(dq.DQState.from_coeffs(coeffs, displacement=g))
+        for g in (0j, 0.9 + 0.2j)
+    }
+    assert len(values) == 1
+
+
+def test_negativity_edge_cases_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nongauss.wigner_negativity(dq.DQState.from_coeffs([1.0])) == 0.0
+        # a vanishing top coefficient would divide the companion matrices by zero
+        trailing = nongauss.wigner_negativity(dq.DQState.from_coeffs([0.6, 0.8, 0.0]))
+        assert trailing == nongauss.wigner_negativity(dq.DQState.from_coeffs([0.6, 0.8]))
+
+
+def _assert_scan_resolves(coeffs):
+    """A 401-line breakpoint scan finds what a 1601-line one does."""
+    value, breaks = nongauss._negativity(coeffs)
+    fine_value, fine_breaks = nongauss._negativity(coeffs, 1601)
+    assert breaks.size == fine_breaks.size
+    assert abs(value - fine_value) <= 1e-14
+
+
+@pytest.mark.parametrize("n, alpha_sq, R, pinned", NEGATIVITY_PINS)
+def test_negativity_scan_resolves_table3_states(n, alpha_sq, R, pinned):
+    _assert_scan_resolves(_pinned_state(n, alpha_sq, R).coeffs)
+
+
+_REAL_SUPERPOSITIONS = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+        st.floats(0.1, 1.0),
+        st.booleans(),
+    )
+).map(lambda t: [*t[0], t[1] if t[2] else -t[1]])
+
+
+@settings(max_examples=60)
+@given(_REAL_SUPERPOSITIONS)
+def test_negativity_scan_resolves_real_superpositions(coeffs):
+    _assert_scan_resolves(dq.DQState.from_coeffs(coeffs).coeffs)
+
+
+def _simpson_negativity(state, points):
+    grid = nongauss.default_grid(state, points)
+    absW = np.vstack([  # in row blocks, to keep the 1601^2 grid's temporaries small
+        np.abs(nongauss.wigner_closed(state, grid.xs[lo : lo + 128, None] + 1j * grid.ps))
+        for lo in range(0, points, 128)
+    ])
+    return float(simpson(simpson(absW, x=grid.ps, axis=1), x=grid.xs)) - 1.0
+
+
+@pytest.mark.parametrize("n, alpha_sq, R, pinned", NEGATIVITY_PINS[:4])
+def test_simpson_negativity_converges_to_exact(n, alpha_sq, R, pinned):
+    state = _pinned_state(n, alpha_sq, R)
+    exact = nongauss.wigner_negativity(state)
+    coarse, fine = (abs(_simpson_negativity(state, p) - exact) for p in (401, 1601))
+    assert fine < coarse and fine <= 2e-5
 
 
 def test_default_grid_covers_support():

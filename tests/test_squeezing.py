@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqsim import dq, fock, squeezing
-from dqsim.errors import GridTooCoarse, IndexOutOfRange
+from dqsim.errors import IndexOutOfRange, ZeroProbability
 from dqsim.polynomials import hermite2
 
 
@@ -506,10 +506,10 @@ def test_map_rows_child_error_surfaces(monkeypatch):
 
     def row(x):
         if x in (3, 4):  # 3 runs in the child, 4 in the parent; 3 comes first
-            raise GridTooCoarse(f"row {x} too coarse")
+            raise ZeroProbability(f"row {x} too coarse")
         return x * x
 
-    with pytest.raises(GridTooCoarse, match=r"^row 3 too coarse$"):
+    with pytest.raises(ZeroProbability, match=r"^row 3 too coarse$"):
         squeezing.map_rows(row, range(6))
     assert squeezing.map_rows(row, range(3)) == [0, 1, 4]
     _assert_no_child_left()
