@@ -264,7 +264,8 @@ def _cmd_table3(args):
 
     The states are independent, so they run through `squeezing.map_rows`.
     """
-    eta_d, eta_s = (0.9 if v is None else v for v in (args.eta_d, args.eta_s))
+    eta_d = args.eta_d if args.eta_d is not None else 0.9
+    eta_s = args.eta_s if args.eta_s is not None else 0.9
     imp = imperfections.ImperfectionParams(eta_d, eta_s)
 
     def row(config):
@@ -272,11 +273,13 @@ def _cmd_table3(args):
         cfg = dq.CMConfig(n, 1, complex(math.sqrt(a2)), R)
         state, prob_ideal = dq.build_dq(cfg)
         _, prob = imperfections.realized_qudit(cfg, imp)
-        return (n, a2, R, prob, nongauss.wigner_negativity(state), prob_ideal)
+        wn = nongauss.wigner_negativity(state)
+        return (n, a2, R, prob, wn, prob_ideal)
 
+    rows = squeezing.map_rows(row, _TABLE3_CONFIGS)
     return (
         ["n", "alpha_sq", "R", "success_prob", "wigner_negativity", "success_prob_ideal"],
-        squeezing.map_rows(row, _TABLE3_CONFIGS),
+        rows,
         {"command": "table3", "eta_d": eta_d, "eta_s": eta_s},
     )
 

@@ -278,6 +278,17 @@ def wigner_closed(state: dq.DQState, beta):
     return w
 
 
+def _reduced(A: np.ndarray, g: complex) -> np.ndarray:
+    """The reduced coefficients d_u of `wigner_closed`, along A's leading axis."""
+    n = A.shape[0] - 1
+    d = np.zeros(A.shape, dtype=complex)
+    for u in range(n + 1):
+        for p in range(u, n + 1):
+            term = A[p] * (-1) ** p * math.comb(p, u) * np.conj(g) ** (p - u)
+            d[u] += term / math.sqrt(math.factorial(p))
+    return d
+
+
 def _wigner_poly(A: np.ndarray, g: complex, beta: np.ndarray) -> np.ndarray:
     """The polynomial factor sum_k (-1)^k k! |e_k|^2 of the displaced-qudit Wigner function.
 
@@ -286,11 +297,7 @@ def _wigner_poly(A: np.ndarray, g: complex, beta: np.ndarray) -> np.ndarray:
     2n in (Re beta, Im beta).
     """
     n = A.shape[0] - 1
-    d = np.zeros(A.shape, dtype=complex)
-    for u in range(n + 1):
-        for p in range(u, n + 1):
-            term = A[p] * (-1) ** p * math.comb(p, u) * np.conj(g) ** (p - u)
-            d[u] += term / math.sqrt(math.factorial(p))
+    d = _reduced(A, g)
     a_bar = np.conj(g - 2.0 * beta)
     # a_bar ** j for j >= 2 is made once, in the k = 0 pass, and dropped after
     # the last k that uses it; numpy's fast-path powers 0 and 1 (ones, a copy)
@@ -351,31 +358,34 @@ def wigner_oracle(rho: fock.DensityMatrix, beta):
     return w
 
 
+# lines of the scan that brackets the breakpoints of the negativity's outer integral
+_SCAN_LINES = 401
+
+
 def wigner_negativity(state: dq.DQState) -> float:
-    """Negativity volume N = integral |W| - 1 (Kenfack & Zyczkowski, J. Opt. B 6, 396 (2004))."""
-    return _negativity(state.coeffs)[0]
-
-
-def _negativity(coeffs, lines: int = 401) -> tuple[float, np.ndarray]:
-    """(N, breakpoints) of the superposition coeffs, exact to rounding.
+    """Negativity volume N = integral |W| - 1 (Kenfack & Zyczkowski, J. Opt. B 6, 396 (2004)).
 
     N = 2 integral_{P<0} |W| as W integrates to 1, and the displacement only shifts W (g = 0 here).
     With E = sum_u d_u z^u, P = sum_k (-1)^k |E^(k)(z)|^2 / k! at z = -2 conj(beta), and |E^(k)/E|
     <= (n/D)^k at distance D from E's roots: P < 0 only within 0.533 n of the -conj(root) / 2.  The
-    p-integral G(x) of |W| over P < 0 is smooth but where a critical value of P(x, .) changes sign;
-    `lines` lines and bisection find those x, and x = mid - half cos(phi) makes each piece analytic.
+    window boxes those discs up to |Re beta|, |Im beta| = sqrt(n) + 6, beyond which |W| is below
+    rounding.  The p-integral G(x) of |W| over P < 0 is smooth but at `_breakpoints`, and
+    x = mid - half cos(phi) makes each piece between them analytic; a piece is halved until the
+    Gauss-Legendre sums of its halves agree with its own to 1e-13, as G can have singularities
+    close to the real axis.  Raises ValueError where rounding hides the sign of P (from n ~ 7).
     """
     from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
     from numpy.polynomial.legendre import leggauss
 
-    c = np.trim_zeros(np.asarray(coeffs, dtype=complex), "b")
+    c = np.trim_zeros(np.asarray(state.coeffs, dtype=complex), "b")
     n = c.size - 1
-    if n == 0:
-        return 0.0, np.empty(0)
-    d = c * (-1.0) ** np.arange(n + 1) / np.sqrt([math.factorial(u) for u in range(n + 1)])
-    centers = -np.conj(np.roots(d[::-1])) / 2
-    mid = centers.mean()  # the window: |Re, Im (beta - mid)| <= half
-    half = np.max(np.abs(centers - mid)) + 0.55 * n
+    r = math.sqrt(n) + 6.0
+    centers = -np.conj(np.roots(_reduced(c, 0j)[::-1])) / 2
+    box = np.c_[centers.real, centers.imag][np.abs(centers) < r + 0.55 * n]
+    if not box.size:  # n = 0, or P < 0 only where |W| is below rounding
+        return 0.0
+    lo, hi = np.maximum(box.min(axis=0) - 0.55 * n, -r), np.minimum(box.max(axis=0) + 0.55 * n, r)
+    mid, half = complex(*(lo + hi) / 2), float(np.max(hi - lo)) / 2  # |Re, Im (beta - mid)| <= half
     u, w = leggauss(20)
 
     def roots(a):  # complex roots of the Chebyshev series in the rows of a
@@ -389,32 +399,74 @@ def _negativity(coeffs, lines: int = 401) -> tuple[float, np.ndarray]:
     z = chebpts1(2 * n + 1)
     to_cheb = np.linalg.inv(chebvander(z, 2 * n))
     coef = to_cheb @ _wigner_poly(c, 0j, mid + half * (z[:, None] + 1j * z)) @ to_cheb.T
+    if np.finfo(float).eps * np.sum(np.abs(coef)) > 1e-5:  # P's rounding on the window, from n ~ 7
+        raise ValueError(f"P of degree {2 * n} varies too widely on its window to resolve its sign")
+    d_coef = chebder(coef, axis=1)
 
-    def signs(xs):  # sign of P at each real critical point of P(x, .), in order; 0 pads
-        a = chebvander((xs - mid.real) / half, 2 * n) @ coef
-        q = roots(chebder(a, axis=1))
+    def critical(xs):  # P at each real critical point of P(x, .), in order; 0 pads
+        v = chebvander((xs - mid.real) / half, 2 * n)
+        q = roots(v @ d_coef)
         t = np.sort(np.where((np.abs(q.imag) < 1e-9) & (np.abs(q.real) < 1), q.real, 2.0))
-        return np.where(t < 2, np.sign(np.einsum("lj,lij->li", a, chebvander(t, 2 * n))), 0)
+        return np.where(t < 2, np.einsum("lj,lij->li", v @ coef, chebvander(t, 2 * n)), 0.0)
 
-    xs = mid.real + half * np.linspace(-1.0, 1.0, lines)
-    sig = signs(xs)
-    jump = np.flatnonzero(np.any(sig[1:] != sig[:-1], axis=1))
-    lo, hi, s_lo, s_hi = xs[jump], xs[jump + 1], sig[jump], sig[jump + 1]
-    while lo.size and np.max(hi - lo) > 1e-6:
-        x, s_x = 0.5 * (lo + hi), signs(0.5 * (lo + hi))
-        left, right = np.any(s_x != s_lo, axis=1), np.any(s_x != s_hi, axis=1)
-        lo, hi = np.r_[lo[left], x[right]], np.r_[x[left], hi[right]]
-        s_lo, s_hi = np.r_[s_lo[left], s_x[right]], np.r_[s_x[left], s_hi[right]]
-    # a fold of P(x, .) where it is positive leaves the negative intervals, and G, smooth
-    b = np.sort(0.5 * (lo + hi)[np.sum(s_lo < 0, axis=1) != np.sum(s_hi < 0, axis=1)])
     phi = 0.5 * math.pi * (u + 1.0)
-    x_mid, x_half = 0.5 * (b[1:] + b[:-1]), 0.5 * np.diff(b)
-    xs = (x_mid[:, None] - x_half[:, None] * np.cos(phi)).ravel()
-    a = chebvander((xs - mid.real) / half, 2 * n) @ coef
-    ends = np.sort(np.c_[np.clip(roots(a).real, -1.0, 1.0), -np.ones(xs.size), np.ones(xs.size)])
-    t_mid, t_half = 0.5 * (ends[:, 1:] + ends[:, :-1]), 0.5 * np.diff(ends)
-    line, j = np.nonzero(np.einsum("lj,lij->li", a, chebvander(t_mid, 2 * n)) < 0)
-    beta = xs[line, None] + 1j * (mid.imag + half * (t_mid[line, j, None] + t_half[line, j, None] * u))
-    absw = -np.exp(-2.0 * np.abs(beta) ** 2) * _wigner_poly(c, 0j, beta)
-    g = np.bincount(line, t_half[line, j] * (absw @ w), xs.size).reshape(x_half.size, u.size)
-    return 2.0 * half * float(np.sum(x_half[:, None] * np.sin(phi) * g * w)), b
+
+    def integral(x0, x1):  # the share of N from x0 <= Re beta <= x1, elementwise
+        x_half = 0.5 * (x1 - x0)
+        xs = ((x0 + x_half)[:, None] - x_half[:, None] * np.cos(phi)).ravel()
+        a = chebvander((xs - mid.real) / half, 2 * n) @ coef
+        ends = np.sort(np.c_[np.clip(roots(a).real, -1.0, 1.0), -np.ones(xs.size), np.ones(xs.size)])
+        t_mid, t_half = 0.5 * (ends[:, 1:] + ends[:, :-1]), 0.5 * np.diff(ends)
+        line, j = np.nonzero(np.einsum("lj,lij->li", a, chebvander(t_mid, 2 * n)) < 0)
+        beta = xs[line, None] + 1j * (mid.imag + half * (t_mid[line, j, None] + t_half[line, j, None] * u))
+        absw = -np.exp(-2.0 * np.abs(beta) ** 2) * _wigner_poly(c, 0j, beta)
+        g = np.bincount(line, t_half[line, j] * (absw @ w), xs.size).reshape(x_half.size, u.size)
+        return 2.0 * half * x_half * ((np.sin(phi) * g) @ w)
+
+    b = _breakpoints(critical, mid.real + half * np.linspace(-1.0, 1.0, _SCAN_LINES))
+    x0, x1, total = b[:-1], b[1:], 0.0
+    whole = integral(x0, x1)
+    while x0.size:
+        m = 0.5 * (x0 + x1)
+        halves = integral(np.concatenate((x0, m)), np.concatenate((m, x1))).reshape(2, -1)
+        done = (np.abs(halves[0] + halves[1] - whole) <= 1e-13) | (x1 - x0 < 1e-6)
+        total += float(np.sum(halves[:, done]))
+        x0, x1 = np.concatenate((x0[~done], m[~done])), np.concatenate((m[~done], x1[~done]))
+        whole = halves[:, ~done].ravel()
+        if x0.size > 200:  # rounding, not G, keeps the halves apart
+            raise ValueError(f"the pieces of N do not settle to 1e-13 for this degree-{2 * n} P")
+    return total
+
+
+def _breakpoints(critical, xs: np.ndarray) -> np.ndarray:
+    """The x at which P(x, .) gains or loses a negative interval, in order.
+
+    critical(x) gives P at the real critical points of P(x, .) in order, 0-padded.  Scan brackets
+    whose sign patterns differ are bisected as one batch to 1e-4, a bracket whose midpoint differs
+    from both ends splitting in two (an island can be born and merge between two scan lines).  A
+    negative interval is a run of negative critical values, so a fold that leaves the runs alone
+    is dropped; at the others one critical value crosses 0, found by linear interpolation.  An
+    end of the scan where P is negative (the window was cut there) is a breakpoint too.
+    """
+    val = critical(xs)
+    sig = np.sign(val)
+    jump = np.flatnonzero(np.any(sig[1:] != sig[:-1], axis=1))
+    lo, hi, v_lo, v_hi = xs[jump], xs[jump + 1], val[jump], val[jump + 1]
+    while lo.size and np.max(hi - lo) > 1e-4:
+        x = 0.5 * (lo + hi)
+        v_x = critical(x)
+        left = np.any(np.sign(v_x) != np.sign(v_lo), axis=1)
+        right = np.any(np.sign(v_x) != np.sign(v_hi), axis=1)
+        lo, hi = np.concatenate((lo[left], x[right])), np.concatenate((x[left], hi[right]))
+        v_lo, v_hi = np.concatenate((v_lo[left], v_x[right])), np.concatenate((v_x[left], v_hi[right]))
+
+    def runs(v):  # negative intervals: runs of negative critical values
+        return np.sum(np.diff(v < 0, axis=1, prepend=False) & (v < 0), axis=1)
+
+    keep = runs(v_lo) != runs(v_hi)
+    lo, hi, v_lo, v_hi = lo[keep], hi[keep], v_lo[keep], v_hi[keep]
+    k = np.argmax(np.sign(v_lo) != np.sign(v_hi), axis=1)  # the critical value that crosses 0
+    a, b = v_lo[np.arange(k.size), k], v_hi[np.arange(k.size), k]
+    x = lo + (hi - lo) * a / (a - b)
+    edges = xs[[0, -1]][np.any(sig[[0, -1]] < 0, axis=1)]
+    return np.sort(np.concatenate((x, edges)))

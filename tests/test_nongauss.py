@@ -335,10 +335,62 @@ def test_negativity_edge_cases_without_warnings():
         assert trailing == nongauss.wigner_negativity(dq.DQState.from_coeffs([0.6, 0.8]))
 
 
+@pytest.mark.parametrize("top", [1e-4, 1e-6, 1e-12])
+def test_negativity_continuous_in_a_small_top_coefficient(top):
+    # a small top coefficient puts a root of E, and a negative disc of P, far out where |W|
+    # is below rounding; the window must stop at W's support, not box that disc in
+    bare = nongauss.wigner_negativity(dq.DQState.from_coeffs([0.6, 0.8]))
+    value = nongauss.wigner_negativity(dq.DQState.from_coeffs([0.6, 0.8, top]))
+    assert 0.0 < abs(value - bare) <= top
+
+
+def test_negativity_refines_pieces_near_complex_singularities():
+    # on this real n = 4 state one 20-node Gauss-Legendre sum over the piece between the
+    # breakpoints near x = -0.138 and 0.143 is off by 4e-7; the reference integrates the exact
+    # line integrals G(x) by adaptive quadrature, with no breakpoints given
+    from numpy.polynomial import Chebyshev
+    from numpy.polynomial.legendre import leggauss
+    from scipy.integrate import quad
+
+    state = dq.DQState.from_coeffs([-0.45405232, 0.5197562, 0.14174526, -0.70020589, -0.11536885])
+    u, w = leggauss(60)
+
+    def line(x):  # integral of -W over Im beta where W < 0, at Re beta = x
+        p = np.linspace(-8.0, 8.0, 17)
+        poly = Chebyshev.fit(p, nongauss.wigner_closed(state, x + 1j * p) * np.exp(2 * (x * x + p * p)), 8)
+        r = poly.roots()
+        ends = np.r_[-8.0, np.sort(r[np.abs(r.imag) < 1e-12].real), 8.0]
+        q = 0.5 * (ends[1:] + ends[:-1])[:, None] + 0.5 * np.diff(ends)[:, None] * u
+        return float(np.sum(0.5 * np.diff(ends) * (-np.minimum(nongauss.wigner_closed(state, x + 1j * q), 0) @ w)))
+
+    reference, error = quad(line, -8.0, 8.0, epsabs=1e-15, limit=1000)
+    assert error < 1e-8
+    assert abs(nongauss.wigner_negativity(state) - 2.0 * reference) <= 1e-9
+
+
+def test_negativity_refuses_a_polynomial_it_cannot_resolve():
+    # from n ~ 8 the Chebyshev form of P loses its sign to rounding on the window
+    coeffs = np.random.default_rng(5).uniform(-1.0, 1.0, 11)
+    with pytest.raises(ValueError, match="degree 20"):
+        nongauss.wigner_negativity(dq.DQState.from_coeffs(coeffs))
+
+
+_BREAKPOINTS = nongauss._breakpoints
+
+
+def _scan(coeffs, lines):
+    """N and its breakpoints for the superposition coeffs, from a scan of the given lines."""
+    found = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nongauss, "_SCAN_LINES", lines)
+        mp.setattr(nongauss, "_breakpoints", lambda *a: found.append(_BREAKPOINTS(*a)) or found[-1])
+        value = nongauss.wigner_negativity(dq.DQState.from_coeffs(coeffs))
+    return value, found[0]
+
+
 def _assert_scan_resolves(coeffs):
     """A 401-line breakpoint scan finds what a 1601-line one does."""
-    value, breaks = nongauss._negativity(coeffs)
-    fine_value, fine_breaks = nongauss._negativity(coeffs, 1601)
+    (value, breaks), (fine_value, fine_breaks) = _scan(coeffs, 401), _scan(coeffs, 1601)
     assert breaks.size == fine_breaks.size
     assert abs(value - fine_value) <= 1e-14
 
