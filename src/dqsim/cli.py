@@ -15,11 +15,11 @@ fidelity-map  ideal/realized fidelity over an (eta_d, eta_s) grid
 Coherent amplitudes are entered as |alpha|^2 (real, phase 0).  CSV output
 is UTF-8 with a header row and LF line endings; JSON output is one object
 with a ``meta`` header and row-major ``data``; ``optimize`` and ``table1``
-list each row's optimizer run (``nit``, ``nfev``, ``converged``) in
-``meta.optimizer``; ``state --eta-*`` and ``fidelity-map`` give the last k of
-their exact k sum and its relative tail bound as ``meta.k_cutoff`` and
-``meta.k_tail_bound``.  Floats carry 12 significant digits and files are
-byte-identical across re-runs (timing goes to stderr, never into the data).
+list each row's optimizer run (``nit``, ``nfev``, ``converged``, start-scan
+cells ``scan_cells``) in ``meta.optimizer``; ``state --eta-*`` and
+``fidelity-map`` give their k sum's last k and relative tail bound as
+``meta.k_cutoff`` and ``meta.k_tail_bound``.  Floats carry 12 significant
+digits; files are byte-identical across re-runs (timing goes to stderr).
 Exit codes: 0 success, 2 usage error, 3 numerical failure.
 """
 
@@ -232,8 +232,8 @@ def _optimum_row(r: squeezing.OptimumRecord) -> tuple:
 
 
 def _optimizer_meta(records) -> list[dict]:
-    """Nelder-Mead iterations, objective evaluations and convergence, one entry per row."""
-    return [{"nit": r.nit, "nfev": r.nfev, "converged": r.converged} for r in records]
+    """Nelder-Mead iterations, objective evaluations, convergence and start-scan cells per row."""
+    return [{k: getattr(r, k) for k in ("nit", "nfev", "converged", "scan_cells")} for r in records]
 
 
 def _cmd_optimize(args):

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import fock
 from .errors import NonFiniteResult, NoRootInBracket, TruncationTooSmall, ZeroProbability
-from .polynomials import hermite2_rows, laguerre
+from .polynomials import hermite2_rows, laguerre, row_powers
 
 __all__ = [
     "CMConfig",
@@ -172,7 +172,7 @@ def coefficients_grid(n: int, m: int, alpha, R, out=None, work=None) -> np.ndarr
     of x (`hermite2_rows`), the level factors are taken on R's own shape
     before they broadcast, and real x is not conjugated.  On a real grid
     the C_q accumulate in out in place, with x and the power table in work
-    (max(n, m, 1) + 1 rows of the grid shape); both are allocated when not
+    (len(row_powers(n, m)) + 2 rows of the grid shape); both are allocated when not
     given, so a blocked caller can reuse them.  Every elementwise operation
     keeps its operands and order, so each C_q is bit-identical to
     _level_factor(n, q, ratio) * hermite2(n - q, m, conj(x), x); numpy
@@ -186,7 +186,7 @@ def coefficients_grid(n: int, m: int, alpha, R, out=None, work=None) -> np.ndarr
     try:
         if shape and not np.iscomplexobj(alpha):
             out = np.empty((n + 1,) + shape) if out is None else out
-            work = np.empty((max(n, m, 1) + 1,) + shape) if work is None else work
+            work = np.empty((len(row_powers(n, m)) + 2,) + shape) if work is None else work
             x = np.multiply(alpha, np.sqrt(1.0 - R), out=work[0])
             hermite2_rows(n, m, x, x, out, work[1:])
             for q in range(1, n + 1):  # the level factor of q = 0 is exactly 1.0

@@ -20,12 +20,18 @@ import math
 
 import numpy as np
 
-__all__ = ["hermite2", "hermite2_rows", "laguerre"]
+__all__ = ["hermite2", "hermite2_rows", "laguerre", "row_powers"]
 
 
-def _powers(x, top: int) -> list:
-    """x ** 0 .. x ** top, each by the ``**`` of an integer exponent (x ** 1 is x)."""
-    return [x**0, x] + [x**j for j in range(2, top + 1)]
+def _powers(x, exponents) -> dict:
+    """{j: x ** j} over exponents, each by the ``**`` of an integer exponent (x ** 1 is x)."""
+    return {j: x if j == 1 else x**j for j in exponents}
+
+
+@functools.lru_cache(maxsize=None)
+def row_powers(n: int, m: int) -> tuple:
+    """Exponents j >= 2 of x in H_{n-q,m}(x, x), q = 0..n (of 0..n and m - n..m), ascending."""
+    return tuple(sorted(set(range(2, n + 1)).union(range(max(m - n, 2), m + 1))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -35,7 +41,7 @@ def _terms(n: int, m: int) -> tuple:
                  for k in range(min(n, m) + 1))
 
 
-def _hermite_sum(n: int, m: int, xp: list, yp: list):
+def _hermite_sum(n: int, m: int, xp: dict, yp: dict):
     """H_{n,m} from the power tables xp[j] = x ** j and yp[j] = y ** j."""
     acc = None
     for coeff, i, j in _terms(n, m):
@@ -53,28 +59,30 @@ def hermite2(n: int, m: int, x, y):
     """
     if n < 0 or m < 0:
         raise ValueError("hermite2 indices must be non-negative")
-    return _hermite_sum(n, m, _powers(x, n), _powers(y, m))
+    return _hermite_sum(n, m, _powers(x, range(n + 1)), _powers(y, range(m + 1)))
 
 
 def hermite2_rows(n: int, m: int, x, y, out=None, work=None) -> list:
     """[H_{n-q,m}(x, y) for q = 0..n], equal to `hermite2` row by row.
 
     The powers of x and y are computed once for the whole family (once in
-    all when y is x) instead of once per row.  With out, a real array of
+    all when y is x) instead of once per row, and only those the terms use:
+    x ** 0 .. x ** n and y ** (m - n) .. y ** m.  With out, a real array of
     shape (n + 1,) + x.shape, and y = x, row q is accumulated in out[q] in
-    place and out is returned; work (max(n, m, 1) rows of x's shape) holds
-    x ** 2 .. x ** max(n, m) and a term buffer.  A factor x ** 0 or a
-    coefficient 1 is left out of its term, as multiplying by 1 is exact.
+    place and out is returned; work holds the `row_powers` and a term
+    buffer, one row of x's shape each.  A factor x ** 0 or
+    a coefficient 1 is left out of its term, as multiplying by 1 is exact.
     """
     if n < 0 or m < 0:
         raise ValueError("hermite2 indices must be non-negative")
     if out is not None:
-        top = max(n, m)  # as x ** j runs: np.square for j = 2, the power loop above
-        xp = [1.0, x] + [np.power(x, j, out=work[j - 2]) if j > 2 else np.square(x, out=work[0])
-                         for j in range(2, top + 1)]
+        high = row_powers(n, m)
+        xp = {0: 1.0, 1: x}
+        for w, j in zip(work, high):  # as x ** j runs: np.square for j = 2, the power loop above
+            xp[j] = np.square(x, out=w) if j == 2 else np.power(x, j, out=w)
         for q, row in enumerate(out):
             for k, (coeff, i, j) in enumerate(_terms(n - q, m)):
-                t = work[max(top, 1) - 1] if k else row
+                t = work[len(high)] if k else row
                 if i and j and coeff == 1:
                     np.multiply(xp[i], xp[j], out=t)
                 else:
@@ -85,9 +93,9 @@ def hermite2_rows(n: int, m: int, x, y, out=None, work=None) -> list:
                     row += t
         return out
     if y is x:
-        xp = yp = _powers(x, max(n, m))
+        xp = yp = _powers(x, (0, 1) + row_powers(n, m))
     else:
-        xp, yp = _powers(x, n), _powers(y, m)
+        xp, yp = _powers(x, range(n + 1)), _powers(y, range(max(m - n, 0), m + 1))
     return [_hermite_sum(n - q, m, xp, yp) for q in range(n + 1)]
 
 

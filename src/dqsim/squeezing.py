@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dq
 from .errors import IndexOutOfRange
-from .polynomials import hermite2_rows
+from .polynomials import hermite2_rows, row_powers
 
 __all__ = [
     "QuadratureReport",
@@ -59,6 +59,8 @@ BLOCK_CELLS = 2**14
 # (lo, hi, step) of |alpha|^2 and of R: optimize_cm_squeezing's box and coarse scan
 CM_ALPHA_SQ_AXIS = (0.05, 30.0, 0.05)
 CM_R_AXIS = (0.01, 0.99, 0.0025)
+# The start scan of an isolated optimum takes every SCAN_STRIDE-th point of each axis
+SCAN_STRIDE = 5
 TABLE2_N_MAX = 6
 
 
@@ -76,8 +78,8 @@ class OptimumRecord:
     """Best squeezing found for one (n, m) heralding cell.
 
     nit, nfev and converged report the Nelder-Mead refinement: iterations,
-    objective evaluations, and whether it stopped on its tolerances rather
-    than its iteration cap.
+    objective evaluations, whether it stopped on its tolerances rather than
+    its iteration cap, and the grid cells its start scans evaluated.
     """
 
     n: int
@@ -89,6 +91,7 @@ class OptimumRecord:
     nit: int
     nfev: int
     converged: bool
+    scan_cells: int
 
 
 @dataclass(frozen=True)
@@ -107,57 +110,53 @@ def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int) -> SimpleName
     bit for bit: start vertices 1.05 x_k (0.00025 where x_k = 0), reflect 1,
     expand 2, contract 1/2, shrink 1/2, a re-sort by value after each step,
     and a stop once every vertex lies within xatol and every value within
-    fatol of the best.  The result carries x, fun, nfev, nit (counted from
-    1, as scipy does) and success, which is false when maxiter ends the run.
+    fatol of the best.  Vertices are lists of floats, re-sorted by
+    np.argsort as scipy's are (numpy's sort of ties need not be stable).
+    The result carries x, fun, nfev, nit (counted from 1, as scipy does)
+    and success, which is false when maxiter ends the run.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    N = x0.size
+    x0 = np.asarray(x0, dtype=float).ravel().tolist()
+    N = len(x0)
     nfev = 0
 
     def f(x):
         nonlocal nfev
         nfev += 1
-        return float(fun(x))
+        return float(fun(np.array(x)))
 
-    sim = np.tile(x0, (N + 1, 1))
-    for k in range(N):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(v) for v in sim])
+    sim = [x0] + [[(1.05 * v if v != 0 else 0.00025) if j == k else v for j, v in enumerate(x0)]
+                  for k in range(N)]
+    fsim = [f(v) for v in sim]
     nit = 1
     while True:
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-        x_spread = np.max(np.abs(sim[1:] - sim[0]))
-        f_spread = np.max(np.abs(fsim[0] - fsim[1:]))
-        if nit >= maxiter or (x_spread <= xatol and f_spread <= fatol):
+        order = np.argsort(fsim).tolist()
+        sim, fsim = [sim[k] for k in order], [fsim[k] for k in order]
+        if nit >= maxiter or (all(abs(c - b) <= xatol for v in sim[1:] for c, b in zip(v, sim[0]))
+                              and all(abs(fsim[0] - g) <= fatol for g in fsim[1:])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = 2 * xbar - sim[-1]
+        xbar = [functools.reduce(operator.add, col) / N for col in zip(*sim[:-1])]
+        xr = [2 * b - w for b, w in zip(xbar, sim[-1])]
         fxr = f(xr)
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
+            xe = [3 * b - 2 * w for b, w in zip(xbar, sim[-1])]
             fxe = f(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
-                shrink = not fxc <= fxr
-            else:
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
-                shrink = not fxc < fsim[-1]
-            if shrink:
-                for j in range(1, N + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-            else:
+        else:  # contract outside the simplex if xr beats the worst vertex, else inside
+            outside = fxr < fsim[-1]
+            xc = [1.5 * b - 0.5 * w if outside else 0.5 * b + 0.5 * w
+                  for b, w in zip(xbar, sim[-1])]
+            fxc = f(xc)
+            if fxc <= fxr if outside else fxc < fsim[-1]:
                 sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, N + 1):
+                    sim[j] = [b + 0.5 * (c - b) for c, b in zip(sim[j], sim[0])]
+                    fsim[j] = f(sim[j])
         nit += 1
-    fun_min = float(np.min(fsim))
-    return SimpleNamespace(x=sim[0], fun=fun_min, nfev=nfev, nit=nit, success=nit < maxiter)
+    return SimpleNamespace(x=np.array(sim[0]), fun=float(np.min(fsim)), nfev=nfev, nit=nit,
+                           success=nit < maxiter)
 
 
 def bare_moment(c, u: int, v: int) -> np.ndarray:
@@ -352,8 +351,8 @@ def _variance_blocks(n: int, m: int, alpha_sq: np.ndarray, R: np.ndarray):
     shape = np.broadcast_shapes(alpha_sq.shape, R.shape)
     blocks = row_blocks(shape)
     size = (blocks[0][1] if blocks else 0,) + shape[1:]
-    c, work = np.empty((n + 1,) + size), np.empty((max(n, m, 3) + 1,) + size)
-    norm = np.empty(size)
+    c, norm = np.empty((n + 1,) + size), np.empty(size)
+    work = np.empty((max(len(row_powers(n, m)) + 2, n + 1, 4),) + size)
 
     def rows(a, lo, hi):  # an input broadcast along the leading axis passes whole
         return a[lo:hi] if a.ndim == len(shape) and a.shape[0] > 1 else a
@@ -408,27 +407,87 @@ def _variance_point(n: int, m: int, alpha_sq: float, R: float) -> float:
 def optimize_cm_squeezing(n: int, m: int) -> OptimumRecord:
     """Global minimum of the X variance over the (|alpha|^2, R) box.
 
-    Coarse grid scan over CM_ALPHA_SQ_AXIS x CM_R_AXIS, then a Nelder-Mead
-    refinement of `_variance_point` started from the best cell.  The scan
-    keeps a running argmin over `_variance_blocks` with NaN read as +inf,
-    np.nanargmin's first least cell, without holding the grid.
-    Box-boundary hits are flagged, not rejected.
-
-    For m = 0 (optimum on the line |alpha|^2 R = const) and n = 1 (on the
-    `n1_optimal_alpha_sq` locus) the optimum is a flat set, so the
-    (|alpha|^2, R) returned there is one arbitrary point of it, moved by
-    last-bit rounding changes; only ``min_var`` is reproducible.
+    Nelder-Mead refines `_variance_point` from the first least cell of a
+    start scan (`_first_least`); box-boundary hits are flagged, not
+    rejected.  Isolated optima (n >= 2, m >= 1) scan every SCAN_STRIDE-th
+    point of the CM_ALPHA_SQ_AXIS x CM_R_AXIS grid.  An optimum on the box
+    edge depends on its start, so a start on the subgrid's outer ring, or a
+    simplex ending within SCAN_STRIDE steps of the edge, reruns from the
+    full grid.  The m = 0 and n = 1 optima are flat sets, whose reported
+    point (arbitrary on the set) another start would move: they scan
+    `_locus_band`, which holds the full grid's start cell.  n = 0 and a
+    locus outside the box scan the full grid.
     """
-    (a_lo, a_hi, a_step), (r_lo, r_hi, r_step) = CM_ALPHA_SQ_AXIS, CM_R_AXIS
-    a_vals = np.arange(a_lo, a_hi + a_step / 2, a_step)
-    r_vals = np.arange(r_lo, r_hi + r_step / 2, r_step)
-    coarse_min, flat = math.inf, None
-    for lo, _, v in _variance_blocks(n, m, a_vals[:, None], r_vals[None, :]):
+    a_vals, r_vals = (np.arange(lo, hi + step / 2, step)
+                      for lo, hi, step in (CM_ALPHA_SQ_AXIS, CM_R_AXIS))
+    scanned = 0
+    if n >= 2 and m >= 1:
+        sub_a, sub_r = a_vals[::SCAN_STRIDE], r_vals[::SCAN_STRIDE]
+        (ia, ir), v = _first_least(n, m, sub_a[:, None], sub_r[None, :])
+        scanned = sub_a.size * sub_r.size
+        if 0 < ia < sub_a.size - 1 and 0 < ir < sub_r.size - 1:
+            rec = _refine(n, m, sub_a[ia], sub_r[ir], v, scanned)
+            if not _near_edge(rec.alpha_sq, rec.R, SCAN_STRIDE):
+                return rec
+    elif n >= 1 and (band := _locus_band(n, m, a_vals, r_vals)) is not None:
+        (k, _), v = _first_least(n, m, a_vals[band // r_vals.size], r_vals[band % r_vals.size])
+        ia, ir = divmod(int(band[k]), r_vals.size)
+        return _refine(n, m, a_vals[ia], r_vals[ir], v, band.size)
+    (ia, ir), v = _first_least(n, m, a_vals[:, None], r_vals[None, :])
+    return _refine(n, m, a_vals[ia], r_vals[ir], v, scanned + a_vals.size * r_vals.size)
+
+
+def _first_least(n: int, m: int, alpha_sq, R) -> tuple[tuple[int, int], float]:
+    """((row, column), value) of np.nanargmin's cell, by a running argmin over the blocks."""
+    best, cell = math.inf, (0, 0)
+    for lo, hi, v in _variance_blocks(n, m, alpha_sq, R):
         v[np.isnan(v)] = np.inf
-        j = int(np.argmin(v))
-        if flat is None or v.flat[j] < coarse_min:
-            coarse_min, flat = float(v.flat[j]), lo * r_vals.size + j
-    ia, ir = divmod(flat, r_vals.size)
+        j, w = int(np.argmin(v)), v.size // (hi - lo)
+        if v.flat[j] < best:
+            best, cell = float(v.flat[j]), (lo + j // w, j % w)
+    return cell, best
+
+
+def _locus_band(n: int, m: int, a_vals, r_vals):
+    """Row-major flat indices of the grid cells next to a flat optimum's locus, or None.
+
+    V is monotone in the set's invariant between its local minima, so each
+    grid line's least cell lies within two cells of one: along rows at
+    s*/|alpha|^2, s* bracketing each local minimum of V(s = |alpha|^2 R) on
+    a 0.01 grid of s (m = 0); along columns at both `n1_optimal_alpha_sq`
+    branches (n = 1).  None when no bracket meets the box.
+    """
+    if m == 0:
+        s = np.arange(a_vals[0] * r_vals[0], a_vals[-1] * r_vals[-1] + 0.01, 0.01)
+        v = variance_x_map(n, 0, s / 0.5, 0.5)
+        edged = np.concatenate(([np.inf], v, [np.inf]))
+        lows = np.flatnonzero((v <= edged[:-2]) & (v <= edged[2:]))
+        axis, lines = r_vals, np.arange(a_vals.size)
+        brackets = [(s[max(k - 1, 0)] / a_vals, s[min(k + 1, s.size - 1)] / a_vals) for k in lows]
+    else:
+        axis, lines = a_vals, np.arange(r_vals.size)
+        brackets = [(b, b) for b in np.array([n1_optimal_alpha_sq(m, float(r)) for r in r_vals]).T]
+    cells, meets = [], False
+    for low, high in brackets:
+        lo, hi = np.searchsorted(axis, low), np.searchsorted(axis, high, side="right")
+        meets = meets or bool(np.any((lo < axis.size) & (hi > 0)))
+        start = np.maximum(lo - 2, 0)
+        sizes = np.minimum(hi + 2, axis.size) - start  # lo <= hi <= axis.size: 2 cells or more
+        along = np.repeat(start - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        across = np.repeat(lines, sizes)
+        cells.append(across * r_vals.size + along if m == 0 else along * r_vals.size + across)
+    return np.unique(np.concatenate(cells)) if meets else None
+
+
+def _near_edge(alpha_sq: float, R: float, steps: int) -> bool:
+    """Whether (alpha_sq, R) lies within `steps` grid steps of the box edge."""
+    return any(min(v - lo, hi - v) < steps * step
+               for v, (lo, hi, step) in ((alpha_sq, CM_ALPHA_SQ_AXIS), (R, CM_R_AXIS)))
+
+
+def _refine(n: int, m: int, alpha_sq, R, start_var: float, scan_cells: int) -> OptimumRecord:
+    """The OptimumRecord of a Nelder-Mead run from the scan's best cell (alpha_sq, R)."""
+    (a_lo, a_hi, _), (r_lo, r_hi, _) = CM_ALPHA_SQ_AXIS, CM_R_AXIS
 
     def objective(p):
         a, r = float(p[0]), float(p[1])
@@ -436,20 +495,12 @@ def optimize_cm_squeezing(n: int, m: int) -> OptimumRecord:
             return 1e6
         return _variance_point(n, m, a, r)
 
-    res = minimize(
-        objective, np.array([a_vals[ia], r_vals[ir]]), xatol=1e-6, fatol=1e-9, maxiter=4000
-    )
-    best_a, best_r = (float(res.x[0]), float(res.x[1]))
-    best_v = float(res.fun)
-    if best_v > coarse_min:
-        best_a, best_r, best_v = float(a_vals[ia]), float(r_vals[ir]), coarse_min
-    boundary = (
-        best_a - a_lo < a_step
-        or a_hi - best_a < a_step
-        or best_r - r_lo < r_step
-        or r_hi - best_r < r_step
-    )
-    return OptimumRecord(n, m, best_v, best_a, best_r, boundary, res.nit, res.nfev, res.success)
+    res = minimize(objective, np.array([alpha_sq, R]), xatol=1e-6, fatol=1e-9, maxiter=4000)
+    best_a, best_r, best_v = float(res.x[0]), float(res.x[1]), float(res.fun)
+    if best_v > start_var:
+        best_a, best_r, best_v = float(alpha_sq), float(R), start_var
+    return OptimumRecord(n, m, best_v, best_a, best_r, _near_edge(best_a, best_r, 1),
+                         res.nit, res.nfev, res.success, scan_cells)
 
 
 def _fock_shift_brackets(n: int):

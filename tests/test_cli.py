@@ -337,7 +337,8 @@ def test_table1_json_meta_lists_optimizer_runs(tmp_path, monkeypatch):
     doc = json.loads(json_out.read_text())
     records = full_table1(n_max=2, m_max=1)
     assert doc["meta"]["optimizer"] == [
-        {"nit": r.nit, "nfev": r.nfev, "converged": r.converged} for r in records
+        {"nit": r.nit, "nfev": r.nfev, "converged": r.converged, "scan_cells": r.scan_cells}
+        for r in records
     ]
     assert len(doc["data"]) == len(csv_out.read_text().splitlines()) - 1 == 4
 

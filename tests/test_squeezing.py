@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -227,30 +228,83 @@ def test_optimizer_not_above_coarse_grid():
     assert rec.min_var <= np.nanmin(V) + 1e-9
 
 
-def test_coarse_scan_argmin_is_nanargmin_first_occurrence(monkeypatch):
-    # ties within a block and across blocks, NaN cells and an all-NaN block: the running
-    # argmin over the blocks picks the cell np.nanargmin picks on the whole grid
-    (a_lo, a_hi, a_step), (r_lo, r_hi, r_step) = squeezing.CM_ALPHA_SQ_AXIS, squeezing.CM_R_AXIS
-    a_vals = np.arange(a_lo, a_hi + a_step / 2, a_step)
-    r_vals = np.arange(r_lo, r_hi + r_step / 2, r_step)
-    V = np.random.default_rng(7).uniform(1.0, 2.0, (a_vals.size, r_vals.size))
-    V[0, :7] = np.nan
-    V[41:82] = np.nan
-    for cell in [(100, 7), (30, 200), (30, 5), (599, 392)]:
-        V[cell] = 0.5
-    assert len(squeezing.row_blocks(V.shape)) > 3
+def _cm_axes():
+    """The full (|alpha|^2, R) grid axes of optimize_cm_squeezing."""
+    return tuple(np.arange(lo, hi + step / 2, step)
+                 for lo, hi, step in (squeezing.CM_ALPHA_SQ_AXIS, squeezing.CM_R_AXIS))
 
+
+def _fake_scans(monkeypatch, grids, minimize=None):
+    """Serve `_variance_blocks` from fake value grids chosen by the requested shape.
+
+    Every grid has ties within a block and across blocks, NaN cells and an
+    all-NaN block; the optimizer's simplex returns its start unless
+    minimize is given.
+    """
     def blocks(n, m, alpha_sq, R):
+        V = grids[np.broadcast_shapes(np.shape(alpha_sq), np.shape(R))]
         for lo, hi in squeezing.row_blocks(V.shape):
             yield lo, hi, V[lo:hi].copy()
 
     monkeypatch.setattr(squeezing, "_variance_blocks", blocks)
-    monkeypatch.setattr(squeezing, "minimize", lambda fun, x0, **kw: SimpleNamespace(
-        x=np.array(x0), fun=math.inf, nfev=0, nit=1, success=True))
-    rec = squeezing.optimize_cm_squeezing(2, 1)
+    monkeypatch.setattr(squeezing, "minimize", minimize or (lambda fun, x0, **kw: SimpleNamespace(
+        x=np.array(x0), fun=math.inf, nfev=0, nit=1, success=True)))
+
+
+def _tied_grid(shape, cells, seed=7):
+    V = np.random.default_rng(seed).uniform(1.0, 2.0, shape)
+    V[0, :7] = np.nan
+    V[41:82] = np.nan
+    for cell in cells:
+        V[cell] = 0.5
+    return V
+
+
+def test_coarse_scan_argmin_is_nanargmin_first_occurrence(monkeypatch):
+    # n = 0 scans the full grid: the running argmin over the blocks picks the cell
+    # np.nanargmin picks on the whole grid
+    a_vals, r_vals = _cm_axes()
+    V = _tied_grid((a_vals.size, r_vals.size), [(100, 7), (30, 200), (30, 5), (599, 392)])
+    assert len(squeezing.row_blocks(V.shape)) > 3
+    _fake_scans(monkeypatch, {V.shape: V})
+    rec = squeezing.optimize_cm_squeezing(0, 1)
     ia, ir = np.unravel_index(np.nanargmin(V), V.shape)
     assert (ia, ir) == (30, 5)
     assert (rec.alpha_sq, rec.R, rec.min_var) == (a_vals[ia], r_vals[ir], 0.5)
+    assert rec.scan_cells == V.size == 235_800
+
+
+@pytest.mark.parametrize("least, end, start, cells", [
+    ((30, 5), None, "subgrid", 9_480),  # an inner cell starts the simplex
+    ((0, 40), None, "fine", 245_280),  # a cell on the subgrid's outer ring: the full scan
+    ((30, 5), (29.9, 0.5), "fine", 245_280),  # the simplex ends next to the box edge
+])
+def test_subgrid_scan_argmin_and_fallbacks(monkeypatch, least, end, start, cells):
+    # the subgrid scan of an isolated optimum (n >= 2, m >= 1) takes np.nanargmin's first
+    # least cell of its own grid, and hands over to the full scan at the box edge
+    a_vals, r_vals = _cm_axes()
+    sub_a, sub_r = a_vals[::squeezing.SCAN_STRIDE], r_vals[::squeezing.SCAN_STRIDE]
+    assert (sub_a.size, sub_r.size) == (120, 79)
+    sub = _tied_grid((sub_a.size, sub_r.size), [(100, 7), (30, 60), least, (119, 78)])
+    fine = _tied_grid((a_vals.size, r_vals.size), [(30, 200), (30, 5), (599, 392)], seed=8)
+    monkeypatch.setattr(squeezing, "BLOCK_CELLS", 1000)
+    assert len(squeezing.row_blocks(sub.shape)) > 3
+    runs = []
+
+    def simplex(fun, x0, **kw):  # the first run ends at `end` if given, a later one at its start
+        moved = end is not None and not runs
+        runs.append(x0)
+        return SimpleNamespace(x=np.array(end if moved else x0), fun=0.25 if moved else math.inf,
+                               nfev=0, nit=1, success=True)
+
+    _fake_scans(monkeypatch, {sub.shape: sub, fine.shape: fine}, simplex)
+    rec = squeezing.optimize_cm_squeezing(2, 1)
+    V, (a, r) = (sub, (sub_a, sub_r)) if start == "subgrid" else (fine, (a_vals, r_vals))
+    ia, ir = np.unravel_index(np.nanargmin(V), V.shape)
+    assert (ia, ir) == (30, 5)
+    assert (rec.alpha_sq, rec.R, rec.min_var) == (a[ia], r[ir], 0.5)
+    assert rec.scan_cells == cells
+    assert len(runs) == (1 if end is None else 2)
 
 
 def test_table1_equals_oracle_run(monkeypatch):
@@ -266,6 +320,80 @@ def test_table1_equals_oracle_run(monkeypatch):
     monkeypatch.setattr(squeezing, "_variance_point",
                         lambda n, m, a, r: float(_variance_oracle(n, m, a, r)))
     assert squeezing.table1(n_max=2, m_max=2) == fast
+
+
+_ISOLATED = [(5, 1), (6, 1), (6, 3), (8, 2), (10, 1), (12, 2)]
+_EDGE = [(2, 6), (4, 8), (5, 7)]
+
+
+def _fine_path(n, m):
+    """The full-grid start scan and its simplex: the reference for the narrower scans."""
+    a_vals, r_vals = _cm_axes()
+    (ia, ir), v = squeezing._first_least(n, m, a_vals[:, None], r_vals[None, :])
+    return squeezing._refine(n, m, a_vals[ia], r_vals[ir], v, a_vals.size * r_vals.size)
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 5) for m in range(5)]
+                         + _ISOLATED + _EDGE)
+def test_start_scans_reach_the_fine_path_optimum(n, m):
+    # a subgrid start reaches the full-grid start's minimum (perfbench's location rule);
+    # flat rows and fallbacks give the full-grid record bit for bit
+    rec, fine = squeezing.optimize_cm_squeezing(n, m), _fine_path(n, m)
+    if rec.scan_cells == 120 * 79:
+        assert rec.min_var <= fine.min_var + 1e-10
+        for got, want in ((rec.alpha_sq, fine.alpha_sq), (rec.R, fine.R)):
+            assert abs(got - want) <= 1e-3 * max(1.0, abs(want))
+    else:
+        assert dataclasses.replace(rec, scan_cells=fine.scan_cells) == fine
+    subgrid = n >= 2 and m >= 1 and (n, m) not in _EDGE + [(3, 4)]
+    assert (rec.scan_cells == 120 * 79) == subgrid
+
+
+@pytest.mark.parametrize("n, m", [(n, 0) for n in range(1, 13)] + [(1, m) for m in range(1, 21)])
+def test_locus_band_holds_the_full_scan_start(monkeypatch, n, m):
+    # on a flat set the band's first least cell is the full grid's, value included
+    a_vals, r_vals = _cm_axes()
+    starts = []
+    monkeypatch.setattr(squeezing, "_refine", lambda *args: starts.append(args[2:]))
+    squeezing.optimize_cm_squeezing(n, m)
+    (ia, ir), v = squeezing._first_least(n, m, a_vals[:, None], r_vals[None, :])
+    ((alpha_sq, R, start_var, cells),) = starts
+    assert (alpha_sq, R, start_var) == (a_vals[ia], r_vals[ir], v)
+    assert cells == squeezing._locus_band(n, m, a_vals, r_vals).size < 3000
+
+
+def test_table1_rows_report_their_start_scan():
+    # flat rows scan their band; (3, 4), whose subgrid least cell lies on the subgrid's
+    # last |alpha|^2 row (29.8), scans the subgrid and then the full grid; the rest the subgrid
+    a_vals, r_vals = _cm_axes()
+    paths = {}
+    for rec in squeezing.table1():
+        if rec.n == 1 or rec.m == 0:
+            assert rec.scan_cells == squeezing._locus_band(rec.n, rec.m, a_vals, r_vals).size
+            paths.setdefault("band", []).append((rec.n, rec.m))
+        else:
+            paths.setdefault(rec.scan_cells, []).append((rec.n, rec.m))
+    assert len(paths["band"]) == 8
+    assert paths[120 * 79 + 600 * 393] == [(3, 4)]
+    assert len(paths[120 * 79]) == 11
+
+
+def test_power_table_holds_only_the_exponents_in_use():
+    # H_{2-q,1000}(x, x) needs x^0..x^2 and x^998..x^1000; a table of all 1001 powers
+    # held 16 MiB on this grid
+    a_vals, r_vals = np.linspace(1.0, 2.0, 20), np.linspace(0.1, 0.4, 100)
+    args = (2, 1000, a_vals[:, None], r_vals[None, :])
+    squeezing.variance_x_map(*args)
+    tracemalloc.start()
+    try:
+        V = squeezing.variance_x_map(*args)
+        C = dq.coefficients_grid(2, 1000, np.sqrt(a_vals[:, None]), r_vals[None, :])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(C).all()
+    assert np.array_equal(V, _variance_oracle(*args))
+    assert peak <= 2**20
 
 
 def test_optimizer_scan_memory_peak():
@@ -340,6 +468,31 @@ def test_minimize_maxiter_cap_reports_no_success():
         _rosenbrock, np.array([0.0, 1.5, -0.5]), {"xatol": 1e-8, "fatol": 1e-12, "maxiter": 40}
     )
     assert not res.success and res.nit == 40
+
+
+def _walled_terraces(x):
+    """A quadratic rounded down to 1/64, so values tie, and NaN past the wall x_0 = 1.5."""
+    if x[0] > 1.5:
+        return math.nan
+    return math.floor(64 * float(np.sum((x - np.linspace(2.0, 0.5, x.size)) ** 2))) / 64
+
+
+@pytest.mark.parametrize("x0", [[0.2, 1.7], [1.5, 0.5, 3.0]])
+def test_minimize_matches_scipy_through_nan_and_ties(x0):
+    # the minimum lies past the wall, so reflections land on NaN, and the rounding ties
+    # vertices; from [1.5, 0.5, 3.0] a stable sort of four tied values parts from scipy's
+    # np.argsort
+    seen = []
+
+    def fun(x):
+        seen.append(_walled_terraces(x))
+        return seen[-1]
+
+    res = _assert_matches_scipy_nelder_mead(
+        fun, np.array(x0), {"xatol": 1e-8, "fatol": 1e-12, "maxiter": 300}
+    )
+    finite = [v for v in seen[: res.nfev] if not math.isnan(v)]
+    assert len(finite) < res.nfev and len(set(finite)) < len(finite) / 2
 
 
 @pytest.mark.parametrize("n", range(1, 13))
