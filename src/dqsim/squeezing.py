@@ -462,10 +462,10 @@ def _locus_band(n: int, m: int, a_vals, r_vals):
         v = variance_x_map(n, 0, s / 0.5, 0.5)
         edged = np.concatenate(([np.inf], v, [np.inf]))
         lows = np.flatnonzero((v <= edged[:-2]) & (v <= edged[2:]))
-        axis, lines = r_vals, np.arange(a_vals.size)
+        axis = r_vals
         brackets = [(s[max(k - 1, 0)] / a_vals, s[min(k + 1, s.size - 1)] / a_vals) for k in lows]
     else:
-        axis, lines = a_vals, np.arange(r_vals.size)
+        axis = a_vals
         brackets = [(b, b) for b in np.array([n1_optimal_alpha_sq(m, float(r)) for r in r_vals]).T]
     cells, meets = [], False
     for low, high in brackets:
@@ -474,7 +474,7 @@ def _locus_band(n: int, m: int, a_vals, r_vals):
         start = np.maximum(lo - 2, 0)
         sizes = np.minimum(hi + 2, axis.size) - start  # lo <= hi <= axis.size: 2 cells or more
         along = np.repeat(start - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-        across = np.repeat(lines, sizes)
+        across = np.repeat(np.arange(sizes.size), sizes)
         cells.append(across * r_vals.size + along if m == 0 else along * r_vals.size + across)
     return np.unique(np.concatenate(cells)) if meets else None
 
