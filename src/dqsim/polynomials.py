@@ -70,8 +70,8 @@ def hermite2_rows(n: int, m: int, x, y, out=None, work=None) -> list:
     x ** 0 .. x ** n and y ** (m - n) .. y ** m.  With out, a real array of
     shape (n + 1,) + x.shape, and y = x, row q is accumulated in out[q] in
     place and out is returned; work holds the `row_powers` and a term
-    buffer, one row of x's shape each.  A factor x ** 0 or
-    a coefficient 1 is left out of its term, as multiplying by 1 is exact.
+    buffer, one row of x's shape each.  A factor x ** 0 or a coefficient 1
+    is left out of its term, as multiplying by 1 is exact.
     """
     if n < 0 or m < 0:
         raise ValueError("hermite2 indices must be non-negative")

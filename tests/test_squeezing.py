@@ -237,9 +237,7 @@ def _cm_axes():
 def _fake_scans(monkeypatch, grids, minimize=None):
     """Serve `_variance_blocks` from fake value grids chosen by the requested shape.
 
-    Every grid has ties within a block and across blocks, NaN cells and an
-    all-NaN block; the optimizer's simplex returns its start unless
-    minimize is given.
+    The optimizer's simplex returns its start unless minimize is given.
     """
     def blocks(n, m, alpha_sq, R):
         V = grids[np.broadcast_shapes(np.shape(alpha_sq), np.shape(R))]
@@ -252,6 +250,7 @@ def _fake_scans(monkeypatch, grids, minimize=None):
 
 
 def _tied_grid(shape, cells, seed=7):
+    """Random values with ties at cells (within and across blocks), NaN cells and NaN rows."""
     V = np.random.default_rng(seed).uniform(1.0, 2.0, shape)
     V[0, :7] = np.nan
     V[41:82] = np.nan
