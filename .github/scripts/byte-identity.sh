@@ -8,12 +8,31 @@
 # rounding change, so a kernel change must leave these outputs identical
 # until the exact optimizer (ROADMAP item 2) replaces the simplex path.
 # The CSV and JSON writers of the grid and report commands are covered too.
+# For an output that differs it also prints how many fields differ and the
+# largest relative difference between two numeric fields.
 # Exits 1 if any output differs.
 set -euo pipefail
 base=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
 out=$(mktemp -d)
 status=0
+# fields split on whitespace and on the CSV and JSON separators
+field_diff='
+import re, sys
+a, b = (re.split(r"[\s,:\[\]{}]+", open(p).read()) for p in sys.argv[1:])
+diff = [(x, y) for x, y in zip(a, b) if x != y]
+rel = 0.0
+for x, y in diff:
+    try:
+        x, y = float(x), float(y)
+        rel = max(rel, abs(x - y) / max(abs(x), abs(y)))
+    except ValueError:  # a word, such as true against false
+        rel = float("nan")
+if len(a) != len(b):
+    print(f"         {len(a)} fields against {len(b)}")
+else:
+    print(f"         {len(diff)} of {len(a)} fields differ, largest relative difference {rel:.2g}")
+'
 while read -r name args; do
   for side in base head; do
     tree=${!side}
@@ -24,6 +43,7 @@ while read -r name args; do
     echo "same     $name"
   else
     echo "DIFFERS  $name"
+    python -c "$field_diff" "$out/base.$name" "$out/head.$name"
     status=1
   fi
 done <<'COMMANDS'

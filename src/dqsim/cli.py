@@ -35,7 +35,7 @@ from itertools import product
 import numpy as np
 
 from . import __version__, dq, imperfections, nongauss, squeezing
-from .errors import TOLERANCES, DQSimError, NonFiniteResult
+from .errors import TOLERANCES, DQSimError, NonFiniteResult, PrecisionLoss
 
 _TABLE3_CONFIGS = [
     (1, 3.05, 0.6000),
@@ -136,12 +136,12 @@ def _parse_grid2(spec: str):
     return _parse_range(parts[0], "first"), _parse_range(parts[1], "second")
 
 
-def _scan_map(args, kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scan_map(args, kernel, lo=-math.inf, hi=math.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Axes of the --grid of scan or hsd-scan and kernel(n, m, alpha_sq, R) over them.
 
     |alpha|^2 must be >= 0 and R inside (0, 1) (exit 2).  A cell that is
-    not finite exits 3, apart from the documented NaN where alpha = 0 and
-    m > n, which heralds nothing.
+    not finite, or outside [lo, hi], exits 3, apart from the documented NaN
+    where alpha = 0 and m > n, which heralds nothing.
     """
     a_vals, r_vals = _parse_grid2(args.grid)
     if a_vals[0] < 0 or r_vals[0] <= 0 or r_vals[-1] >= 1:
@@ -156,6 +156,13 @@ def _scan_map(args, kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NonFiniteResult(
             f"{args.command} value not finite in {bad.sum()} of {bad.size} cells,"
             f" first at alpha_sq={a_vals[i]:.12g}, R={r_vals[j]:.12g}"
+        )
+    bad = (values < lo) | (values > hi)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise PrecisionLoss(
+            f"{args.command} value outside [{lo:.12g}, {hi:.12g}] in {bad.sum()} of {bad.size}"
+            f" cells, first {values[i, j]:.12g} at alpha_sq={a_vals[i]:.12g}, R={r_vals[j]:.12g}"
         )
     return a_vals, r_vals, values
 
@@ -303,7 +310,8 @@ def _cmd_wigner(args):
 
 
 def _cmd_hsd_scan(args):
-    a_vals, r_vals, grid = _scan_map(args, nongauss.hsd_scan)
+    # delta lies in [0, 1/2]; cancellation in Tr(rho tau) leaves it from about n = 40
+    a_vals, r_vals, grid = _scan_map(args, nongauss.hsd_scan, -1e-9, 0.5 + 1e-9)
     meta = {"command": "hsd-scan", "n": args.n, "m": args.m}
     return ["alpha_sq", "R", "value"], Grid(a_vals, r_vals, grid), meta
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import fock
 from .errors import NonFiniteResult, NoRootInBracket, TruncationTooSmall, ZeroProbability
-from .polynomials import hermite2_rows, laguerre, row_powers
+from .polynomials import hermite2_rows, laguerre
 
 __all__ = [
     "CMConfig",
@@ -163,40 +163,28 @@ def raw_coefficients(cfg: CMConfig) -> np.ndarray:
     return coefficients_grid(cfg.n, cfg.m, complex(cfg.alpha), cfg.R)
 
 
-def coefficients_grid(n: int, m: int, alpha, R, out=None, work=None) -> np.ndarray:
+def coefficients_grid(n: int, m: int, alpha, R) -> np.ndarray:
     """Unnormalized coefficients over broadcast grids of alpha (real or complex) and R.
 
     Returns an array of shape (n + 1,) + broadcast(alpha, R).shape; the
     parameter-space scans pass real alpha grids, raw_coefficients one
-    complex alpha.  All n + 1 Hermite factors share one table of the powers
-    of x (`hermite2_rows`), the level factors are taken on R's own shape
-    before they broadcast, and real x is not conjugated.  On a real grid
-    the C_q accumulate in out in place, with x and the power table in work
-    (len(row_powers(n, m)) + 2 rows of the grid shape); both are allocated when not
-    given, so a blocked caller can reuse them.  Every elementwise operation
-    keeps its operands and order, so each C_q is bit-identical to
-    _level_factor(n, q, ratio) * hermite2(n - q, m, conj(x), x); numpy
-    scalar arguments stay numpy scalars, whose ``**`` rounds differently
-    from numpy's array power loop.  Raises NonFiniteResult where a Hermite
-    coefficient does not fit in a float.
+    complex alpha.  Each C_q is _level_factor(n, q, ratio) * hermite2(n - q,
+    m, conj(x), x) (`hermite2_rows`), elementwise, so a block of a grid
+    gives the whole grid's values bit for bit; real x is not conjugated, and
+    the level factors are taken on R's own shape before they broadcast.
+    Numpy scalar arguments stay numpy scalars, whose ``**`` rounds
+    differently from numpy's array power loop.  Raises NonFiniteResult
+    where the factor k! of a Hermite row, k = min(n - q, m), does not fit in
+    a float (k >= 171).
     """
     alpha, R = np.asarray(alpha), np.asarray(R, float)
-    shape = np.broadcast_shapes(alpha.shape, R.shape)
+    x = alpha * np.sqrt(1.0 - R)
     ratio = (1.0 - R) / R
     try:
-        if shape and not np.iscomplexobj(alpha):
-            out = np.empty((n + 1,) + shape) if out is None else out
-            work = np.empty((len(row_powers(n, m)) + 2,) + shape) if work is None else work
-            x = np.multiply(alpha, np.sqrt(1.0 - R), out=work[0])
-            hermite2_rows(n, m, x, x, out, work[1:])
-            for q in range(1, n + 1):  # the level factor of q = 0 is exactly 1.0
-                out[q] *= _level_factor(n, q, ratio)
-            return out
-        x = alpha * np.sqrt(1.0 - R)
         rows = hermite2_rows(n, m, np.conj(x) if np.iscomplexobj(x) else x, x)
     except OverflowError:
         raise NonFiniteResult(f"Hermite coefficients of H_(n-q,{m}) overflow for n={n}") from None
-    out = np.empty((n + 1,) + shape, dtype=np.result_type(x, ratio))
+    out = np.empty((n + 1,) + np.shape(x), dtype=np.result_type(x, ratio))
     for q, h in enumerate(rows):
         out[q] = _level_factor(n, q, ratio) * h
     return out

@@ -28,6 +28,10 @@ class NonFiniteResult(DQSimError):
     """A closed-form quantity overflows the floating-point range."""
 
 
+class PrecisionLoss(DQSimError):
+    """Rounding leaves a result outside the range its definition allows."""
+
+
 class NonPhysicalCovariance(DQSimError):
     """A quadrature covariance matrix violates det(sigma) >= 1/4."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dq, fock
-from .errors import NonPhysicalCovariance
+from .errors import NonFiniteResult, NonPhysicalCovariance
 # unused here, but perfbench/spans.py traces nongauss.expm and fails to install without it
 from .fock import expm
 from .squeezing import bare_moment, covariance_from_moments, minimize
@@ -165,8 +165,9 @@ def hsd_of_coeffs(coeffs):
 
     Coefficients run along the leading axis (each vector is normalized),
     trailing axes are batch axes; an all-zero vector (alpha = 0 with m > n
-    heralds nothing) gives NaN, as in `variance_x_map`.  Displacement drops
-    out because the matched reference co-displaces.
+    heralds nothing) or one whose norm overflows gives NaN, as in
+    `variance_x_map`.  Displacement drops out because the matched reference
+    co-displaces.
     Tr(tau^2) = 1 / (2 sqrt(det sigma)) and Tr(rho tau) = pi * integral
     W_rho W_tau d^2 beta (Cahill-Glauber), with W_rho = (2/pi)
     exp(-2|beta|^2) P(beta), P the degree-2n polynomial of `wigner_closed`,
@@ -186,7 +187,7 @@ def hsd_of_coeffs(coeffs):
     c = np.asarray(coeffs, dtype=complex)
     s = np.sum(np.abs(c) ** 2, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        c = np.where(s > 0, c / np.sqrt(s), np.nan)
+        c = np.where((s > 0) & (s < np.inf), c / np.sqrt(s), np.nan)
     a1 = bare_moment(c, 0, 1)
     sxx, spp, sxp = covariance_from_moments(a1, bare_moment(c, 0, 2), bare_moment(c, 1, 1).real)
     root = _root_det(sxx, spp, sxp)
@@ -279,8 +280,13 @@ def wigner_closed(state: dq.DQState, beta):
 
 
 def _reduced(A: np.ndarray, g: complex) -> np.ndarray:
-    """The reduced coefficients d_u of `wigner_closed`, along A's leading axis."""
+    """The reduced coefficients d_u of `wigner_closed`, along A's leading axis.
+
+    Raises NonFiniteResult from n = 171 on, where n! leaves the float range.
+    """
     n = A.shape[0] - 1
+    if n > 170:
+        raise NonFiniteResult(f"the Wigner polynomial of {n + 1} levels needs {n}!, past floats")
     d = np.zeros(A.shape, dtype=complex)
     for u in range(n + 1):
         for p in range(u, n + 1):

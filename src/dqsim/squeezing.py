@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dq
 from .errors import IndexOutOfRange
-from .polynomials import hermite2_rows, row_powers
+from .polynomials import hermite2_rows
 
 __all__ = [
     "QuadratureReport",
@@ -344,37 +344,21 @@ def variance_x_map(n: int, m: int, alpha_sq, R) -> np.ndarray:
 def _variance_blocks(n: int, m: int, alpha_sq: np.ndarray, R: np.ndarray):
     """(lo, hi, V) for each of the `row_blocks` of the grid, in order.
 
-    C_q, work rows and the norm live in buffers for one block, reused by
-    the next: the work rows take the power table, then the squares for
-    numpy's own sum, then variance_of_coeffs' moments, term by term.
+    Each block is the whole-grid numpy evaluation on its rows: the norm is
+    np.sum over the levels, a cell whose norm is zero or not finite gets
+    NaN coefficients, and the moments are `variance_of_coeffs`.
     """
     shape = np.broadcast_shapes(alpha_sq.shape, R.shape)
-    blocks = row_blocks(shape)
-    size = (blocks[0][1] if blocks else 0,) + shape[1:]
-    c, norm = np.empty((n + 1,) + size), np.empty(size)
-    work = np.empty((max(len(row_powers(n, m)) + 2, n + 1, 4),) + size)
 
     def rows(a, lo, hi):  # an input broadcast along the leading axis passes whole
         return a[lo:hi] if a.ndim == len(shape) and a.shape[0] > 1 else a
 
-    for lo, hi in blocks:
-        cb, wb, nb = c[:, : hi - lo], work[:, : hi - lo], norm[: hi - lo]
-        dq.coefficients_grid(n, m, np.sqrt(rows(alpha_sq, lo, hi)), rows(R, lo, hi), cb, wb)
+    for lo, hi in row_blocks(shape):
+        c = dq.coefficients_grid(n, m, np.sqrt(rows(alpha_sq, lo, hi)), rows(R, lo, hi))
+        s = np.sum(c * c, axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            np.sqrt(np.add.reduce(np.multiply(cb, cb, out=wb[: n + 1]), axis=0, out=nb), out=nb)
-            cb /= nb
-            empty = ~(nb > 0)
-        if empty.any():  # np.where(s > 0, c / sqrt(s), nan)
-            cb[:, empty] = np.nan
-        a1, var, n1, term = wb[:4]
-        for total, (u, v) in ((a1, (0, 1)), (var, (0, 2)), (n1, (1, 1))):
-            total.fill(0.0)
-            for i, j, w in _moment_terms(n + 1, u, v):
-                total += np.multiply(np.multiply(cb[i], cb[j], out=term), w, out=term)
-        var += 0.5  # 0.5 + <a^2> + <a^dag a> - (2.0 <a>) <a>
-        var += n1
-        var -= np.multiply(np.multiply(a1, 2.0, out=term), a1, out=term)
-        yield lo, hi, var
+            c = np.where((s > 0) & (s < np.inf), c / np.sqrt(s), np.nan)
+        yield lo, hi, variance_of_coeffs(c)
 
 
 def _variance_point(n: int, m: int, alpha_sq: float, R: float) -> float:
@@ -397,7 +381,7 @@ def _variance_point(n: int, m: int, alpha_sq: float, R: float) -> float:
         return functools.reduce(operator.add, terms, 0.0)
 
     s = float(np.sum(np.square(c))) if n >= 7 else total(h * h for h in c)
-    root = math.sqrt(s) if s > 0 else math.nan  # as np.where(s > 0, c / sqrt(s), nan)
+    root = math.sqrt(s) if 0 < s < math.inf else math.nan  # as _variance_blocks' np.where
     c = [h / root for h in c]
     a1, a2, n1 = (total(c[i] * c[j] * w for i, j, w in _moment_terms(n + 1, u, v))
                   for u, v in ((0, 1), (0, 2), (1, 1)))

@@ -354,6 +354,38 @@ def test_hsd_scan_small(tmp_path):
     assert all(-1e-9 <= v <= 0.5 + 1e-6 for v in vals)
 
 
+def test_scan_overflowing_norm_exits_3(capsys):
+    # sum_q C_q^2 overflows while each C_q is finite (n = 150): no vacuum value 0.5
+    rc = _run(["scan", "--n", "150", "--m", "0", "--grid", "1:2:2,0.1:0.2:2"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "NonFiniteResult: scan value not finite in 4 of 4 cells" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["hsd-scan", "--n", "171", "--m", "0", "--grid", "1:2:2,0.1:0.2:2"],
+    ["wigner", "--n", "171", "--m", "0", "--alpha-sq", "1e-6", "--R", "0.9", "--points", "3"],
+], ids=["hsd-scan", "wigner"])
+def test_wigner_polynomial_past_float_factorial_exits_3(capsys, argv):
+    # the Wigner polynomial of 172 levels needs 171!, which no float holds
+    rc = _run(argv)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "NonFiniteResult" in err and "171!" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_hsd_scan_delta_outside_its_range_exits_3(capsys):
+    # at n = 40 cancellation in Tr(rho tau) sends delta outside [0, 1/2] at small |alpha|^2
+    rc = _run(["hsd-scan", "--n", "40", "--m", "0", "--grid", "0.05:1:2,0.05:0.5:2"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "PrecisionLoss: hsd-scan value outside [-1e-09, 0.500000001] in 2 of 4 cells" in err
+    assert "at alpha_sq=0.05, R=0.05" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -455,3 +455,12 @@ def test_hsd_nan_cells_without_warning():
         np.isnan(grid), np.isnan(squeezing.variance_x_map(1, 2, a_vals[:, None], r_vals))
     )
     assert math.isnan(nongauss.hsd_of_coeffs(np.zeros(3)))
+
+
+def test_hsd_of_overflowing_norm_is_nan():
+    # a norm that overflows leaves no state: NaN, as in variance_x_map, not the delta = 1
+    # of the zero vector that c / inf gives; the finite column is untouched
+    with np.errstate(over="ignore"):
+        delta = nongauss.hsd_of_coeffs(np.array([[1e200, 1.0], [1e200, 2.0]]))
+    assert math.isnan(delta[0])
+    assert delta[1] == nongauss.hsd_of_coeffs(np.array([1.0, 2.0]))

@@ -49,9 +49,29 @@ def test_hermite2_matches_mpmath_on_k_sum_range(n, m, x_sq):
         assert float(abs(hermite2(n, m, x, x) - exact)) <= 1e-14 * float(scale)
 
 
+def test_hermite2_rows_match_mpmath_hermite_sum():
+    # the heralded rows H_{n-q,m}(x, x) at seeded points of the paper's range, against the
+    # Hermite sum itself at 60 digits; rounding x * x alone costs up to 2^-54 |x dH/dx| at
+    # the float x, which near a root exceeds 1e-12 |H|, so that much more is allowed
+    rng = np.random.default_rng(20)
+    with mpmath.workdps(60):
+        for _ in range(300):
+            n, m = int(rng.integers(0, 9)), int(rng.integers(0, 41))
+            alpha_sq, R = rng.uniform(0.0, 60.0), rng.uniform(0.05, 0.95)
+            x = math.sqrt(alpha_sq) * math.sqrt(1.0 - R)
+            for q, row in enumerate(hermite2_rows(n, m, x, x)):
+                a, b = n - q, m
+                terms = [(-1) ** k * mpmath.binomial(a, k) * mpmath.binomial(b, k)
+                         * mpmath.factorial(k) * mpmath.mpf(x) ** (a + b - 2 * k)
+                         for k in range(min(a, b) + 1)]
+                exact = mpmath.fsum(terms)
+                slope = mpmath.fsum(t * (a + b - 2 * k) for k, t in enumerate(terms))  # x dH/dx
+                assert abs(row - exact) <= 1e-12 * abs(exact) + 2.0**-52 * abs(slope), (n, m, q)
+
+
 @pytest.mark.parametrize("n, m", [(0, 0), (1, 3), (4, 4), (6, 1), (3, 12)])
 def test_hermite2_rows_equal_hermite2(n, m):
-    # one shared power table gives each row the same ** and the same sum, bit for bit
+    # each row is hermite2 itself, on scalars, arrays and polynomials alike, bit for bit
     x = np.linspace(-3.0, 3.0, 41).reshape(41, 1) * np.linspace(0.2, 1.0, 7)
     z = x + 1j * x[::-1]
     poly = np.polynomial.Polynomial([0.3, -1.1, 0.7])

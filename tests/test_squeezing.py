@@ -116,8 +116,8 @@ def _variance_oracle(n, m, alpha_sq, R):
 
     The coefficients are _level_factor * hermite2 over the whole grid (a
     0-d input stays in numpy scalars), the norm is np.sum over the levels,
-    cells without a positive norm get NaN coefficients, and the moments
-    are variance_of_coeffs'.
+    cells whose norm is not positive and finite get NaN coefficients, and
+    the moments are variance_of_coeffs'.
     """
     alpha_sq, R = np.asarray(alpha_sq, float), np.asarray(R, float)
     x = np.sqrt(alpha_sq) * np.sqrt(1.0 - R)
@@ -125,7 +125,7 @@ def _variance_oracle(n, m, alpha_sq, R):
     c = np.array([dq._level_factor(n, q, ratio) * hermite2(n - q, m, x, x) for q in range(n + 1)])
     s = np.sum(c * c, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        c = np.where(s > 0, c / np.sqrt(s), np.nan)
+        c = np.where((s > 0) & (s < np.inf), c / np.sqrt(s), np.nan)
     return squeezing.variance_of_coeffs(c)
 
 
@@ -377,9 +377,9 @@ def test_table1_rows_report_their_start_scan():
     assert len(paths[120 * 79]) == 11
 
 
-def test_power_table_holds_only_the_exponents_in_use():
-    # H_{2-q,1000}(x, x) needs x^0..x^2 and x^998..x^1000; a table of all 1001 powers
-    # held 16 MiB on this grid
+def test_large_m_grid_holds_no_power_table():
+    # H_{2-q,1000}(x, x) is x^(998+q) times a Laguerre value of degree 2 - q; a table of all
+    # 1001 powers of x held 16 MiB on this grid
     a_vals, r_vals = np.linspace(1.0, 2.0, 20), np.linspace(0.1, 0.4, 100)
     args = (2, 1000, a_vals[:, None], r_vals[None, :])
     squeezing.variance_x_map(*args)
@@ -395,8 +395,18 @@ def test_power_table_holds_only_the_exponents_in_use():
     assert peak <= 2**20
 
 
+def test_overflowing_norm_is_nan():
+    # every C_q is finite, but sum_q C_q^2 overflows: NaN, not the vacuum's 1/2 from c / inf
+    c = dq.coefficients_grid(150, 0, math.sqrt(2.0), 0.2)
+    with np.errstate(over="ignore"):  # numpy warns as C_q^2 overflows
+        assert np.isfinite(c).all() and not np.isfinite(np.sum(c * c))
+        assert math.isnan(squeezing._variance_point(150, 0, 2.0, 0.2))
+        assert np.isnan(squeezing.variance_x_map(150, 0, np.array([1.0, 2.0]), 0.2)).all()
+        assert np.isnan(_variance_oracle(150, 0, 2.0, 0.2))
+
+
 def test_optimizer_scan_memory_peak():
-    # one block's buffers, not the 600 x 393 grid and np.nanargmin's copy of it (4.5 MiB)
+    # one block's arrays, not the 600 x 393 grid and np.nanargmin's copy of it (4.5 MiB)
     squeezing.optimize_cm_squeezing(1, 0)
     tracemalloc.start()
     try:
