@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dq, fock
-from .errors import TruncationTooSmall, ZeroProbability
+from .errors import NonFiniteResult, TruncationTooSmall, ZeroProbability
 from .polynomials import hermite2_rows
 
 __all__ = [
@@ -98,7 +98,8 @@ def _tail_bound(cfg: dq.CMConfig, k: int, eta_d: np.ndarray) -> np.ndarray:
 def herald_terms(cfg: dq.CMConfig, eta_d_values) -> HeraldTerms:
     """The k sum until its tail bound is below TAIL_REL of the sum for every eta_d; a
     term that raises ZeroProbability counts as 0.  Raises TruncationTooSmall past
-    MAX_TERMS terms and NonFiniteResult where a p(n, k) overflows (n = 2: chi >~ 70-120)."""
+    MAX_TERMS terms and NonFiniteResult, naming k, where a term's sum_q |C_q|^2 overflows
+    (n = 2: chi >~ 70-120)."""
     eta_d = np.atleast_1d(np.asarray(eta_d_values, float))
     weights, probs, coeffs = [], [], []
     total = np.zeros(eta_d.size)
@@ -107,6 +108,11 @@ def herald_terms(cfg: dq.CMConfig, eta_d_values) -> HeraldTerms:
             state, p = dq.build_dq(dq.CMConfig(cfg.n, k, cfg.alpha, cfg.R))
         except ZeroProbability:
             state, p = None, 0.0
+        except NonFiniteResult:
+            raise NonFiniteResult(
+                f"C_q or sum_q |C_q|^2 overflows at the k sum's term k={k} for n={cfg.n},"
+                f" m={cfg.m}, alpha={cfg.alpha}, R={cfg.R}"
+            ) from None
         weights.append(_weight(k, cfg.m, eta_d))
         probs.append(p)
         coeffs.append(state.coeffs if state else np.zeros(cfg.n + 1, dtype=complex))

@@ -6,9 +6,9 @@ whose first and second moments match those of rho:
 
     delta[rho] = Tr[(rho - tau)^2] / (2 Tr(rho^2)),   0 <= delta <= 1/2.
 
-For the heralded qudits Tr(rho tau) is the phase-space overlap of the two
-Wigner functions, a Gaussian-weighted polynomial that a Gauss-Hermite rule
-integrates exactly (`hsd_of_coeffs`); the dense-Fock `hsd` is its oracle.
+For the heralded qudits Tr(rho tau) needs only the Fock block of tau on
+rho's n + 1 levels, which a recurrence gives exactly (`hsd_of_coeffs`); the
+dense-Fock `hsd` is its oracle.
 
 Wigner functions use the convention integral W d(Re beta) d(Im beta) = 1,
 so a coherent state peaks at 2/pi.  The closed form for displaced qudits
@@ -30,7 +30,9 @@ from . import dq, fock
 from .errors import NonFiniteResult, NonPhysicalCovariance
 # unused here, but perfbench/spans.py traces nongauss.expm and fails to install without it
 from .fock import expm
-from .squeezing import bare_moment, covariance_from_moments, minimize
+from .squeezing import bare_moment, covariance_from_moments
+# unused here, but perfbench/spans.py traces nongauss.minimize and fails to install without it
+from .squeezing import minimize
 
 __all__ = [
     "GaussianRef",
@@ -47,9 +49,9 @@ __all__ = [
     "wigner_negativity",
 ]
 
-# (lo, hi, step) of |alpha|^2 and of R: hsd_max's box and coarse scan
-HSD_ALPHA_SQ_AXIS = (0.05, 16.0, 0.25)
-HSD_R_AXIS = (0.05, 0.95, 0.015)
+# (lo, hi) of |alpha|^2 and of R: hsd_max's box, and the points of each scan along its edge
+HSD_BOX = ((0.05, 16.0), (0.05, 0.95))
+_EDGE_POINTS = 641
 
 
 @dataclass(frozen=True)
@@ -167,46 +169,40 @@ def hsd_of_coeffs(coeffs):
     trailing axes are batch axes; an all-zero vector (alpha = 0 with m > n
     heralds nothing) or one whose norm overflows gives NaN, as in
     `variance_x_map`.  Displacement drops out because the matched reference
-    co-displaces.
-    Tr(tau^2) = 1 / (2 sqrt(det sigma)) and Tr(rho tau) = pi * integral
-    W_rho W_tau d^2 beta (Cahill-Glauber), with W_rho = (2/pi)
-    exp(-2|beta|^2) P(beta), P the degree-2n polynomial of `wigner_closed`,
-    and W_tau the Gaussian of mean mu = <a> and covariance sigma/2 in
-    v = (Re beta, Im beta).  Completing the square with M = 2 sigma + 1,
-    v0 = M^-1 mu and K = sigma M^-1 / 2 = L L^T gives
+    co-displaces.  Tr(tau^2) = 1 / (2 sqrt(det sigma)), and Tr(rho tau) =
+    c^dag T c needs only tau's Fock block T_pq = <p|tau|q> = G_qp on rho's
+    levels 0..n, from the Fock-element recurrence of a Gaussian state (Miatto
+    & Quesada, Quantum 4, 366 (2020); Quesada et al., Phys. Rev. A 100,
+    022341 (2019)), exact and O(n^2) per vector.  With N = <a^dag a> - |<a>|^2,
+    M = <a^2> - <a>^2, beta = (<a>, conj<a>), Q = [[N + 1, M], [conj M, N + 1]],
+    A = X (1 - Q^-1) (X the swap) and gamma = conj(beta) - A beta,
 
-        Tr(rho tau) = 2 exp(-2 mu.v0) / (pi sqrt(det M))
-                      * integral exp(-|t|^2) P(v0 + sqrt(2) L t) d^2 t.
-
-    P stays of degree 2n in each t, and the (n + 1)-node Gauss-Hermite rule
-    per axis is exact to degree 2n + 1, so its (n + 1)^2-node sum is the
-    exact integral: no Fock cutoff is involved.
+        G_00 = exp(-beta^dag Q^-1 beta / 2) / sqrt(det Q),
+        G_(k + e_i) = (gamma_i G_k + sum_j A_ij sqrt(k_j) G_(k - e_j)) / sqrt(k_i + 1).
     """
-    from numpy.polynomial.hermite import hermgauss
-
     c = np.asarray(coeffs, dtype=complex)
     s = np.sum(np.abs(c) ** 2, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         c = np.where((s > 0) & (s < np.inf), c / np.sqrt(s), np.nan)
-    a1 = bare_moment(c, 0, 1)
-    sxx, spp, sxp = covariance_from_moments(a1, bare_moment(c, 0, 2), bare_moment(c, 1, 1).real)
-    root = _root_det(sxx, spp, sxp)
-    mxx, mpp, mxp = 2.0 * sxx + 1.0, 2.0 * spp + 1.0, 2.0 * sxp
-    det_m = mxx * mpp - mxp * mxp
-    x0 = (mpp * a1.real - mxp * a1.imag) / det_m
-    p0 = (mxx * a1.imag - mxp * a1.real) / det_m
-    # Cholesky factor L of K = sigma M^-1 / 2
-    l11 = np.sqrt((sxx * mpp - sxp * mxp) / (2.0 * det_m))
-    l21 = (sxp * mxx - sxx * mxp) / (2.0 * det_m * l11)
-    l22 = np.sqrt((spp * mxx - sxp * mxp) / (2.0 * det_m) - l21 * l21)
-    t, w = hermgauss(c.shape[0])
-    t = math.sqrt(2.0) * t.reshape((-1,) + (1,) * (c.ndim - 1))
-    ti, tj = t[:, None], t[None, :]
-    nodes = (x0 + l11 * ti) + 1j * (p0 + l21 * ti + l22 * tj)
-    integral = np.tensordot(np.outer(w, w), _wigner_poly(c, 0j, nodes), axes=2)
-    gauss = np.exp(-2.0 * (a1.real * x0 + a1.imag * p0)) / (math.pi * np.sqrt(det_m))
-    tr_rho_tau = 2.0 * gauss * integral
-    delta = 0.5 * (1.0 - 2.0 * tr_rho_tau + 0.5 / root)
+    a1, a2, n1 = bare_moment(c, 0, 1), bare_moment(c, 0, 2), bare_moment(c, 1, 1).real
+    root = _root_det(*covariance_from_moments(a1, a2, n1))
+    q, mm = n1 - np.abs(a1) ** 2 + 1.0, a2 - a1 * a1  # N + 1 and M
+    inv_det = 1.0 / (q * q - np.abs(mm) ** 2)  # 1 / det Q
+    a00, a01, a11 = np.conj(mm) * inv_det, 1.0 - q * inv_det, mm * inv_det  # A_10 = A_01
+    g0, g1 = np.conj(a1) - a00 * a1 - a01 * np.conj(a1), a1 - a01 * a1 - a11 * np.conj(a1)
+    n = c.shape[0] - 1
+    row = np.zeros_like(c)  # G_kp for k = 0, along p
+    row[0] = np.exp((np.real(mm * np.conj(a1) ** 2) - q * np.abs(a1) ** 2) * inv_det) * np.sqrt(inv_det)
+    for p in range(n):
+        row[p + 1] = (g1 * row[p] + a11 * math.sqrt(p) * row[p - 1]) / math.sqrt(p + 1)
+    root_p = np.sqrt(np.arange(1.0, n + 1)).reshape((-1,) + (1,) * (c.ndim - 1))
+    prev, c_bar = np.zeros_like(row), np.conj(c)
+    tr_rho_tau = c[0] * np.sum(c_bar * row, axis=0)
+    for k in range(n):
+        shifted = np.concatenate((np.zeros_like(row[:1]), root_p * row[:-1]))  # sqrt(p) G_k,p-1
+        row, prev = (g0 * row + a00 * math.sqrt(k) * prev + a01 * shifted) / math.sqrt(k + 1), row
+        tr_rho_tau = tr_rho_tau + c[k + 1] * np.sum(c_bar * row, axis=0)
+    delta = 0.5 * (1.0 - 2.0 * tr_rho_tau.real + 0.5 / root)
     return delta if delta.ndim else float(delta)
 
 
@@ -218,38 +214,23 @@ def hsd_scan(n: int, m: int, alpha_sq_values, R_values) -> np.ndarray:
 
 
 def hsd_max(n: int, m: int) -> tuple[float, float, float, bool]:
-    """Maximal delta over the HSD_ALPHA_SQ_AXIS x HSD_R_AXIS box.
+    """Maximal delta over the HSD_BOX of (|alpha|^2, R), on its R = 0.05 edge.
 
-    Returns (value, alpha_sq, R, on_boundary).
+    Returns (value, alpha_sq, R, on_boundary), on_boundary always True.  As R -> 0 the
+    state tends to |n> (C_n ~ t^n dominates), whose delta 1/2 (1 + 1/(2n + 1) - 2 n^n /
+    (n + 1)^(n + 1)) is the ceiling; for n = 1 and m >= 1 the edge crosses x^2 = m, where
+    C_0 = 0 and delta = 5/12.  The tests check for n, m <= 5 that no cell of a dense 2-D
+    scan of the box is higher.  The edge is scanned at _EDGE_POINTS points, then the two
+    steps around its best point, until they span less than 1e-9.
     """
-    (a_lo, a_hi, a_step), (r_lo, r_hi, r_step) = HSD_ALPHA_SQ_AXIS, HSD_R_AXIS
-    a_vals = np.arange(a_lo, a_hi + a_step / 2, a_step)
-    r_vals = np.arange(r_lo, r_hi + r_step / 2, r_step)
-    grid = hsd_scan(n, m, a_vals, r_vals)
-    ia, ir = np.unravel_index(np.argmax(grid), grid.shape)
-
-    def objective(p):
-        a2, r = p
-        a2 = min(max(a2, a_lo), a_hi)
-        r = min(max(r, r_lo), r_hi)
-        c = dq.coefficients_grid(n, m, math.sqrt(a2), r)
-        return -hsd_of_coeffs(c)
-
-    res = minimize(
-        objective, np.array([a_vals[ia], r_vals[ir]]), xatol=1e-5, fatol=1e-9, maxiter=2000
-    )
-    best = -float(res.fun)
-    a_best = float(min(max(res.x[0], a_lo), a_hi))
-    r_best = float(min(max(res.x[1], r_lo), r_hi))
-    if best < float(grid[ia, ir]):
-        best, a_best, r_best = float(grid[ia, ir]), float(a_vals[ia]), float(r_vals[ir])
-    on_boundary = (
-        a_best - a_lo < a_step
-        or a_hi - a_best < a_step
-        or r_best - r_lo < r_step
-        or r_hi - r_best < r_step
-    )
-    return best, a_best, r_best, on_boundary
+    (lo, hi), (r_edge, _) = HSD_BOX
+    while True:
+        a_vals = np.linspace(lo, hi, _EDGE_POINTS)
+        delta = hsd_scan(n, m, a_vals, [r_edge])[:, 0]
+        i = int(np.argmax(delta))
+        if hi - lo < 1e-9:
+            return float(delta[i]), float(a_vals[i]), r_edge, True
+        lo, hi = a_vals[max(i - 1, 0)], a_vals[min(i + 1, a_vals.size - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +248,7 @@ def wigner_closed(state: dq.DQState, beta):
 
     which reduces to the familiar Gaussian for a bare coherent state and is
     checked pointwise against the displaced-parity reference.  The Hermite
-    sum is `_wigner_poly`, which `hsd_of_coeffs` shares.
+    sum is `_wigner_poly`, which `wigner_negativity` shares.
     """
     beta_arr = np.asarray(beta, dtype=complex)
     g = complex(state.displacement)
@@ -305,9 +286,8 @@ def _wigner_poly(A: np.ndarray, g: complex, beta: np.ndarray) -> np.ndarray:
     n = A.shape[0] - 1
     d = _reduced(A, g)
     a_bar = np.conj(g - 2.0 * beta)
-    # a_bar ** j for j >= 2 is made once, in the k = 0 pass, and dropped after
-    # the last k that uses it; numpy's fast-path powers 0 and 1 (ones, a copy)
-    # are redone where used.  The batched HSD so needs no more memory for n = 2.
+    # a_bar ** j, j >= 2, is made in the k = 0 pass and dropped after its last use; numpy's
+    # fast-path powers 0 and 1 (ones, a copy) are redone where used: n - 1 powers at most.
     a_pow = {}
     shape = np.broadcast_shapes(a_bar.shape, A.shape[1:])
     total = np.zeros(shape, dtype=float)

@@ -451,7 +451,7 @@ def _locus_band(n: int, m: int, a_vals, r_vals):
     else:
         axis = a_vals
         brackets = [(b, b) for b in np.array([n1_optimal_alpha_sq(m, float(r)) for r in r_vals]).T]
-    cells, meets = [], False
+    cells, meets = np.zeros(a_vals.size * r_vals.size, dtype=bool), False
     for low, high in brackets:
         lo, hi = np.searchsorted(axis, low), np.searchsorted(axis, high, side="right")
         meets = meets or bool(np.any((lo < axis.size) & (hi > 0)))
@@ -459,8 +459,8 @@ def _locus_band(n: int, m: int, a_vals, r_vals):
         sizes = np.minimum(hi + 2, axis.size) - start  # lo <= hi <= axis.size: 2 cells or more
         along = np.repeat(start - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
         across = np.repeat(np.arange(sizes.size), sizes)
-        cells.append(across * r_vals.size + along if m == 0 else along * r_vals.size + across)
-    return np.unique(np.concatenate(cells)) if meets else None
+        cells[across * r_vals.size + along if m == 0 else along * r_vals.size + across] = True
+    return np.flatnonzero(cells) if meets else None
 
 
 def _near_edge(alpha_sq: float, R: float, steps: int) -> bool:

@@ -363,27 +363,61 @@ def test_scan_overflowing_norm_exits_3(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["hsd-scan", "--n", "171", "--m", "0", "--grid", "1:2:2,0.1:0.2:2"],
-    ["wigner", "--n", "171", "--m", "0", "--alpha-sq", "1e-6", "--R", "0.9", "--points", "3"],
-], ids=["hsd-scan", "wigner"])
-def test_wigner_polynomial_past_float_factorial_exits_3(capsys, argv):
+@pytest.mark.parametrize("argv,message", [
+    # sum_q |C_q|^2 of 172 levels overflows, as in scan
+    (["hsd-scan", "--n", "171", "--m", "0", "--grid", "1:2:2,0.1:0.2:2"],
+     "hsd-scan value not finite in 4 of 4 cells"),
     # the Wigner polynomial of 172 levels needs 171!, which no float holds
+    (["wigner", "--n", "171", "--m", "0", "--alpha-sq", "1e-6", "--R", "0.9", "--points", "3"],
+     "171!"),
+], ids=["hsd-scan", "wigner"])
+def test_wigner_polynomial_past_float_factorial_exits_3(capsys, argv, message):
     rc = _run(argv)
     err = capsys.readouterr().err
     assert rc == 3
-    assert "NonFiniteResult" in err and "171!" in err
+    assert "NonFiniteResult" in err and message in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
-def test_hsd_scan_delta_outside_its_range_exits_3(capsys):
-    # at n = 40 cancellation in Tr(rho tau) sends delta outside [0, 1/2] at small |alpha|^2
+def test_hsd_scan_delta_outside_its_range_exits_3(capsys, monkeypatch):
+    # the guard against a kernel that leaves [0, 1/2]
+    from dqsim import nongauss
+
+    monkeypatch.setattr(nongauss, "hsd_of_coeffs", lambda c: np.array([[-0.1, 0.2], [0.6, 0.3]]))
     rc = _run(["hsd-scan", "--n", "40", "--m", "0", "--grid", "0.05:1:2,0.05:0.5:2"])
     err = capsys.readouterr().err
     assert rc == 3
     assert "PrecisionLoss: hsd-scan value outside [-1e-09, 0.500000001] in 2 of 4 cells" in err
     assert "at alpha_sq=0.05, R=0.05" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_hsd_scan_n40_default_grid_stays_in_range(tmp_path):
+    out = tmp_path / "h.csv"
+    assert _run(["hsd-scan", "--n", "40", "--m", "0", "--out", str(out)]) == 0
+    values = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2]
+    assert values.size == 80 * 46 and np.all((values >= 0) & (values <= 0.5))
+
+
+def test_k_sum_overflow_names_k_and_requested_m(capsys):
+    # sum_q |C_q|^2 of the term k = 165 overflows; a finite map needs log-scale heralding
+    rc = _run(["fidelity-map", "--n", "2", "--m", "70", "--alpha-sq", "140", "--R", "0.5"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "NonFiniteResult" in err and "k=165" in err and "m=70," in err and "m=165" not in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_flat_row_optimize_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma; the locus band of a flat row needs no sort
+    code = ("import os, sys\nfrom dqsim import cli\n"
+            "cli.main(['optimize', '--n', '1', '--m', '2', '--out', os.devnull])\n"
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(

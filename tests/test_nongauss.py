@@ -95,6 +95,66 @@ def test_hsd_fast_path_matches_general():
         assert nongauss.hsd_of_coeffs(c) == pytest.approx(dense, abs=1e-10)
 
 
+def _mp_hsd(c):
+    """delta of sum_q c_q |q> from the Fock-element recurrence in 50-digit matrix arithmetic."""
+    with mpmath.workdps(50):
+        c = [mpmath.mpc(complex(v)) for v in c]
+        norm = mpmath.sqrt(mpmath.fsum(abs(v) ** 2 for v in c))
+        c = [v / norm for v in c]
+        n, f = len(c) - 1, mpmath.factorial
+
+        def moment(u, v):  # <a^dag^u a^v>
+            return mpmath.fsum(mpmath.conj(c[k + u]) * c[k + v] * mpmath.sqrt(f(k + u) * f(k + v))
+                               / f(k) for k in range(n + 1 - max(u, v)))
+
+        a1 = moment(0, 1)
+        N, M = moment(1, 1).real - abs(a1) ** 2, moment(0, 2) - a1**2
+        Q = mpmath.matrix([[N + 1, M], [mpmath.conj(M), N + 1]])
+        A = mpmath.matrix([[0, 1], [1, 0]]) * (mpmath.eye(2) - Q**-1)
+        beta = mpmath.matrix([a1, mpmath.conj(a1)])
+        gamma = mpmath.matrix([mpmath.conj(a1), a1]) - A * beta
+        G = mpmath.matrix(n + 1, n + 1)
+        G[0, 0] = mpmath.exp(-(beta.H * Q**-1 * beta)[0] / 2) / mpmath.sqrt(mpmath.det(Q))
+        for k0 in range(n + 1):
+            for k1 in range(n + 1):
+                k, i = [k0, k1], 0 if k0 else 1  # G_k from G_(k - e_i)
+                if k == [0, 0]:
+                    continue
+                k[i] -= 1
+                total = gamma[i] * G[k[0], k[1]]
+                for j in (0, 1):
+                    if k[j]:
+                        low = list(k)
+                        low[j] -= 1
+                        total += A[i, j] * mpmath.sqrt(k[j]) * G[low[0], low[1]]
+                G[k0, k1] = total / mpmath.sqrt(k[i] + 1)
+        tr = mpmath.fsum(mpmath.conj(c[p]) * G[q, p] * c[q] for p in range(n + 1) for q in range(n + 1))
+        det_sigma = (N + mpmath.mpf(1) / 2) ** 2 - abs(M) ** 2
+        return float((1 - 2 * tr.real + 1 / (2 * mpmath.sqrt(det_sigma))) / 2)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (10, 0), (40, 0)])
+def test_hsd_matches_mpmath_recurrence(n, m):
+    # cells of hsd-scan's default grid; the float coefficients are the exact inputs
+    a_vals, r_vals = np.array([0.05, 1.0, 6.0, 16.0]), np.array([0.05, 0.5, 0.95])
+    coeffs = dq.coefficients_grid(n, m, np.sqrt(a_vals)[:, None], r_vals[None, :])
+    deltas = nongauss.hsd_of_coeffs(coeffs)
+    for i, j in np.ndindex(deltas.shape):
+        assert deltas[i, j] == pytest.approx(_mp_hsd(coeffs[:, i, j]), abs=1e-13)
+
+
+def test_hsd_max_tops_a_dense_scan_of_the_box():
+    (a_lo, a_hi), (r_lo, r_hi) = nongauss.HSD_BOX
+    a_vals, r_vals = np.linspace(a_lo, a_hi, 320), np.linspace(r_lo, r_hi, 181)
+    for n in range(1, 6):
+        ceiling = 0.5 * (1 + 1 / (2 * n + 1) - 2 * n**n / (n + 1) ** (n + 1))  # delta of |n>
+        for m in range(6):
+            value, alpha_sq, R, on_boundary = nongauss.hsd_max(n, m)
+            assert value >= np.max(nongauss.hsd_scan(n, m, a_vals, r_vals)) - 1e-9, (n, m)
+            assert value <= ceiling + 1e-12 and R == r_lo and on_boundary
+            assert value == pytest.approx(nongauss.hsd_scan(n, m, [alpha_sq], [R])[0, 0], abs=1e-14)
+
+
 def test_hsd_displacement_invariance():
     c = np.array([0.6, -0.64, 0.48])
     c = c / np.linalg.norm(c)

@@ -451,14 +451,6 @@ def test_minimize_matches_scipy_on_cm_objective(monkeypatch, n, m):
     assert _assert_matches_scipy_nelder_mead(fun, x0, options).success
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (3, 2)])
-def test_minimize_matches_scipy_on_hsd_objective(monkeypatch, n, m):
-    from dqsim import nongauss
-
-    fun, x0, options = _captured_objective(monkeypatch, nongauss, lambda: nongauss.hsd_max(n, m))
-    assert _assert_matches_scipy_nelder_mead(fun, x0, options).success
-
-
 def _rosenbrock(x):
     return np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
 
