@@ -274,14 +274,16 @@ def _cmd_table3(args):
     eta_d = args.eta_d if args.eta_d is not None else 0.9
     eta_s = args.eta_s if args.eta_s is not None else 0.9
     imp = imperfections.ImperfectionParams(eta_d, eta_s)
+    # bound before map_rows forks: the lazily loaded modules run here, not again in its children
+    build, realize = dq.build_dq, imperfections.realized_qudit
+    negativity = nongauss.wigner_negativity
 
     def row(config):
         n, a2, R = config
         cfg = dq.CMConfig(n, 1, complex(math.sqrt(a2)), R)
-        state, prob_ideal = dq.build_dq(cfg)
-        _, prob = imperfections.realized_qudit(cfg, imp)
-        wn = nongauss.wigner_negativity(state)
-        return (n, a2, R, prob, wn, prob_ideal)
+        state, prob_ideal = build(cfg)
+        _, prob = realize(cfg, imp)
+        return (n, a2, R, prob, negativity(state), prob_ideal)
 
     rows = squeezing.map_rows(row, _TABLE3_CONFIGS)
     return (

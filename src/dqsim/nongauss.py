@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dq, fock
-from .errors import NonFiniteResult, NonPhysicalCovariance
+from .errors import TOLERANCES, NonFiniteResult, NonPhysicalCovariance, PrecisionLoss
 # unused here, but perfbench/spans.py traces nongauss.expm and fails to install without it
 from .fock import expm
 from .squeezing import bare_moment, covariance_from_moments
@@ -52,6 +52,10 @@ __all__ = [
 # (lo, hi) of |alpha|^2 and of R: hsd_max's box, and the points of each scan along its edge
 HSD_BOX = ((0.05, 16.0), (0.05, 0.95))
 _EDGE_POINTS = 641
+# complex entries of `_wigner_poly`'s power table per block of points (1 MiB), and the negative
+# segments whose |W| `wigner_negativity` evaluates at once
+_POLY_BLOCK = 1 << 16
+_SEGMENT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -248,13 +252,24 @@ def wigner_closed(state: dq.DQState, beta):
 
     which reduces to the familiar Gaussian for a bare coherent state and is
     checked pointwise against the displaced-parity reference.  The Hermite
-    sum is `_wigner_poly`, which `wigner_negativity` shares.
+    sum is `_wigner_poly`, which `wigner_negativity` shares.  Its terms cancel
+    for large n, so the sum rounds to about eps (n + 1) sum_k k! |e_k|^2; where
+    that bound, times the Gaussian, passes TOLERANCES["wigner_pointwise"]
+    anywhere in the request (from n = 23 on the default window of the m = 0
+    states at |alpha|^2 = 8, R = 0.5) this raises PrecisionLoss instead of
+    returning W.
     """
     beta_arr = np.asarray(beta, dtype=complex)
     g = complex(state.displacement)
-    w = (2.0 / math.pi) * np.exp(-2.0 * np.abs(beta_arr - g) ** 2) * _wigner_poly(
-        state.coeffs, g, beta_arr
-    )
+    poly, size = _wigner_poly(state.coeffs, g, beta_arr)
+    gauss = (2.0 / math.pi) * np.exp(-2.0 * np.abs(beta_arr - g) ** 2)
+    bound = np.finfo(float).eps * state.coeffs.size * np.max(gauss * size, initial=0.0)
+    if bound > TOLERANCES["wigner_pointwise"]:
+        raise PrecisionLoss(
+            f"the Wigner polynomial of {state.coeffs.size} levels rounds to up to {bound:.2g}"
+            f" on this request, past wigner_pointwise {TOLERANCES['wigner_pointwise']:.0e}"
+        )
+    w = gauss * poly
     if np.isscalar(beta) or beta_arr.ndim == 0:
         return float(w)
     return w
@@ -276,31 +291,38 @@ def _reduced(A: np.ndarray, g: complex) -> np.ndarray:
     return d
 
 
-def _wigner_poly(A: np.ndarray, g: complex, beta: np.ndarray) -> np.ndarray:
-    """The polynomial factor sum_k (-1)^k k! |e_k|^2 of the displaced-qudit Wigner function.
+def _wigner_poly(c: np.ndarray, g: complex, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P = sum_k (-1)^k k! |e_k|^2, the polynomial factor of the displaced-qudit Wigner function,
+    and S = sum_k k! |e_k|^2, which bounds its rounding, both of beta's shape.
 
-    A holds the coefficients along its leading axis, trailing axes are batch
-    axes that broadcast against beta from the right.  The result has degree
-    2n in (Re beta, Im beta).
+    c is one coefficient vector of n + 1 levels, and P has degree 2n in (Re beta, Im beta).  The
+    points run in blocks of _POLY_BLOCK // (n + 1), so the powers of conj(A) held at once fit in
+    cache whatever the size of beta; every point's arithmetic is the same in any block.
     """
-    n = A.shape[0] - 1
-    d = _reduced(A, g)
-    a_bar = np.conj(g - 2.0 * beta)
-    # a_bar ** j, j >= 2, is made in the k = 0 pass and dropped after its last use; numpy's
-    # fast-path powers 0 and 1 (ones, a copy) are redone where used: n - 1 powers at most.
-    a_pow = {}
-    shape = np.broadcast_shapes(a_bar.shape, A.shape[1:])
-    total = np.zeros(shape, dtype=float)
-    for k in range(n + 1):
-        e_k = np.zeros(shape, dtype=complex)
-        for u in range(k, n + 1):
-            j = u - k
-            if j > 1 and k == 0:
-                a_pow[j] = a_bar**j
-            e_k += math.comb(u, k) * d[u] * (a_pow[j] if j > 1 else a_bar**j)
-        a_pow.pop(n - k, None)
-        total += (-1) ** k * math.factorial(k) * np.abs(e_k) ** 2
-    return total
+    n = c.size - 1
+    d = _reduced(c, g)
+    # e_k = sum_j coef[k][j] a_bar^j, started from its j = 0 term
+    coef = [[math.comb(u, k) * d[u] for u in range(k, n + 1)] for k in range(n + 1)]
+    points = np.ravel(beta)
+    poly, size = np.zeros(points.shape), np.zeros(points.shape)
+    step = max(1, _POLY_BLOCK // (n + 1))
+    for lo in range(0, points.size, step):
+        a_bar = np.conj(g - 2.0 * points[lo : lo + step])
+        total, bound = poly[lo : lo + step], size[lo : lo + step]
+        # a_bar ** j, j >= 2, is made in the k = 0 pass and dropped after its last use: n - 1
+        # powers at most
+        a_pow = {1: a_bar}
+        for k in range(n + 1):
+            e_k = np.full(a_bar.shape, coef[k][0])
+            for j in range(1, n + 1 - k):
+                if j not in a_pow:
+                    a_pow[j] = a_bar**j
+                e_k += coef[k][j] * a_pow[j]
+            a_pow.pop(n - k, None)
+            term = math.factorial(k) * np.abs(e_k) ** 2
+            (np.subtract if k % 2 else np.add)(total, term, out=total)
+            bound += term
+    return poly.reshape(np.shape(beta)), size.reshape(np.shape(beta))
 
 
 def wigner_oracle(rho: fock.DensityMatrix, beta):
@@ -360,7 +382,7 @@ def wigner_negativity(state: dq.DQState) -> float:
     Gauss-Legendre sums of its halves agree with its own to 1e-13, as G can have singularities
     close to the real axis.  Raises ValueError where rounding hides the sign of P (from n ~ 7).
     """
-    from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
+    from numpy.polynomial.chebyshev import chebder, chebvander
     from numpy.polynomial.legendre import leggauss
 
     c = np.trim_zeros(np.asarray(state.coeffs, dtype=complex), "b")
@@ -382,9 +404,8 @@ def wigner_negativity(state: dq.DQState) -> float:
         return np.linalg.eigvals(mat)
 
     # P(beta) = sum_ij coef[i, j] T_i(Re(beta - mid) / half) T_j(Im(beta - mid) / half)
-    z = chebpts1(2 * n + 1)
-    to_cheb = np.linalg.inv(chebvander(z, 2 * n))
-    coef = to_cheb @ _wigner_poly(c, 0j, mid + half * (z[:, None] + 1j * z)) @ to_cheb.T
+    z, to_cheb = _cheb_nodes(2 * n)
+    coef = to_cheb @ _wigner_poly(c, 0j, mid + half * (z[:, None] + 1j * z))[0] @ to_cheb.T
     if np.finfo(float).eps * np.sum(np.abs(coef)) > 1e-5:  # P's rounding on the window, from n ~ 7
         raise ValueError(f"P of degree {2 * n} varies too widely on its window to resolve its sign")
     d_coef = chebder(coef, axis=1)
@@ -404,9 +425,13 @@ def wigner_negativity(state: dq.DQState) -> float:
         ends = np.sort(np.c_[np.clip(roots(a).real, -1.0, 1.0), -np.ones(xs.size), np.ones(xs.size)])
         t_mid, t_half = 0.5 * (ends[:, 1:] + ends[:, :-1]), 0.5 * np.diff(ends)
         line, j = np.nonzero(np.einsum("lj,lij->li", a, chebvander(t_mid, 2 * n)) < 0)
-        beta = xs[line, None] + 1j * (mid.imag + half * (t_mid[line, j, None] + t_half[line, j, None] * u))
-        absw = -np.exp(-2.0 * np.abs(beta) ** 2) * _wigner_poly(c, 0j, beta)
-        g = np.bincount(line, t_half[line, j] * (absw @ w), xs.size).reshape(x_half.size, u.size)
+        seg_mid, seg_half, sums = t_mid[line, j, None], t_half[line, j], np.empty(line.size)
+        for lo in range(0, line.size, _SEGMENT_BLOCK):  # |W| on _SEGMENT_BLOCK segments at a time
+            at = slice(lo, lo + _SEGMENT_BLOCK)
+            t = seg_mid[at] + seg_half[at, None] * u
+            beta = xs[line[at], None] + 1j * (mid.imag + half * t)
+            sums[at] = (-np.exp(-2.0 * np.abs(beta) ** 2) * _wigner_poly(c, 0j, beta)[0]) @ w
+        g = np.bincount(line, seg_half * sums, xs.size).reshape(x_half.size, u.size)
         return 2.0 * half * x_half * ((np.sin(phi) * g) @ w)
 
     b = _breakpoints(critical, mid.real + half * np.linspace(-1.0, 1.0, _SCAN_LINES))
@@ -422,6 +447,21 @@ def wigner_negativity(state: dq.DQState) -> float:
         if x0.size > 200:  # rounding, not G, keeps the halves apart
             raise ValueError(f"the pieces of N do not settle to 1e-13 for this degree-{2 * n} P")
     return total
+
+
+def _cheb_nodes(deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """The N = deg + 1 first-kind Chebyshev nodes z and the inverse of V = chebvander(z, deg).
+
+    At these nodes sum_k T_i(z_k) T_j(z_k) is N for i = j = 0, N / 2 for i = j > 0 and 0 otherwise
+    (discrete orthogonality; Mason & Handscomb, Chebyshev Polynomials (2003), sec. 4.6), so
+    V^-1 = diag(1, 2, ..., 2) V^T / N, exact and with no linear solve.
+    """
+    from numpy.polynomial.chebyshev import chebpts1, chebvander
+
+    z = chebpts1(deg + 1)
+    inverse = 2.0 * chebvander(z, deg).T / z.size
+    inverse[0] /= 2.0
+    return z, inverse
 
 
 def _breakpoints(critical, xs: np.ndarray) -> np.ndarray:

@@ -556,6 +556,7 @@ def table1(n_max: int = 4, m_max: int = 4) -> list[OptimumRecord]:
     Each cell is tuned on its own, so the cells run through `map_rows`.
     """
     cells = [(n, m) for n in range(1, n_max + 1) for m in range(0, m_max + 1)]
+    dq.coefficients_grid  # runs the lazily loaded dq here, not again in map_rows' children
     return map_rows(lambda cell: optimize_cm_squeezing(*cell), cells)
 
 
@@ -564,6 +565,7 @@ def table2() -> list[Table2Row]:
 
     The rows n = 1..TABLE2_N_MAX are independent and run through `map_rows`.
     """
+    dq.coefficients_grid  # runs the lazily loaded dq here, not again in map_rows' children
     return map_rows(_table2_row, range(1, TABLE2_N_MAX + 1))
 
 

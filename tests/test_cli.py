@@ -379,6 +379,52 @@ def test_wigner_polynomial_past_float_factorial_exits_3(capsys, argv, message):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+def test_wigner_rounding_guard_exits_3(capsys):
+    # the alternating Hermite sum of n = 40 loses up to 6e-2 here; it printed a minimum of -0.062
+    # with exit 0, where the displaced-parity oracle gives about -2.5e-7
+    rc = _run(["wigner", "--n", "40", "--m", "0", "--alpha-sq", "8", "--R", "0.5", "--points", "41"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "PrecisionLoss: the Wigner polynomial of 41 levels rounds to up to" in err
+    assert "past wigner_pointwise 1e-07" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_wigner_n20_passes_the_rounding_guard(tmp_path):
+    out = tmp_path / "w.csv"
+    argv = ["wigner", "--n", "20", "--m", "0", "--alpha-sq", "8", "--R", "0.5", "--points", "41"]
+    assert _run([*argv, "--out", str(out)]) == 0
+    assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
+
+
+_MODULE_RUNS = """
+import importlib.machinery, os, sys
+run = importlib.machinery.SourceFileLoader.exec_module
+def exec_module(self, module):
+    if module.__name__.split(".")[0] == "dqsim":
+        os.write(2, f"ran {os.getpid()} {module.__name__}\\n".encode())
+    return run(self, module)
+importlib.machinery.SourceFileLoader.exec_module = exec_module
+from dqsim import cli
+sys.exit(cli.main([sys.argv[1], "--out", os.devnull]))
+"""
+
+
+@pytest.mark.parametrize("command", ["table1", "table2", "table3"])
+def test_table_rows_run_each_module_in_one_process(command):
+    # map_rows forks; a lazily loaded module that the rows first touch in a child runs again there
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _MODULE_RUNS, command], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = [line.split()[1:] for line in proc.stderr.splitlines() if line.startswith("ran ")]
+    pids = {}
+    for pid, module in runs:
+        pids.setdefault(module, []).append(pid)
+    assert {"dqsim.cli", "dqsim.dq", "dqsim.squeezing"} <= pids.keys()
+    assert {module: p for module, p in pids.items() if len(p) != 1} == {}
+
+
 def test_hsd_scan_delta_outside_its_range_exits_3(capsys, monkeypatch):
     # the guard against a kernel that leaves [0, 1/2]
     from dqsim import nongauss

@@ -524,3 +524,91 @@ def test_hsd_of_overflowing_norm_is_nan():
         delta = nongauss.hsd_of_coeffs(np.array([[1e200, 1.0], [1e200, 2.0]]))
     assert math.isnan(delta[0])
     assert delta[1] == nongauss.hsd_of_coeffs(np.array([1.0, 2.0]))
+
+
+def _traced_peak_mib(fn, *args):
+    """fn(*args) and the peak of the memory it allocates, in MiB, after one untraced warm-up call."""
+    import tracemalloc
+
+    fn(*args)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        value = fn(*args)
+        return value, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, alpha_sq, R, limit", [
+    *[(n, a2, R, 0.6) for n, a2, R, _ in NEGATIVITY_PINS[:4]],
+    (6, 8.0, 0.7, 1.2),
+])
+def test_negativity_working_set_is_bounded(n, alpha_sq, R, limit):
+    # |W| runs over the negative segments in blocks; one batch over all of them held 2.98 MiB
+    # at n = 4 and 8.6 MiB at this n = 6 state
+    _, peak = _traced_peak_mib(nongauss.wigner_negativity, _pinned_state(n, alpha_sq, R))
+    assert peak <= limit
+
+
+def test_wigner_closed_working_set_is_bounded():
+    # the points run in blocks of _POLY_BLOCK // (n + 1); the whole 401^2 grid at once held 56 MiB
+    state, _ = dq.build_dq(dq.CMConfig(20, 0, complex(math.sqrt(8.0)), 0.5))
+    mesh = nongauss.default_grid(state, 401).mesh()
+    W, peak = _traced_peak_mib(nongauss.wigner_closed, state, mesh)
+    assert W.shape == (401, 401) and np.all(np.isfinite(W))
+    assert peak <= 8.0
+
+
+def test_block_sizes_leave_results_bit_identical(monkeypatch):
+    rng = np.random.default_rng(23)
+    coeffs = [rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1) for n in range(7)]
+    beta = rng.normal(size=(37, 11)) + 1j * rng.normal(size=(37, 11))
+    states = [_pinned_state(n, a2, R) for n, a2, R, _ in NEGATIVITY_PINS[:4]]
+
+    def polys():
+        return [nongauss._wigner_poly(c, 0.3 - 0.7j, b) for c in coeffs for b in (beta, beta[3, 4])]
+
+    def negativities(states):
+        return [nongauss.wigner_negativity(s) for s in states]
+
+    ref_polys, ref_negs = polys(), negativities(states)
+    for size in (1, 7, 10**9):
+        # segment blocks on every Table 3 state; point blocks as small as one point take
+        # seconds from n = 3, so they also run on the n <= 2 states only
+        monkeypatch.setattr(nongauss, "_SEGMENT_BLOCK", size)
+        assert negativities(states) == ref_negs
+        monkeypatch.setattr(nongauss, "_POLY_BLOCK", size)
+        assert negativities(states[:2]) == ref_negs[:2]
+        for (p, s), (bp, bs) in zip(ref_polys, polys()):
+            assert p.shape == bp.shape == s.shape and np.array_equal(p, bp) and np.array_equal(s, bs)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("deg", range(21))
+def test_chebyshev_inverse_closed_form(deg):
+    from numpy.polynomial.chebyshev import chebpts1, chebvander
+
+    z, inverse = nongauss._cheb_nodes(deg)
+    assert np.array_equal(z, chebpts1(deg + 1))
+    assert np.max(np.abs(inverse - np.linalg.inv(chebvander(z, deg)))) <= 1e-13
+
+
+def test_wigner_closed_n20_matches_oracle_at_random_points():
+    # the rounding guard lets n = 20 through on the default window, where the closed form still
+    # holds wigner_pointwise against the displaced-parity oracle
+    state, _ = dq.build_dq(dq.CMConfig(20, 0, complex(math.sqrt(8.0)), 0.5))
+    grid = nongauss.default_grid(state, 41)
+    rng = np.random.default_rng(200)
+    beta = rng.uniform(grid.xs[0], grid.xs[-1], 200) + 1j * rng.uniform(grid.ps[0], grid.ps[-1], 200)
+    rho = fock.DensityMatrix(np.outer(state.coeffs, state.coeffs.conj()))
+    oracle = nongauss.wigner_oracle(rho, beta - state.displacement)
+    assert np.max(np.abs(nongauss.wigner_closed(state, beta) - oracle)) <= 1e-7
+
+
+def test_wigner_closed_rounding_guard_raises_past_tolerance():
+    # at n = 40 the alternating Hermite sum loses up to 6e-2 on this window
+    from dqsim.errors import PrecisionLoss
+
+    state, _ = dq.build_dq(dq.CMConfig(40, 0, complex(math.sqrt(8.0)), 0.5))
+    with pytest.raises(PrecisionLoss, match="wigner_pointwise"):
+        nongauss.wigner_closed(state, nongauss.default_grid(state, 41).mesh())
