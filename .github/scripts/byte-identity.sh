@@ -9,29 +9,34 @@
 # until the exact optimizer (ROADMAP item 2) replaces the simplex path.
 # The CSV and JSON writers of the grid and report commands are covered too.
 # For an output that differs it also prints how many fields differ and the
-# largest relative difference between two numeric fields.
+# largest relative and absolute differences between two numeric fields.
 # Exits 1 if any output differs.
 set -euo pipefail
 base=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
 out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
 status=0
 # fields split on whitespace and on the CSV and JSON separators
 field_diff='
 import re, sys
 a, b = (re.split(r"[\s,:\[\]{}]+", open(p).read()) for p in sys.argv[1:])
 diff = [(x, y) for x, y in zip(a, b) if x != y]
-rel = 0.0
+rel = dev = 0.0
 for x, y in diff:
     try:
         x, y = float(x), float(y)
-        rel = max(rel, abs(x - y) / max(abs(x), abs(y)))
     except ValueError:  # a word, such as true against false
-        rel = float("nan")
+        rel = dev = float("nan")
+        continue
+    dev = max(dev, abs(x - y))
+    if x != y:  # fields such as 0 and -0 differ in text only
+        rel = max(rel, abs(x - y) / max(abs(x), abs(y)))
 if len(a) != len(b):
     print(f"         {len(a)} fields against {len(b)}")
 else:
-    print(f"         {len(diff)} of {len(a)} fields differ, largest relative difference {rel:.2g}")
+    print(f"         {len(diff)} of {len(a)} fields differ, largest relative difference {rel:.2g},"
+          f" largest absolute difference {dev:.2g}")
 '
 while read -r name args; do
   for side in base head; do
@@ -58,5 +63,4 @@ wigner wigner --n 2 --m 1 --alpha-sq 5.45 --R 0.8175
 state-json state --n 2 --m 1 --alpha-sq 5.45 --R 0.8175 --eta-d 0.9 --format json
 fidelity-map fidelity-map --n 2 --m 1 --alpha-sq 5.45 --R 0.8175
 COMMANDS
-rm -rf "$out"
 exit "$status"

@@ -52,7 +52,7 @@ __all__ = [
 # (lo, hi) of |alpha|^2 and of R: hsd_max's box, and the points of each scan along its edge
 HSD_BOX = ((0.05, 16.0), (0.05, 0.95))
 _EDGE_POINTS = 641
-# complex entries of `_wigner_poly`'s power table per block of points (1 MiB), and the negative
+# complex Taylor coefficients of `_wigner_poly` per block of points (1 MiB), and the negative
 # segments whose |W| `wigner_negativity` evaluates at once
 _POLY_BLOCK = 1 << 16
 _SEGMENT_BLOCK = 64
@@ -244,11 +244,11 @@ def hsd_max(n: int, m: int) -> tuple[float, float, float, bool]:
 def wigner_closed(state: dq.DQState, beta):
     """Closed-form Wigner function of a displaced qudit at beta (scalar or array).
 
-    With g the displacement, A = g - 2 beta and the reduced coefficients
-    d_u = sum_p A_p (-1)^p C(p,u) conj(g)^(p-u) / sqrt(p!), the function is
+    The displacement g only shifts W, W(beta) = W_bare(beta - g).  For the bare
+    coefficients c_u, with E(z) = sum_u d_u z^u, d_u = (-1)^u c_u / sqrt(u!) and
+    e_k = E^(k)(a) / k! at a = -2 conj(beta - g), the function is
 
-        W(beta) = (2/pi) exp(-2|beta - g|^2)
-                  sum_k (-1)^k k! | sum_{u>=k} C(u,k) d_u conj(A)^(u-k) |^2,
+        W(beta) = (2/pi) exp(-2|beta - g|^2) sum_k (-1)^k k! |e_k|^2,
 
     which reduces to the familiar Gaussian for a bare coherent state and is
     checked pointwise against the displaced-parity reference.  The Hermite
@@ -260,9 +260,9 @@ def wigner_closed(state: dq.DQState, beta):
     returning W.
     """
     beta_arr = np.asarray(beta, dtype=complex)
-    g = complex(state.displacement)
-    poly, size = _wigner_poly(state.coeffs, g, beta_arr)
-    gauss = (2.0 / math.pi) * np.exp(-2.0 * np.abs(beta_arr - g) ** 2)
+    shifted = beta_arr - complex(state.displacement)
+    poly, size = _wigner_poly(state.coeffs, shifted)
+    gauss = (2.0 / math.pi) * np.exp(-2.0 * np.abs(shifted) ** 2)
     bound = np.finfo(float).eps * state.coeffs.size * np.max(gauss * size, initial=0.0)
     if bound > TOLERANCES["wigner_pointwise"]:
         raise PrecisionLoss(
@@ -275,51 +275,41 @@ def wigner_closed(state: dq.DQState, beta):
     return w
 
 
-def _reduced(A: np.ndarray, g: complex) -> np.ndarray:
-    """The reduced coefficients d_u of `wigner_closed`, along A's leading axis.
+def _taylor_coeffs(c: np.ndarray) -> np.ndarray:
+    """The coefficients d_u = (-1)^u c_u / sqrt(u!) of `wigner_closed`'s E(z).
 
     Raises NonFiniteResult from n = 171 on, where n! leaves the float range.
     """
-    n = A.shape[0] - 1
+    n = c.size - 1
     if n > 170:
         raise NonFiniteResult(f"the Wigner polynomial of {n + 1} levels needs {n}!, past floats")
-    d = np.zeros(A.shape, dtype=complex)
-    for u in range(n + 1):
-        for p in range(u, n + 1):
-            term = A[p] * (-1) ** p * math.comb(p, u) * np.conj(g) ** (p - u)
-            d[u] += term / math.sqrt(math.factorial(p))
-    return d
+    return np.array([(-1) ** u * c[u] / math.sqrt(math.factorial(u)) for u in range(n + 1)], complex)
 
 
-def _wigner_poly(c: np.ndarray, g: complex, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P = sum_k (-1)^k k! |e_k|^2, the polynomial factor of the displaced-qudit Wigner function,
+def _wigner_poly(c: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P = sum_k (-1)^k k! |e_k|^2, the polynomial factor of the bare qudit's Wigner function,
     and S = sum_k k! |e_k|^2, which bounds its rounding, both of beta's shape.
 
     c is one coefficient vector of n + 1 levels, and P has degree 2n in (Re beta, Im beta).  The
-    points run in blocks of _POLY_BLOCK // (n + 1), so the powers of conj(A) held at once fit in
-    cache whatever the size of beta; every point's arithmetic is the same in any block.
+    Taylor coefficients e_k of E at a = -2 conj(beta) come from one Taylor shift of d, the repeated
+    synthetic division e_j += a e_(j+1) (Knuth, TAOCP vol. 2, sec. 4.6.4).  The points run in
+    blocks of _POLY_BLOCK // (n + 1), so the n + 1 arrays of e fit in cache whatever the size of
+    beta; every point's arithmetic is the same in any block.
     """
-    n = c.size - 1
-    d = _reduced(c, g)
-    # e_k = sum_j coef[k][j] a_bar^j, started from its j = 0 term
-    coef = [[math.comb(u, k) * d[u] for u in range(k, n + 1)] for k in range(n + 1)]
+    d = _taylor_coeffs(c)
+    n = d.size - 1
     points = np.ravel(beta)
     poly, size = np.zeros(points.shape), np.zeros(points.shape)
     step = max(1, _POLY_BLOCK // (n + 1))
     for lo in range(0, points.size, step):
-        a_bar = np.conj(g - 2.0 * points[lo : lo + step])
+        a = -2.0 * np.conj(points[lo : lo + step])
+        e = [np.full(a.shape, d_u) for d_u in d]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                e[j] += a * e[j + 1]
         total, bound = poly[lo : lo + step], size[lo : lo + step]
-        # a_bar ** j, j >= 2, is made in the k = 0 pass and dropped after its last use: n - 1
-        # powers at most
-        a_pow = {1: a_bar}
         for k in range(n + 1):
-            e_k = np.full(a_bar.shape, coef[k][0])
-            for j in range(1, n + 1 - k):
-                if j not in a_pow:
-                    a_pow[j] = a_bar**j
-                e_k += coef[k][j] * a_pow[j]
-            a_pow.pop(n - k, None)
-            term = math.factorial(k) * np.abs(e_k) ** 2
+            term = math.factorial(k) * np.abs(e[k]) ** 2
             (np.subtract if k % 2 else np.add)(total, term, out=total)
             bound += term
     return poly.reshape(np.shape(beta)), size.reshape(np.shape(beta))
@@ -388,7 +378,7 @@ def wigner_negativity(state: dq.DQState) -> float:
     c = np.trim_zeros(np.asarray(state.coeffs, dtype=complex), "b")
     n = c.size - 1
     r = math.sqrt(n) + 6.0
-    centers = -np.conj(np.roots(_reduced(c, 0j)[::-1])) / 2
+    centers = -np.conj(np.roots(_taylor_coeffs(c)[::-1])) / 2
     box = np.c_[centers.real, centers.imag][np.abs(centers) < r + 0.55 * n]
     if not box.size:  # n = 0, or P < 0 only where |W| is below rounding
         return 0.0
@@ -405,7 +395,7 @@ def wigner_negativity(state: dq.DQState) -> float:
 
     # P(beta) = sum_ij coef[i, j] T_i(Re(beta - mid) / half) T_j(Im(beta - mid) / half)
     z, to_cheb = _cheb_nodes(2 * n)
-    coef = to_cheb @ _wigner_poly(c, 0j, mid + half * (z[:, None] + 1j * z))[0] @ to_cheb.T
+    coef = to_cheb @ _wigner_poly(c, mid + half * (z[:, None] + 1j * z))[0] @ to_cheb.T
     if np.finfo(float).eps * np.sum(np.abs(coef)) > 1e-5:  # P's rounding on the window, from n ~ 7
         raise ValueError(f"P of degree {2 * n} varies too widely on its window to resolve its sign")
     d_coef = chebder(coef, axis=1)
@@ -430,7 +420,8 @@ def wigner_negativity(state: dq.DQState) -> float:
             at = slice(lo, lo + _SEGMENT_BLOCK)
             t = seg_mid[at] + seg_half[at, None] * u
             beta = xs[line[at], None] + 1j * (mid.imag + half * t)
-            sums[at] = (-np.exp(-2.0 * np.abs(beta) ** 2) * _wigner_poly(c, 0j, beta)[0]) @ w
+            neg_w = -np.exp(-2.0 * np.abs(beta) ** 2) * _wigner_poly(c, beta)[0]
+            sums[at] = np.einsum("sj,j->s", neg_w, w)  # per row: a gemv rounds by the row count
         g = np.bincount(line, seg_half * sums, xs.size).reshape(x_half.size, u.size)
         return 2.0 * half * x_half * ((np.sin(phi) * g) @ w)
 

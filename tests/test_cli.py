@@ -390,6 +390,21 @@ def test_wigner_rounding_guard_exits_3(capsys):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+def test_wigner_displaced_n22_matches_oracle(tmp_path):
+    # a displacement of 10: the displaced-frame sum was off by up to 1.04e-6 here with exit 0
+    from dqsim import dq, nongauss
+
+    out = tmp_path / "w.csv"
+    argv = ["wigner", "--n", "22", "--m", "6", "--alpha-sq", "100", "--R", "0.6", "--points", "41"]
+    assert _run([*argv, "--out", str(out)]) == 0
+    re_beta, im_beta, value = np.loadtxt(out, delimiter=",", skiprows=1).T
+    state, _ = dq.build_dq(dq.CMConfig(22, 6, complex(10.0), 0.6))
+    rho = fock.DensityMatrix(np.outer(state.coeffs, state.coeffs.conj()))
+    oracle = nongauss.wigner_oracle(rho, re_beta + 1j * im_beta - state.displacement)
+    assert value.size == 41 * 41
+    assert np.max(np.abs(value - oracle)) <= 1e-7
+
+
 def test_wigner_n20_passes_the_rounding_guard(tmp_path):
     out = tmp_path / "w.csv"
     argv = ["wigner", "--n", "20", "--m", "0", "--alpha-sq", "8", "--R", "0.5", "--points", "41"]
@@ -401,7 +416,7 @@ _MODULE_RUNS = """
 import importlib.machinery, os, sys
 run = importlib.machinery.SourceFileLoader.exec_module
 def exec_module(self, module):
-    if module.__name__.split(".")[0] == "dqsim":
+    if module.__name__.split(".")[0] == "dqsim" or module.__name__.startswith("numpy.polynomial"):
         os.write(2, f"ran {os.getpid()} {module.__name__}\\n".encode())
     return run(self, module)
 importlib.machinery.SourceFileLoader.exec_module = exec_module
@@ -422,7 +437,27 @@ def test_table_rows_run_each_module_in_one_process(command):
     for pid, module in runs:
         pids.setdefault(module, []).append(pid)
     assert {"dqsim.cli", "dqsim.dq", "dqsim.squeezing"} <= pids.keys()
+    if command == "table3":  # the negativity's Chebyshev and Legendre modules
+        assert {"numpy.polynomial.chebyshev", "numpy.polynomial.legendre"} <= pids.keys()
     assert {module: p for module, p in pids.items() if len(p) != 1} == {}
+
+
+@pytest.mark.parametrize("argv", [
+    ["wigner", "--n", "2", "--m", "1", "--alpha-sq", "5.45", "--R", "0.8175"],
+    ["hsd-scan", "--n", "2", "--m", "1"],
+    ["scan", "--n", "2", "--m", "1"],
+], ids=["wigner", "hsd-scan", "scan"])
+def test_grid_commands_leave_numpy_polynomial_unloaded(argv):
+    # only the negativity (table3) needs numpy.polynomial's nine modules
+    code = ("import os, sys\nfrom dqsim import cli\n"
+            "rc = cli.main(sys.argv[1:] + ['--out', os.devnull])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+            "sys.exit(rc)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_hsd_scan_delta_outside_its_range_exits_3(capsys, monkeypatch):

@@ -566,7 +566,7 @@ def test_block_sizes_leave_results_bit_identical(monkeypatch):
     states = [_pinned_state(n, a2, R) for n, a2, R, _ in NEGATIVITY_PINS[:4]]
 
     def polys():
-        return [nongauss._wigner_poly(c, 0.3 - 0.7j, b) for c in coeffs for b in (beta, beta[3, 4])]
+        return [nongauss._wigner_poly(c, b) for c in coeffs for b in (beta, beta[3, 4])]
 
     def negativities(states):
         return [nongauss.wigner_negativity(s) for s in states]
@@ -582,6 +582,64 @@ def test_block_sizes_leave_results_bit_identical(monkeypatch):
         for (p, s), (bp, bs) in zip(ref_polys, polys()):
             assert p.shape == bp.shape == s.shape and np.array_equal(p, bp) and np.array_equal(s, bs)
         monkeypatch.undo()
+
+
+def test_segment_blocks_leave_random_negativities_bit_identical(monkeypatch):
+    # each segment's Gauss-Legendre sum is reduced on its own row: a matrix-vector product
+    # rounded 3 of these 12 states differently at segment blocks of 1 and 7
+    rng = np.random.default_rng(7)
+    states = []
+    for _ in range(12):
+        n = int(rng.integers(1, 5))
+        states.append(dq.DQState.from_coeffs(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)))
+    ref = [nongauss.wigner_negativity(s) for s in states]
+    for size in (1, 7, 10**9):
+        monkeypatch.setattr(nongauss, "_SEGMENT_BLOCK", size)
+        assert [nongauss.wigner_negativity(s) for s in states] == ref
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_wigner_poly_matches_mpmath_taylor_expansion(n):
+    # e_k = E^(k)(a) / k! at a = -2 conj(beta), from 50-digit mpmath.taylor of
+    # E(z) = sum_u (-1)^u c_u z^u / sqrt(u!); P and S are the sums of k! |e_k|^2 with and
+    # without the alternating sign
+    rng = np.random.default_rng(100 + n)
+    c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    beta = rng.uniform(-3, 3, 10) + 1j * rng.uniform(-3, 3, 10)
+    P, S = nongauss._wigner_poly(c, beta)
+    with mpmath.workdps(50):
+        d = [(-1) ** u * mpmath.mpc(c[u]) / mpmath.sqrt(mpmath.factorial(u)) for u in range(n + 1)]
+        for b, p, s in zip(beta, P, S):
+            e = mpmath.taylor(lambda z: mpmath.polyval(d[::-1], z), -2 * mpmath.conj(b), n)
+            terms = [mpmath.factorial(k) * abs(e_k) ** 2 for k, e_k in enumerate(e)]
+            s_mp = mpmath.fsum(terms)
+            p_mp = mpmath.fsum(t if k % 2 == 0 else -t for k, t in enumerate(terms))
+            assert abs(s - s_mp) <= 1e-14 * s_mp and abs(p - p_mp) <= 1e-14 * s_mp
+
+
+def test_wigner_closed_on_random_displaced_states_raises_or_matches_oracle():
+    # the displaced-frame sum gave silently wrong values (up to 1e2) on 26 of these 100 states;
+    # the guard's estimate is the same in either frame, so the raising states stay
+    from dqsim.errors import TOLERANCES, PrecisionLoss
+
+    rng = np.random.default_rng(2)
+    raised = 0
+    for _ in range(100):
+        n = int(rng.integers(1, 25))
+        g = complex(*rng.uniform(-8.0, 8.0, 2))
+        state = dq.DQState.from_coeffs(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1), g)
+        grid = nongauss.default_grid(state)
+        beta = (rng.uniform(grid.xs[0], grid.xs[-1], 200)
+                + 1j * rng.uniform(grid.ps[0], grid.ps[-1], 200))
+        rho = fock.DensityMatrix(np.outer(state.coeffs, state.coeffs.conj()))
+        oracle = nongauss.wigner_oracle(rho, beta - g)
+        try:
+            W = nongauss.wigner_closed(state, beta)
+        except PrecisionLoss:
+            raised += 1
+            continue
+        assert np.max(np.abs(W - oracle)) <= TOLERANCES["wigner_pointwise"]
+    assert raised < 50
 
 
 @pytest.mark.parametrize("deg", range(21))
