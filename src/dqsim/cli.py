@@ -274,9 +274,6 @@ def _cmd_table3(args):
     eta_d = args.eta_d if args.eta_d is not None else 0.9
     eta_s = args.eta_s if args.eta_s is not None else 0.9
     imp = imperfections.ImperfectionParams(eta_d, eta_s)
-    # bound before map_rows forks: the lazily loaded modules and numpy.polynomial, which
-    # wigner_negativity imports, run here, not again in its children
-    import numpy.polynomial  # noqa: F401
     build, realize = dq.build_dq, imperfections.realized_qudit
     negativity = nongauss.wigner_negativity
 

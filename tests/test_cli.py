@@ -437,18 +437,29 @@ def test_table_rows_run_each_module_in_one_process(command):
     for pid, module in runs:
         pids.setdefault(module, []).append(pid)
     assert {"dqsim.cli", "dqsim.dq", "dqsim.squeezing"} <= pids.keys()
-    if command == "table3":  # the negativity's Chebyshev and Legendre modules
-        assert {"numpy.polynomial.chebyshev", "numpy.polynomial.legendre"} <= pids.keys()
+    assert [module for module in pids if module.startswith("numpy.polynomial")] == []
     assert {module: p for module, p in pids.items() if len(p) != 1} == {}
 
 
+_CONFIG = ["--n", "2", "--m", "1", "--alpha-sq", "5.45", "--R", "0.8175"]
+
+
 @pytest.mark.parametrize("argv", [
-    ["wigner", "--n", "2", "--m", "1", "--alpha-sq", "5.45", "--R", "0.8175"],
+    ["wigner", *_CONFIG],
     ["hsd-scan", "--n", "2", "--m", "1"],
     ["scan", "--n", "2", "--m", "1"],
-], ids=["wigner", "hsd-scan", "scan"])
+    ["table1"],
+    ["table2"],
+    ["table3"],
+    ["state", *_CONFIG],
+    ["state", *_CONFIG, "--eta-d", "0.9"],
+    ["optimize", "--n", "2", "--m", "1"],
+    ["fidelity-map", *_CONFIG, "--grid", "0.5:1:3,0.5:1:3"],
+], ids=["wigner", "hsd-scan", "scan", "table1", "table2", "table3", "state", "state-eta-d",
+        "optimize", "fidelity-map"])
 def test_grid_commands_leave_numpy_polynomial_unloaded(argv):
-    # only the negativity (table3) needs numpy.polynomial's nine modules
+    # no command needs numpy.polynomial's nine modules; the negativity has its own Chebyshev and
+    # Gauss-Legendre pieces
     code = ("import os, sys\nfrom dqsim import cli\n"
             "rc = cli.main(sys.argv[1:] + ['--out', os.devnull])\n"
             "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"

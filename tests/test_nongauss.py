@@ -617,14 +617,16 @@ def test_wigner_poly_matches_mpmath_taylor_expansion(n):
             assert abs(s - s_mp) <= 1e-14 * s_mp and abs(p - p_mp) <= 1e-14 * s_mp
 
 
-def test_wigner_closed_on_random_displaced_states_raises_or_matches_oracle():
-    # the displaced-frame sum gave silently wrong values (up to 1e2) on 26 of these 100 states;
-    # the guard's estimate is the same in either frame, so the raising states stay
+def _guard_on_random_displaced_states(seed, count, monkeypatch):
+    """Raised calls among count random displaced states (n = 1-24, complex normal coefficients,
+    Re g and Im g uniform in [-8, 8]), each at 200 random points of its default window; every call
+    that returns is within wigner_pointwise of the oracle, and its guard's bound is at least its
+    error: with the tolerance just below that error, the same call raises."""
     from dqsim.errors import TOLERANCES, PrecisionLoss
 
-    rng = np.random.default_rng(2)
+    rng = np.random.default_rng(seed)
     raised = 0
-    for _ in range(100):
+    for _ in range(count):
         n = int(rng.integers(1, 25))
         g = complex(*rng.uniform(-8.0, 8.0, 2))
         state = dq.DQState.from_coeffs(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1), g)
@@ -638,8 +640,24 @@ def test_wigner_closed_on_random_displaced_states_raises_or_matches_oracle():
         except PrecisionLoss:
             raised += 1
             continue
-        assert np.max(np.abs(W - oracle)) <= TOLERANCES["wigner_pointwise"]
-    assert raised < 50
+        error = np.max(np.abs(W - oracle))
+        assert error <= TOLERANCES["wigner_pointwise"]
+        with monkeypatch.context() as patch:
+            patch.setitem(TOLERANCES, "wigner_pointwise", error * (1.0 - 1e-12))
+            with pytest.raises(PrecisionLoss):
+                nongauss.wigner_closed(state, beta)
+    return raised
+
+
+def test_wigner_closed_on_random_displaced_states_raises_or_matches_oracle(monkeypatch):
+    # the displaced-frame sum gave silently wrong values (up to 1e2) on 26 of these 100 states;
+    # the guard's estimate is the same in either frame, so the raising states stay
+    assert _guard_on_random_displaced_states(2, 100, monkeypatch) < 50
+
+
+def test_wigner_rounding_bound_covers_the_error_on_random_displaced_states(monkeypatch):
+    # eps (n + 1) S alone fell to 0.85 times the error on one of these 300 states
+    assert _guard_on_random_displaced_states(1, 300, monkeypatch) < 150
 
 
 @pytest.mark.parametrize("deg", range(21))
@@ -649,6 +667,30 @@ def test_chebyshev_inverse_closed_form(deg):
     z, inverse = nongauss._cheb_nodes(deg)
     assert np.array_equal(z, chebpts1(deg + 1))
     assert np.max(np.abs(inverse - np.linalg.inv(chebvander(z, deg)))) <= 1e-13
+
+
+@pytest.mark.parametrize("deg", range(21))
+def test_chebyshev_helpers_match_numpy_polynomial_bit_for_bit(deg):
+    # the negativity's lines (1-d), critical points and segment midpoints (2-d), coefficient blocks
+    from numpy.polynomial.chebyshev import chebder, chebvander
+
+    rng = np.random.default_rng(deg)
+    for x in (rng.uniform(-1.0, 1.0, 401), np.sort(rng.uniform(-2.0, 2.0, (9, 2 * deg + 1)))):
+        assert nongauss._chebvander(x, deg).tobytes() == chebvander(x, deg).tobytes()
+    coef = rng.normal(size=(deg + 1, deg + 1)) * 10.0 ** rng.integers(-8, 8, (deg + 1, deg + 1))
+    ours, theirs = nongauss._chebder(coef), chebder(coef, axis=1)
+    assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+    assert ours.strides == theirs.strides  # the same layout for the products that follow
+
+
+def test_gauss_legendre_rule_matches_leggauss_and_is_exact():
+    from numpy.polynomial.legendre import leggauss
+
+    u, w = nongauss._gauss_legendre(20)
+    u_np, w_np = leggauss(20)
+    assert np.max(np.abs(u - u_np)) <= 2e-15 and np.max(np.abs(w - w_np)) <= 2e-15
+    for k in range(40):
+        assert abs(np.sum(w * u**k) - (0.0 if k % 2 else 2.0 / (k + 1))) <= 1e-14
 
 
 def test_wigner_closed_n20_matches_oracle_at_random_points():
