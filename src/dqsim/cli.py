@@ -16,7 +16,10 @@ Coherent amplitudes are entered as |alpha|^2 (real, phase 0).  CSV output
 is UTF-8 with a header row and LF line endings; JSON output is one object
 with a ``meta`` header and row-major ``data``; ``optimize`` and ``table1``
 list each row's optimizer run (``nit``, ``nfev``, ``converged``, start-scan
-cells ``scan_cells``) in ``meta.optimizer``; ``state --eta-*`` and
+cells ``scan_cells``) in ``meta.optimizer``, where a row with
+``boundary_hit`` true may be ``converged`` short of the box edge's minimum,
+since the penalty outside the box can hold the simplex at its start;
+``state --eta-*`` and
 ``fidelity-map`` give their k sum's last k and relative tail bound as
 ``meta.k_cutoff`` and ``meta.k_tail_bound``.  Floats carry 12 significant
 digits; files are byte-identical across re-runs (timing goes to stderr).
@@ -120,11 +123,12 @@ def _parse_range(spec: str, name: str):
     try:
         lo, hi, num = spec.split(":")
         lo, hi, num = float(lo), float(hi), int(num)
-        if num < 2 or not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        if num < 2 or not (hi > lo and math.isfinite(hi - lo)):  # the span must not overflow
             raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"bad {name} range '{spec}', expected LO:HI:POINTS with finite LO < HI, POINTS >= 2"
+            f"bad {name} range '{spec}', expected LO:HI:POINTS with finite LO < HI, a finite"
+            " span HI - LO and POINTS >= 2"
         )
     return np.linspace(lo, hi, num)
 
@@ -171,12 +175,12 @@ def _parse_square(spec: str) -> tuple[float, int]:
     try:
         half_s, pts_s = spec.split(":")
         half, pts = float(half_s), int(pts_s)
-        if not (0 < half < math.inf and pts >= 2):
+        if not (0 < half and math.isfinite(2 * half) and pts >= 2):  # the window is 2 HALFWIDTH
             raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"bad wigner grid '{spec}', expected HALFWIDTH:POINTS with finite HALFWIDTH > 0"
-            " and POINTS >= 2 (e.g. 6:201)"
+            f"bad wigner grid '{spec}', expected HALFWIDTH:POINTS with finite HALFWIDTH > 0,"
+            " a finite window 2 HALFWIDTH and POINTS >= 2 (e.g. 6:201)"
         )
     return half, pts
 
@@ -267,24 +271,16 @@ def _cmd_table2(args):
 
 
 def _cmd_table3(args):
-    """Success probability and exact Wigner negativity of the four benchmark states.
-
-    The states are independent, so they run through `squeezing.map_rows`.
-    """
+    """Success probability and exact Wigner negativity of the four benchmark states, in order."""
     eta_d = args.eta_d if args.eta_d is not None else 0.9
     eta_s = args.eta_s if args.eta_s is not None else 0.9
     imp = imperfections.ImperfectionParams(eta_d, eta_s)
-    build, realize = dq.build_dq, imperfections.realized_qudit
-    negativity = nongauss.wigner_negativity
-
-    def row(config):
-        n, a2, R = config
+    rows = []
+    for n, a2, R in _TABLE3_CONFIGS:
         cfg = dq.CMConfig(n, 1, complex(math.sqrt(a2)), R)
-        state, prob_ideal = build(cfg)
-        _, prob = realize(cfg, imp)
-        return (n, a2, R, prob, negativity(state), prob_ideal)
-
-    rows = squeezing.map_rows(row, _TABLE3_CONFIGS)
+        state, prob_ideal = dq.build_dq(cfg)
+        _, prob = imperfections.realized_qudit(cfg, imp)
+        rows.append((n, a2, R, prob, nongauss.wigner_negativity(state), prob_ideal))
     return (
         ["n", "alpha_sq", "R", "success_prob", "wigner_negativity", "success_prob_ideal"],
         rows,
@@ -416,6 +412,9 @@ def run(args) -> int:
         return 2
     except DQSimError as exc:
         print(f"dqsim: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's, for a grid too large to allocate
+        print(f"dqsim: out of memory: MemoryError: {exc}", file=sys.stderr)
         return 3
     print(f"dqsim: {args.command} finished in {time.perf_counter() - start:.2f}s", file=sys.stderr)
     return 0

@@ -9,8 +9,7 @@ right.
 The optimizers run on numpy alone: `minimize` is a Nelder-Mead simplex
 that repeats scipy's default method step for step, and the superposition
 optimum bisects the slope of an eigenvalue, batched over its brackets.
-The tables tune each heralding cell on its own, so `map_rows` spreads
-their rows over the CPUs.
+The tables tune each heralding cell on its own, one after another.
 """
 
 from __future__ import annotations
@@ -18,9 +17,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
-import pickle
-import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -42,7 +38,6 @@ __all__ = [
     "variance_x_map",
     "optimize_cm_squeezing",
     "optimize_fock_superposition",
-    "map_rows",
     "table1",
     "table2",
     "n1_optimal_alpha_sq",
@@ -79,7 +74,11 @@ class OptimumRecord:
 
     nit, nfev and converged report the Nelder-Mead refinement: iterations,
     objective evaluations, whether it stopped on its tolerances rather than
-    its iteration cap, and the grid cells its start scans evaluated.
+    its iteration cap, and the grid cells its start scans evaluated.  With
+    boundary_hit true, converged only means the simplex met its tolerances:
+    the 1e6 penalty outside the box can hold it at its start on the edge,
+    short of the edge's own minimum (optimize --n 6 --m 7 stops at min_var
+    0.247224466 where the edge reaches 0.246608323).
     """
 
     n: int
@@ -240,87 +239,6 @@ def row_blocks(shape: tuple) -> list[tuple[int, int]]:
     """(start, stop) ranges of the leading axis of shape, about BLOCK_CELLS cells each."""
     rows = max(1, BLOCK_CELLS // max(1, math.prod(shape[1:])))
     return [(lo, min(lo + rows, shape[0])) for lo in range(0, shape[0], rows)]
-
-
-def map_rows(fn, items) -> list:
-    """[fn(x) for x in items], the items split over the CPUs this process may use.
-
-    On Linux, with w = min(len(items), CPUs in the affinity mask) > 1, the
-    process forks w - 1 children: child i runs items[i::w] and sends its
-    results back pickled over a pipe while the parent runs items[0::w].
-    Elsewhere (numpy's macOS Accelerate backend is not fork-safe) and for
-    w = 1 the rows run here, one after another.  fork, not spawn: a spawned
-    child would import numpy and dqsim afresh, about 0.1 s, as much as the
-    table1 rows save; OpenBLAS stops its threads at fork.
-
-    Every row computes what it would serially, so results are
-    bit-identical.  A failing row raises in the caller with its type and
-    message; where several fail, the first in item order wins, as it would
-    serially.  A child always ends in os._exit and never returns into the
-    caller, and every child is reaped (killed first if the parent fails)
-    before this returns.
-    """
-    items = list(items)
-    w = min(len(items), len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
-    if w < 2:
-        return [fn(x) for x in items]
-    children = []  # (pid, read end of its pipe)
-    try:
-        for i in range(1, w):
-            r, wr = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(r)
-                    with os.fdopen(wr, "wb") as fh:
-                        fh.write(_pickled_slice(fn, items, i, w))
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(wr)
-            children.append((pid, os.fdopen(r, "rb")))
-        slices = [_run_slice(fn, items, 0, w)]
-        for i, (_, fh) in enumerate(children, 1):
-            blob = fh.read()
-            if not blob:
-                raise ChildProcessError(f"row worker {i} of {w} ended without sending its rows")
-            slices.append(pickle.loads(blob))
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, 9)  # SIGKILL; an unreaped child, even a finished one, still has its pid
-        raise
-    finally:
-        for pid, fh in children:
-            fh.close()
-            os.waitpid(pid, 0)
-    failures = [failure for _, failure in slices if failure is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    out = [None] * len(items)
-    for i, (results, _) in enumerate(slices):
-        out[i::w] = results
-    return out
-
-
-def _run_slice(fn, items, i: int, w: int):
-    """(results, failure) of fn over items[i::w]; failure is (item index, exception) or None."""
-    results = []
-    for x in items[i::w]:
-        try:
-            results.append(fn(x))
-        except Exception as exc:
-            return results, (i + w * len(results), exc)
-    return results, None
-
-
-def _pickled_slice(fn, items, i: int, w: int) -> bytes:
-    """`_run_slice` pickled; a result that cannot be pickled is sent as the row's failure."""
-    results, failure = _run_slice(fn, items, i, w)
-    try:
-        return pickle.dumps((results, failure))
-    except Exception as exc:
-        return pickle.dumps(([], (i, exc)))
 
 
 def variance_x_map(n: int, m: int, alpha_sq, R) -> np.ndarray:
@@ -553,20 +471,17 @@ def optimize_fock_superposition(n: int) -> tuple[float, np.ndarray]:
 def table1(n_max: int = 4, m_max: int = 4) -> list[OptimumRecord]:
     """Optimal squeezing for every heralding cell n = 1..n_max, m = 0..m_max.
 
-    Each cell is tuned on its own, so the cells run through `map_rows`.
+    Each cell is tuned on its own, row by row in n, then m.
     """
-    cells = [(n, m) for n in range(1, n_max + 1) for m in range(0, m_max + 1)]
-    dq.coefficients_grid  # runs the lazily loaded dq here, not again in map_rows' children
-    return map_rows(lambda cell: optimize_cm_squeezing(*cell), cells)
+    return [optimize_cm_squeezing(n, m) for n in range(1, n_max + 1) for m in range(0, m_max + 1)]
 
 
 def table2() -> list[Table2Row]:
     """Single-photon-herald optima against the unconstrained superposition optima.
 
-    The rows n = 1..TABLE2_N_MAX are independent and run through `map_rows`.
+    One row for each n = 1..TABLE2_N_MAX, each tuned on its own.
     """
-    dq.coefficients_grid  # runs the lazily loaded dq here, not again in map_rows' children
-    return map_rows(_table2_row, range(1, TABLE2_N_MAX + 1))
+    return [_table2_row(n) for n in range(1, TABLE2_N_MAX + 1)]
 
 
 def _table2_row(n: int) -> Table2Row:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqsim import cli, fock, squeezing
+from dqsim import cli, fock, nongauss, squeezing
 
 
 def _run(argv):
@@ -427,7 +427,7 @@ sys.exit(cli.main([sys.argv[1], "--out", os.devnull]))
 
 @pytest.mark.parametrize("command", ["table1", "table2", "table3"])
 def test_table_rows_run_each_module_in_one_process(command):
-    # map_rows forks; a lazily loaded module that the rows first touch in a child runs again there
+    # every lazily loaded module runs once, and numpy.polynomial, which no row needs, never
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _MODULE_RUNS, command], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
@@ -562,12 +562,36 @@ def test_alpha_sq_must_be_finite(capsys, command, value):
          "finite HALFWIDTH > 0"),
         (["wigner", "--n", "2", "--m", "1", "--alpha-sq", "1", "--R", "0.5", "--grid", "nan:5"],
          "finite HALFWIDTH > 0"),
+        # finite bounds whose span overflows a float
+        (["scan", "--n", "2", "--m", "1", "--grid=-1e308:1e308:3,0.1:0.9:3"], "finite span HI - LO"),
+        (["wigner", "--n", "2", "--m", "1", "--alpha-sq", "5", "--R", "0.5", "--grid", "1e308:3"],
+         "finite window 2 HALFWIDTH"),
+        (["fidelity-map", "--n", "2", "--m", "1", "--alpha-sq", "5", "--R", "0.5",
+          "--grid=-1e308:1e308:3,0:1:2"], "finite span HI - LO"),
     ],
 )
 def test_grid_bounds_rejected(capsys, argv, rule):
     assert _run(argv) == 2
     err = capsys.readouterr().err
     assert rule in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, module, kernel", [
+    (["wigner", "--n", "2", "--m", "1", "--alpha-sq", "5", "--R", "0.5", "--points", "100000"],
+     nongauss.PhaseGrid, "mesh"),
+    (["scan", "--n", "2", "--m", "1", "--grid", "0:1:100000,0.1:0.9:100000"],
+     squeezing, "variance_x_map"),
+], ids=["wigner", "scan"])
+def test_grid_too_large_to_allocate_exits_3(monkeypatch, capsys, argv, module, kernel):
+    # the first large allocation fails as numpy's would, so nothing large is allocated
+    def kernel_fails(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(module, kernel, kernel_fails)
+    assert _run(argv) == 3
+    err = capsys.readouterr().err
+    assert "MemoryError" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -653,16 +677,18 @@ def test_cli_fuzz_exit_codes(argv):
         assert ("nan" not in row and "inf" not in row) or (row.startswith("0,") and m > n), argv
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="map_rows forks on Linux only")
-def test_table3_rows_match_serial(monkeypatch):
-    args = cli.build_parser().parse_args(["table3"])
-    runs = []
-    for cpus in (1, 2, 4):
-        monkeypatch.setattr(squeezing.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        runs.append(cli._cmd_table3(args))
-    assert runs[1] == runs[0] and runs[2] == runs[0]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def test_traced_table3_counts_every_row(tmp_path):
+    # perfbench's tracer sees the calls of this process only, so it counts every row here
+    root = Path(cli.__file__).resolve().parents[2]
+    record = tmp_path / "record.json"
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "launch.py"), str(record), "--trace", "--",
+         "table3", "--out", os.devnull],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    agg = json.loads(record.read_text())["trace"]["agg"]
+    assert sum(calls for name, _, calls, _, _ in agg if name == "nongauss.wigner_negativity") == 4
 
 
 def test_cli_import_loads_no_process_pools():

@@ -1,8 +1,5 @@
 import dataclasses
 import math
-import os
-import sys
-import time
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -13,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqsim import dq, fock, squeezing
-from dqsim.errors import IndexOutOfRange, ZeroProbability
+from dqsim.errors import IndexOutOfRange
 from dqsim.polynomials import hermite2
 
 
@@ -629,80 +626,3 @@ def test_min_var_is_principal_variance():
         seen.append(rep.min_var)
     assert max(seen) - min(seen) < 1e-12
     assert seen[0] == pytest.approx(0.2121, abs=5e-5)
-
-
-def _patch_cpus(monkeypatch, count):
-    monkeypatch.setattr(squeezing.os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-forking = pytest.mark.skipif(sys.platform != "linux", reason="map_rows forks on Linux only")
-
-
-@forking
-@pytest.mark.parametrize("table", [lambda: squeezing.table1(n_max=2, m_max=2), squeezing.table2])
-def test_map_rows_tables_match_serial(monkeypatch, table):
-    _patch_cpus(monkeypatch, 1)
-    serial = table()
-    for cpus in (2, 3):
-        _patch_cpus(monkeypatch, cpus)
-        assert table() == serial
-    _assert_no_child_left()
-
-
-@forking
-def test_map_rows_child_error_surfaces(monkeypatch):
-    _patch_cpus(monkeypatch, 2)
-
-    def row(x):
-        if x in (3, 4):  # 3 runs in the child, 4 in the parent; 3 comes first
-            raise ZeroProbability(f"row {x} too coarse")
-        return x * x
-
-    with pytest.raises(ZeroProbability, match=r"^row 3 too coarse$"):
-        squeezing.map_rows(row, range(6))
-    assert squeezing.map_rows(row, range(3)) == [0, 1, 4]
-    _assert_no_child_left()
-
-
-@forking
-def test_map_rows_unpicklable_result_raises(monkeypatch):
-    _patch_cpus(monkeypatch, 2)
-    with pytest.raises(Exception, match="pickle"):
-        squeezing.map_rows(lambda x: (lambda: x), range(4))
-    _assert_no_child_left()
-
-
-@forking
-def test_map_rows_child_without_result_raises(monkeypatch):
-    _patch_cpus(monkeypatch, 2)
-    parent = os.getpid()
-
-    def row(x):
-        if os.getpid() != parent:
-            os._exit(5)
-        return x
-
-    with pytest.raises(ChildProcessError, match="without sending its rows"):
-        squeezing.map_rows(row, range(4))
-    _assert_no_child_left()
-
-
-@forking
-def test_map_rows_interrupted_parent_kills_children(monkeypatch):
-    _patch_cpus(monkeypatch, 3)
-
-    def row(x):
-        if x == 0:
-            raise KeyboardInterrupt
-        time.sleep(60)
-
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        squeezing.map_rows(row, range(3))
-    assert time.monotonic() - start < 30
-    _assert_no_child_left()
