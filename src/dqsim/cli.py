@@ -222,7 +222,7 @@ def _cmd_state(args):
         terms = imperfections.herald_terms(cfg, [eta_d])
         rho, prob_imp = imperfections.mixture(terms, 0, eta_s)
         rows.append(("success_prob_realized", prob_imp))
-        rows.append(("fidelity_realized", np.vdot(state.coeffs, rho.mat @ state.coeffs).real))
+        rows.append(("fidelity_realized", np.vdot(state.coeffs, rho @ state.coeffs).real))
         meta.update(k_cutoff=terms.cutoff, k_tail_bound=terms.tail)
     return ["field", "value"], rows, meta
 
@@ -274,12 +274,11 @@ def _cmd_table3(args):
     """Success probability and exact Wigner negativity of the four benchmark states, in order."""
     eta_d = args.eta_d if args.eta_d is not None else 0.9
     eta_s = args.eta_s if args.eta_s is not None else 0.9
-    imp = imperfections.ImperfectionParams(eta_d, eta_s)
     rows = []
     for n, a2, R in _TABLE3_CONFIGS:
         cfg = dq.CMConfig(n, 1, complex(math.sqrt(a2)), R)
         state, prob_ideal = dq.build_dq(cfg)
-        _, prob = imperfections.realized_qudit(cfg, imp)
+        _, prob = imperfections.mixture(imperfections.herald_terms(cfg, [eta_d]), 0, eta_s)
         rows.append((n, a2, R, prob, nongauss.wigner_negativity(state), prob_ideal))
     return (
         ["n", "alpha_sq", "R", "success_prob", "wigner_negativity", "success_prob_ideal"],

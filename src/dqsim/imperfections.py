@@ -8,7 +8,7 @@ each k `dq.build_dq` gives p(n, k) and the state D(alpha sqrt R) c_k with
 the same displacement.  The vacuum branch gives D(alpha sqrt R)|0> with
 weight Poisson(eta_d chi; m), chi = |alpha|^2 (1-R).  The realized state is
 therefore D(alpha sqrt R) rho_bare D^dag with the exact mixture over levels
-0..n (`realized_qudit`, `herald_terms`; no Fock cutoff)
+0..n (`herald_terms`, then `mixture`, as a plain array; no Fock cutoff)
 
     rho_bare ∝ eta_s sum_{k>=m} w_k p(n,k) c_k c_k^dag + (1-eta_s) Poisson(eta_d chi; m) |0><0|.
 
@@ -35,7 +35,6 @@ __all__ = [
     "herald_terms",
     "mixture",
     "fidelity_rows",
-    "realized_qudit",
     "realized_state",
     "realized_fidelity",
     "fidelity_heatmap",
@@ -129,15 +128,15 @@ def herald_terms(cfg: dq.CMConfig, eta_d_values) -> HeraldTerms:
     raise TruncationTooSmall(f"k sum not closed in {MAX_TERMS} terms for n={cfg.n}, m={cfg.m}")
 
 
-def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[fock.DensityMatrix, float]:
-    """Normalized rho_bare over levels 0..n and its probability at eta_d[i] and eta_s."""
+def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[np.ndarray, float]:
+    """Normalized rho_bare over levels 0..n as an array, and its probability at eta_d[i], eta_s."""
     c = terms.coeffs
     rho = eta_s * (c.T * (terms.weights[i] * terms.probs)) @ c.conj()
     rho[0, 0] += (1.0 - eta_s) * terms.vacuum[i]
     prob = float(np.trace(rho).real)
     if prob < 1e-300:
         raise ZeroProbability(f"herald m={terms.cfg.m} never fires (eta_d={terms.eta_d[i]})")
-    return fock.DensityMatrix(rho / prob), prob
+    return rho / prob, prob
 
 
 def fidelity_rows(terms: HeraldTerms, eta_s_values) -> list[tuple[float, float, float]]:
@@ -152,11 +151,6 @@ def fidelity_rows(terms: HeraldTerms, eta_s_values) -> list[tuple[float, float, 
             fid = es * float(w @ ov) + (1.0 - es) * vac * abs(ideal[0]) ** 2
             rows.append((float(ed), float(es), fid / prob if prob >= 1e-300 else 0.0))
     return rows
-
-
-def realized_qudit(cfg: dq.CMConfig, imp: ImperfectionParams) -> tuple[fock.DensityMatrix, float]:
-    """rho_bare over levels 0..n, displaced by build_dq's alpha sqrt R, and its probability."""
-    return mixture(herald_terms(cfg, [imp.eta_d]), 0, imp.eta_s)
 
 
 def fidelity_heatmap(cfg: dq.CMConfig, eta_d_values, eta_s_values) -> list[tuple[float, ...]]:

@@ -26,13 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dq, fock
+from . import dq, fock, squeezing  # lazy: fock and squeezing run on first attribute access
 from .errors import TOLERANCES, NonFiniteResult, NonPhysicalCovariance, PrecisionLoss
-# unused here, but perfbench/spans.py traces nongauss.expm and fails to install without it
-from .fock import expm
-from .squeezing import bare_moment, covariance_from_moments
-# unused here, but perfbench/spans.py traces nongauss.minimize and fails to install without it
-from .squeezing import minimize
 
 __all__ = [
     "GaussianRef",
@@ -48,6 +43,15 @@ __all__ = [
     "default_grid",
     "wigner_negativity",
 ]
+
+
+def __getattr__(name: str):
+    # only for perfbench/spans.py, whose BOUND list traces nongauss.expm and nongauss.minimize;
+    # goes once that list drops them (ROADMAP.md, "The benchmark catches up with the code")
+    if name in ("expm", "minimize"):
+        return getattr(fock if name == "expm" else squeezing, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # (lo, hi) of |alpha|^2 and of R: hsd_max's box, and the points of each scan along its edge
 HSD_BOX = ((0.05, 16.0), (0.05, 0.95))
@@ -130,7 +134,7 @@ def _root_det(sxx, spp, sxp):
 
 
 def _ref_from_moments(a1: complex, a2: complex, n1: float) -> GaussianRef:
-    sxx, spp, sxp = covariance_from_moments(a1, a2, n1)
+    sxx, spp, sxp = squeezing.covariance_from_moments(a1, a2, n1)
     root = float(_root_det(sxx, spp, sxp))
     nbar = root - 0.5
     sc = (sxx - spp) / (2.0 * root)
@@ -188,8 +192,9 @@ def hsd_of_coeffs(coeffs):
     s = np.sum(np.abs(c) ** 2, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         c = np.where((s > 0) & (s < np.inf), c / np.sqrt(s), np.nan)
+    bare_moment = squeezing.bare_moment
     a1, a2, n1 = bare_moment(c, 0, 1), bare_moment(c, 0, 2), bare_moment(c, 1, 1).real
-    root = _root_det(*covariance_from_moments(a1, a2, n1))
+    root = _root_det(*squeezing.covariance_from_moments(a1, a2, n1))
     q, mm = n1 - np.abs(a1) ** 2 + 1.0, a2 - a1 * a1  # N + 1 and M
     inv_det = 1.0 / (q * q - np.abs(mm) ** 2)  # 1 / det Q
     a00, a01, a11 = np.conj(mm) * inv_det, 1.0 - q * inv_det, mm * inv_det  # A_10 = A_01

@@ -163,12 +163,12 @@ def test_mixture_matches_fock_oracle(n, m, alpha_sq, R, eta_d, eta_s, phase):
         _, prob_fock = imperfections.realized_state(cfg, imp)
     except ZeroProbability:
         with pytest.raises(ZeroProbability):
-            imperfections.realized_qudit(cfg, imp)
+            imperfections.mixture(imperfections.herald_terms(cfg, [eta_d]), 0, eta_s)
         return
-    rho, prob = imperfections.realized_qudit(cfg, imp)
+    rho, prob = imperfections.mixture(imperfections.herald_terms(cfg, [eta_d]), 0, eta_s)
     assert prob == pytest.approx(prob_fock, rel=1e-12)
     ideal, _ = dq.build_dq(cfg)
-    fid = np.vdot(ideal.coeffs, rho.mat @ ideal.coeffs).real
+    fid = np.vdot(ideal.coeffs, rho @ ideal.coeffs).real
     assert fid == pytest.approx(imperfections.realized_fidelity(cfg, imp), abs=1e-10)
 
 
@@ -181,9 +181,10 @@ def test_mixture_matches_fock_oracle(n, m, alpha_sq, R, eta_d, eta_s, phase):
     eta_s=st.floats(0.0, 1.0),
 )
 def test_mixture_is_a_density_matrix(n, m, alpha_sq, R, eta_d, eta_s):
-    rho, prob = imperfections.realized_qudit(
-        _cfg(n, alpha_sq, R, m=m), imperfections.ImperfectionParams(eta_d, eta_s)
+    rho, prob = imperfections.mixture(
+        imperfections.herald_terms(_cfg(n, alpha_sq, R, m=m), [eta_d]), 0, eta_s
     )
+    rho = fock.DensityMatrix(rho)
     assert rho.dim == n + 1 and 0.0 < prob <= 1.0 + 1e-12
     assert rho.hermiticity_defect() < 1e-14
     assert rho.trace() == pytest.approx(1.0, abs=1e-12)
@@ -197,11 +198,11 @@ def test_vacuum_branch_is_poisson(m, alpha_sq, R, eta_d):
     poisson = math.exp(m * math.log(mu) - mu - math.lgamma(m + 1))
     # n = 0 runs the k sum over p(0, k); eta_s = 0 keeps only the vacuum branch
     for n, eta_s in ((0, 1.0), (2, 0.0)):
-        rho, prob = imperfections.realized_qudit(
-            _cfg(n, alpha_sq, R, m=m), imperfections.ImperfectionParams(eta_d, eta_s)
+        rho, prob = imperfections.mixture(
+            imperfections.herald_terms(_cfg(n, alpha_sq, R, m=m), [eta_d]), 0, eta_s
         )
         assert prob == pytest.approx(poisson, rel=1e-12)
-        assert abs(rho.mat[0, 0]) == pytest.approx(1.0, abs=1e-14)
+        assert abs(rho[0, 0]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_k_sum_cap_raises_truncation_too_small(monkeypatch):

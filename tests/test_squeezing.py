@@ -4,6 +4,7 @@ import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,43 @@ def test_quadratures_optimal_qubit():
     assert rep.min_var == rep.var_x
 
 
+def _mp_quadratures(state):
+    """(Var X, Var P, min_var, mean X) at 50 digits from the displaced moments of the same
+    float coefficients, normalized, and beta."""
+    with mpmath.workdps(50):
+        c = [mpmath.mpc(complex(z)) for z in state.coeffs]
+        norm = mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in c))
+        c = [z / norm for z in c]
+        beta = mpmath.mpc(complex(state.displacement))
+
+        def bare(u, v):
+            return mpmath.fsum(mpmath.conj(c[k + u]) * c[k + v] * mpmath.sqrt(
+                mpmath.factorial(k + u) * mpmath.factorial(k + v)) / mpmath.factorial(k)
+                for k in range(len(c) - max(u, v)))
+
+        a1 = beta + bare(0, 1)
+        a2 = beta**2 + 2 * beta * bare(0, 1) + bare(0, 2)
+        n1 = abs(beta) ** 2 + 2 * mpmath.re(mpmath.conj(beta) * bare(0, 1)) + mpmath.re(bare(1, 1))
+        central, spread = a2 - a1**2, n1 - abs(a1) ** 2
+        sxx, spp = spread + 0.5 + mpmath.re(central), spread + 0.5 - mpmath.re(central)
+        sxp = mpmath.im(central)
+        min_var = (sxx + spp) / 2 - mpmath.sqrt(((sxx - spp) / 2) ** 2 + sxp**2)
+        return [float(v) for v in (sxx, spp, min_var, mpmath.sqrt(2) * mpmath.re(a1))]
+
+
+@pytest.mark.parametrize("n, m, alpha_sq, R", [
+    (4, 3, 25.0, 0.95), (2, 1, 30.0, 0.9), (2, 0, 25.0, 0.95), (3, 1, 20.0, 0.8), (4, 0, 25.0, 0.9),
+])
+def test_quadratures_match_mpmath_at_large_displacement(n, m, alpha_sq, R):
+    # |beta|^2 = |alpha|^2 R of 16-27: the beta-expanded moments cancel |beta|^2 in the variances
+    # and were off by 100-160 eps here; the bare moments stay within 4 eps
+    state, _ = dq.build_dq(dq.CMConfig(n, m, complex(math.sqrt(alpha_sq)), R))
+    rep = squeezing.quadratures(state)
+    want = _mp_quadratures(state)
+    for got, ref in zip((rep.var_x, rep.var_p, rep.min_var, rep.mean_x), want):
+        assert abs(got - ref) <= 8 * np.finfo(float).eps * max(1.0, abs(ref))
+
+
 def test_displacement_invariance_of_variances():
     rng = np.random.default_rng(31)
     for st in _random_states(8, seed=13):
@@ -148,7 +186,11 @@ def _grid_inputs(a_vals, r_vals):
             (a_vals, r_vals[0]), (a_vals[0], r_vals[None, :])]
 
 
-@pytest.mark.parametrize("block_cells", [1, 1000, squeezing.BLOCK_CELLS])
+# one-row blocks, a ragged mid size, a large size and the shipped one
+_BLOCK_SIZES = sorted({1, 1000, 2**14, squeezing.BLOCK_CELLS})
+
+
+@pytest.mark.parametrize("block_cells", _BLOCK_SIZES)
 @settings(max_examples=40)
 @given(n=st.integers(0, 6), m=st.integers(0, 6),
        a_vals=st.lists(_alpha_sq, min_size=1, max_size=9),
@@ -160,7 +202,7 @@ def test_variance_grid_equals_oracle_bit_for_bit(block_cells, n, m, a_vals, r_va
             assert np.array_equal(got, _variance_oracle(n, m, alpha_sq, R), equal_nan=True)
 
 
-@pytest.mark.parametrize("block_cells", [1, 1000, squeezing.BLOCK_CELLS])
+@pytest.mark.parametrize("block_cells", _BLOCK_SIZES)
 @pytest.mark.parametrize("n, m", [(1, 0), (2, 3), (4, 4), (0, 2)])
 def test_variance_map_blocks_equal_whole_grid(monkeypatch, n, m, block_cells):
     # row blocks, ragged last block included, give the single-block values bit for bit,
