@@ -152,8 +152,7 @@ def _scan_map(args, kernel, lo=-math.inf, hi=math.inf) -> tuple[np.ndarray, np.n
         raise argparse.ArgumentTypeError(
             f"bad grid '{args.grid}': |alpha|^2 must be >= 0 and R must lie in (0, 1)"
         )
-    with np.errstate(all="ignore"):
-        values = kernel(args.n, args.m, a_vals, r_vals)
+    values = kernel(args.n, args.m, a_vals, r_vals)
     bad = ~np.isfinite(values) & ~((a_vals == 0)[:, None] & (args.m > args.n))
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -223,6 +222,11 @@ def _cmd_state(args):
         rho, prob_imp = imperfections.mixture(terms, 0, eta_s)
         rows.append(("success_prob_realized", prob_imp))
         rows.append(("fidelity_realized", np.vdot(state.coeffs, rho @ state.coeffs).real))
+        lam = eta_s * terms.weights[0] * terms.probs / prob_imp  # the vacuum adds no moment
+        a1, a2, n1 = (complex(lam @ dq.bare_moment(terms.coeffs.T, u, v))
+                      for u, v in ((0, 1), (0, 2), (1, 1)))
+        realized = squeezing.principal_variances(a1, a2, n1.real)
+        rows += zip(("var_x_realized", "var_p_realized", "min_var_realized"), realized)
         meta.update(k_cutoff=terms.cutoff, k_tail_bound=terms.tail)
     return ["field", "value"], rows, meta
 
@@ -298,8 +302,7 @@ def _cmd_wigner(args):
         grid = nongauss.PhaseGrid.centered(state.displacement, *square)
     else:
         grid = nongauss.default_grid(state, args.points or _WIGNER_POINTS)
-    with np.errstate(all="ignore"):
-        W = nongauss.wigner_closed(state, grid.mesh())
+    W = nongauss.wigner_closed(state, grid.mesh())
     if not np.all(np.isfinite(W)):
         raise NonFiniteResult("Wigner function overflows on the phase-space grid")
     return ["re_beta", "im_beta", "value"], Grid(grid.xs, grid.ps, W), {"command": "wigner"}
@@ -404,7 +407,8 @@ def run(args) -> int:
             print(f"dqsim: invalid --{name.replace('_', '-')} {val}: {rule}", file=sys.stderr)
             return 2
     try:
-        header, rows, meta = _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # each command checks the non-finite results it returns
+            header, rows, meta = _COMMANDS[args.command](args)
         _emit(args, header, rows, meta)
     except argparse.ArgumentTypeError as exc:
         print(f"dqsim: {exc}", file=sys.stderr)

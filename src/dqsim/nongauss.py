@@ -8,7 +8,7 @@ whose first and second moments match those of rho:
 
 For the heralded qudits Tr(rho tau) needs only the Fock block of tau on
 rho's n + 1 levels, which a recurrence gives exactly (`hsd_of_coeffs`); the
-dense-Fock `hsd` is its oracle.
+dense-Fock `hsd` is its oracle.  The moments, normalization and row blocks are dq's.
 
 Wigner functions use the convention integral W d(Re beta) d(Im beta) = 1,
 so a coherent state peaks at 2/pi.  The closed form for displaced qudits
@@ -134,7 +134,7 @@ def _root_det(sxx, spp, sxp):
 
 
 def _ref_from_moments(a1: complex, a2: complex, n1: float) -> GaussianRef:
-    sxx, spp, sxp = squeezing.covariance_from_moments(a1, a2, n1)
+    sxx, spp, sxp = dq.covariance_from_moments(a1, a2, n1)
     root = float(_root_det(sxx, spp, sxp))
     nbar = root - 0.5
     sc = (sxx - spp) / (2.0 * root)
@@ -188,13 +188,9 @@ def hsd_of_coeffs(coeffs):
         G_00 = exp(-beta^dag Q^-1 beta / 2) / sqrt(det Q),
         G_(k + e_i) = (gamma_i G_k + sum_j A_ij sqrt(k_j) G_(k - e_j)) / sqrt(k_i + 1).
     """
-    c = np.asarray(coeffs, dtype=complex)
-    s = np.sum(np.abs(c) ** 2, axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c = np.where((s > 0) & (s < np.inf), c / np.sqrt(s), np.nan)
-    bare_moment = squeezing.bare_moment
-    a1, a2, n1 = bare_moment(c, 0, 1), bare_moment(c, 0, 2), bare_moment(c, 1, 1).real
-    root = _root_det(*squeezing.covariance_from_moments(a1, a2, n1))
+    c = dq.normalized(np.asarray(coeffs, dtype=complex))
+    a1, a2, n1 = dq.bare_moment(c, 0, 1), dq.bare_moment(c, 0, 2), dq.bare_moment(c, 1, 1).real
+    root = _root_det(*dq.covariance_from_moments(a1, a2, n1))
     q, mm = n1 - np.abs(a1) ** 2 + 1.0, a2 - a1 * a1  # N + 1 and M
     inv_det = 1.0 / (q * q - np.abs(mm) ** 2)  # 1 / det Q
     a00, a01, a11 = np.conj(mm) * inv_det, 1.0 - q * inv_det, mm * inv_det  # A_10 = A_01
@@ -216,10 +212,12 @@ def hsd_of_coeffs(coeffs):
 
 
 def hsd_scan(n: int, m: int, alpha_sq_values, R_values) -> np.ndarray:
-    """delta over a rectangular (|alpha|^2, R) grid, shape (len(a), len(R))."""
-    a_vals = np.asarray(alpha_sq_values, float)
-    r_vals = np.asarray(R_values, float)
-    return hsd_of_coeffs(dq.coefficients_grid(n, m, np.sqrt(a_vals)[:, None], r_vals[None, :]))
+    """delta over a rectangular (|alpha|^2, R) grid, shape (len(a), len(R)), in `dq.row_blocks`."""
+    alpha, r_vals = np.sqrt(np.asarray(alpha_sq_values, float)), np.asarray(R_values, float)
+    out = np.empty((alpha.size, r_vals.size))
+    for lo, hi in dq.row_blocks(out.shape):
+        out[lo:hi] = hsd_of_coeffs(dq.coefficients_grid(n, m, alpha[lo:hi, None], r_vals[None, :]))
+    return out
 
 
 def hsd_max(n: int, m: int) -> tuple[float, float, float, bool]:

@@ -2,9 +2,9 @@
 
 Variances follow the vacuum-1/2 convention.  Because displacement is a
 Gaussian operation it never changes the variances, so the variances come
-from the bare superposition coefficients only, and the displacement enters
-the first moments alone; `moment` keeps the displaced moments of any order
-up to 4.
+from the bare moments of the superposition (`dq.bare_moment`) only, and the
+displacement enters the first moments alone; `moment` keeps the displaced
+moments of any order up to 4.
 
 The optimizers run on numpy alone: `minimize` is a Nelder-Mead simplex
 that repeats scipy's default method step for step, and the superposition
@@ -30,9 +30,8 @@ __all__ = [
     "QuadratureReport",
     "OptimumRecord",
     "Table2Row",
-    "bare_moment",
     "moment",
-    "covariance_from_moments",
+    "principal_variances",
     "quadratures",
     "variance_of_coeffs",
     "variance_x_map",
@@ -45,11 +44,6 @@ __all__ = [
 ]
 
 MAX_MOMENT_ORDER = 4
-
-# Grid kernels run in row blocks of about this many cells (32 kB per float64 temporary), so
-# peak memory does not grow with the grid; against 2^14 blocks, table1 and table2 peak 1.6 and
-# 0.9 MB lower at the same fresh-process run time (README, "Grid kernels").
-BLOCK_CELLS = 2**12
 
 # (lo, hi, step) of |alpha|^2 and of R: optimize_cm_squeezing's box and coarse scan
 CM_ALPHA_SQ_AXIS = (0.05, 30.0, 0.05)
@@ -158,29 +152,6 @@ def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int) -> SimpleName
                            success=nit < maxiter)
 
 
-def bare_moment(c, u: int, v: int) -> np.ndarray:
-    """Normally ordered moment <a^dag^u a^v> of the bare superposition sum_q c_q |q>.
-
-    Coefficients run along the leading axis of c; trailing axes are batch
-    axes.  <j| a^dag^u a^v |q> = sqrt(q!/k! j!/k!) with k = q - v = j - u;
-    the sum runs level by level over k = 0..n - max(u, v), so scan grids
-    need no (n + 1)-fold temporaries.
-    """
-    c = np.asarray(c)
-    conj = np.conj if np.iscomplexobj(c) else (lambda z: z)
-    total = np.zeros(c.shape[1:], dtype=c.dtype)
-    for i, j, w in _moment_terms(c.shape[0], u, v):
-        total = total + conj(c[i]) * c[j] * w
-    return total
-
-
-@functools.lru_cache(maxsize=None)
-def _moment_terms(levels: int, u: int, v: int) -> tuple:
-    """(i, j, w) of <a^dag^u a^v> = sum_k conj(c_i) c_j w, i = k + u, j = k + v, in order."""
-    return tuple((k + u, k + v, math.sqrt(math.perm(k + v, v) * math.perm(k + u, u)))
-                 for k in range(levels - max(u, v)))
-
-
 def moment(state: dq.DQState, l: int, s: int) -> complex:
     """Normally ordered moment <a^dag^l a^s> of a displaced qudit.
 
@@ -195,34 +166,31 @@ def moment(state: dq.DQState, l: int, s: int) -> complex:
     beta = complex(state.displacement)
     total = sum(
         math.comb(l, u) * math.comb(s, v) * beta.conjugate() ** (l - u) * beta ** (s - v)
-        * bare_moment(state.coeffs, u, v)
+        * dq.bare_moment(state.coeffs, u, v)
         for u in range(l + 1)
         for v in range(s + 1)
     )
     return complex(total)
 
 
-def covariance_from_moments(a1: complex, a2: complex, n1: float) -> tuple[float, float, float]:
-    """(Var X, Var P, Cov XP) from <a>, <a^2> and <a^dag a>."""
-    central = a2 - a1 * a1
-    spread = n1 - abs(a1) ** 2
-    return central.real + spread + 0.5, -central.real + spread + 0.5, central.imag
+def principal_variances(a1: complex, a2: complex, n1: float) -> tuple[float, float, float]:
+    """(Var X, Var P, min_var) from the bare moments <a>, <a^2> and <a^dag a>.  min_var is
+    sigma's lowest eigenvalue, the least variance of any rotated quadrature: min(Var X, Var P)
+    - (hypot(d, c) - d), d = |Var X - Var P| / 2, c = Cov XP, so min(Var X, Var P) at c = 0."""
+    var_x, var_p, cov = dq.covariance_from_moments(a1, a2, n1)
+    d = abs(var_x - var_p) / 2
+    return var_x, var_p, min(var_x, var_p) - (math.hypot(d, cov) - d)
 
 
 def quadratures(state: dq.DQState) -> QuadratureReport:
     """Means and variances of X and P, and the principal variance min_var.
 
-    The variances take bare moments, so no |beta|^2 terms cancel in them, and
-    the displacement shifts the means only.  min_var is the lowest eigenvalue
-    of the covariance matrix sigma, the least variance of any rotated
-    quadrature: min(Var X, Var P) - (hypot(d, c) - d), d = |Var X - Var P| / 2
-    and c = Cov XP, which is min(Var X, Var P) exactly when c = 0.
+    The variances take bare moments (`principal_variances`), so no |beta|^2
+    terms cancel in them, and the displacement shifts the means only.
     """
-    a1, a2, n1 = (complex(bare_moment(state.coeffs, u, v)) for u, v in ((0, 1), (0, 2), (1, 1)))
-    var_x, var_p, cov = covariance_from_moments(a1, a2, n1.real)
+    a1, a2, n1 = (complex(dq.bare_moment(state.coeffs, u, v)) for u, v in ((0, 1), (0, 2), (1, 1)))
+    var_x, var_p, min_var = principal_variances(a1, a2, n1.real)
     mean = math.sqrt(2.0) * (a1 + complex(state.displacement))
-    d = abs(var_x - var_p) / 2
-    min_var = min(var_x, var_p) - (math.hypot(d, cov) - d)
     return QuadratureReport(var_x, var_p, mean.real, mean.imag, min_var)
 
 
@@ -232,14 +200,8 @@ def variance_of_coeffs(coeffs):
     Coefficients run along the leading axis, trailing axes are batch axes:
     Var X = 1/2 + Re<a^2> + <a^dag a> - 2 Re<a>^2.
     """
-    a1 = bare_moment(coeffs, 0, 1).real
-    return 0.5 + bare_moment(coeffs, 0, 2).real + bare_moment(coeffs, 1, 1).real - 2.0 * a1 * a1
-
-
-def row_blocks(shape: tuple) -> list[tuple[int, int]]:
-    """(start, stop) ranges of the leading axis of shape, about BLOCK_CELLS cells each."""
-    rows = max(1, BLOCK_CELLS // max(1, math.prod(shape[1:])))
-    return [(lo, min(lo + rows, shape[0])) for lo in range(0, shape[0], rows)]
+    a1, a2, n1 = (dq.bare_moment(coeffs, u, v).real for u, v in ((0, 1), (0, 2), (1, 1)))
+    return 0.5 + a2 + n1 - 2.0 * a1 * a1
 
 
 def variance_x_map(n: int, m: int, alpha_sq, R) -> np.ndarray:
@@ -261,23 +223,16 @@ def variance_x_map(n: int, m: int, alpha_sq, R) -> np.ndarray:
 
 
 def _variance_blocks(n: int, m: int, alpha_sq: np.ndarray, R: np.ndarray):
-    """(lo, hi, V) for each of the `row_blocks` of the grid, in order.
-
-    Each block is the whole-grid numpy evaluation on its rows: the norm is
-    np.sum over the levels, a cell whose norm is zero or not finite gets
-    NaN coefficients, and the moments are `variance_of_coeffs`.
-    """
+    """(lo, hi, V) for each of the `dq.row_blocks` of the grid, in order: the whole-grid numpy
+    evaluation on its rows, `variance_of_coeffs` of the `dq.normalized` coefficients."""
     shape = np.broadcast_shapes(alpha_sq.shape, R.shape)
 
     def rows(a, lo, hi):  # an input broadcast along the leading axis passes whole
         return a[lo:hi] if a.ndim == len(shape) and a.shape[0] > 1 else a
 
-    for lo, hi in row_blocks(shape):
+    for lo, hi in dq.row_blocks(shape):
         c = dq.coefficients_grid(n, m, np.sqrt(rows(alpha_sq, lo, hi)), rows(R, lo, hi))
-        s = np.sum(c * c, axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c = np.where((s > 0) & (s < np.inf), c / np.sqrt(s), np.nan)
-        yield lo, hi, variance_of_coeffs(c)
+        yield lo, hi, variance_of_coeffs(dq.normalized(c))
 
 
 def _variance_point(n: int, m: int, alpha_sq: float, R: float) -> float:
@@ -300,9 +255,9 @@ def _variance_point(n: int, m: int, alpha_sq: float, R: float) -> float:
         return functools.reduce(operator.add, terms, 0.0)
 
     s = float(np.sum(np.square(c))) if n >= 7 else total(h * h for h in c)
-    root = math.sqrt(s) if 0 < s < math.inf else math.nan  # as _variance_blocks' np.where
+    root = math.sqrt(s) if 0 < s < math.inf else math.nan  # as dq.normalized
     c = [h / root for h in c]
-    a1, a2, n1 = (total(c[i] * c[j] * w for i, j, w in _moment_terms(n + 1, u, v))
+    a1, a2, n1 = (total(c[i] * c[j] * w for i, j, w in dq._moment_terms(n + 1, u, v))
                   for u, v in ((0, 1), (0, 2), (1, 1)))
     return 0.5 + a2 + n1 - 2.0 * a1 * a1
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqsim import cli, fock, nongauss, squeezing
+from dqsim import cli, dq, fock, imperfections, nongauss, squeezing
 
 
 def _run(argv):
@@ -175,6 +176,49 @@ def test_rare_herald_state_matches_mpmath(tmp_path):
     prob, fid = _mp_mixture(2, 1, 150, 0.5, 0.9, 1.0)
     assert fields["success_prob_realized"] == pytest.approx(prob, rel=1e-10)
     assert fields["fidelity_realized"] == pytest.approx(fid, rel=1e-10)
+
+
+_REALIZED = ("var_x_realized", "var_p_realized", "min_var_realized")
+
+
+def _state_fields(argv):
+    """The state report's (field, value) rows as a dict of unformatted values."""
+    return dict(cli._cmd_state(cli.build_parser().parse_args(["state", *argv]))[1])
+
+
+@pytest.mark.parametrize("eta_d, eta_s", [(0.9, 0.9), (0.7, 0.9), (0.5, 0.5), (1.0, 1.0)])
+@pytest.mark.parametrize("n, alpha_sq, R", cli._TABLE3_CONFIGS)
+def test_state_realized_variances_match_fock_oracle(n, alpha_sq, R, eta_d, eta_s):
+    # the lossy detector and the impure source move the variances; the Fock-space realized
+    # state is the oracle (its moments are displaced, the central ones are not)
+    fields = _state_fields(["--n", str(n), "--m", "1", "--alpha-sq", str(alpha_sq), "--R", str(R),
+                            "--eta-d", str(eta_d), "--eta-s", str(eta_s)])
+    cfg = dq.CMConfig(n, 1, complex(math.sqrt(alpha_sq)), R)
+    rho, _ = imperfections.realized_state(cfg, imperfections.ImperfectionParams(eta_d, eta_s))
+    expected = squeezing.principal_variances(*nongauss._moments_from_density(rho))
+    assert [fields[k] for k in _REALIZED] == pytest.approx(expected, abs=2e-14)
+    if (eta_d, eta_s) == (1.0, 1.0):  # the ideal detector and source leave the ideal state
+        ideal = [fields[k] for k in ("var_x", "var_p", "min_var")]
+        assert [fields[k] for k in _REALIZED] == pytest.approx(ideal, abs=2e-15)
+
+
+def test_state_realized_variances_in_the_report(capsys):
+    config = ["--n", "2", "--m", "1", "--alpha-sq", "5.45", "--R", "0.8175"]
+    assert _run(["state", *config, "--eta-d", "0.9", "--eta-s", "0.9"]) == 0
+    fields = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[1:])
+    assert (fields["var_x"], fields["var_x_realized"]) == ("0.275300049671", "0.404826252072")
+    assert fields["var_p_realized"] == "0.980717034058"
+    assert _run(["state", *config]) == 0  # without --eta-* the ideal report has no realized rows
+    assert "realized" not in capsys.readouterr().out
+
+
+def test_optimize_prints_no_numpy_warnings(capsys):
+    # at n = 200 the level factors and the norms overflow in cells the optimizer discards; the
+    # suite turns RuntimeWarnings into errors, and the command prints only its timing line
+    assert _run(["optimize", "--n", "200", "--m", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1] == "200,1,0.0803961504855,12.3381111021,0.767644354873,false"
+    assert len(err.splitlines()) == 1 and err.startswith("dqsim: optimize finished in ")
 
 
 def test_fidelity_map_rare_herald_matches_mpmath(tmp_path):
@@ -768,6 +812,26 @@ def test_cli_import_runs_only_what_a_command_uses():
     assert imported == "['dqsim.cli', 'dqsim.errors'] []"
     assert after_optimize == str(["dqsim.cli", "dqsim.dq", "dqsim.errors", "dqsim.polynomials",
                                   "dqsim.squeezing"])
+
+
+_HSD_SCAN_MODULES = """
+import os, sys, types
+from dqsim import cli
+rc = cli.main(["hsd-scan", "--n", "2", "--m", "1", "--out", os.devnull])
+print(sorted(name for name, mod in sys.modules.items()
+             if name.startswith("dqsim.") and type(mod) is types.ModuleType))
+sys.exit(rc)
+"""
+
+
+def test_hsd_scan_leaves_squeezing_unexecuted():
+    # the moments, the normalization and the row blocks are dq's; squeezing.py never runs
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _HSD_SCAN_MODULES], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(["dqsim.cli", "dqsim.dq", "dqsim.errors", "dqsim.nongauss",
+                                       "dqsim.polynomials"])
 
 
 def _per_row_csv(header, xs, ys, values):

@@ -505,6 +505,37 @@ def test_default_grid_covers_support():
     assert edge < 1e-7 * np.abs(W).max()
 
 
+@pytest.mark.parametrize("block_cells", sorted({1, 1000, 2**14, dq.BLOCK_CELLS}))
+@pytest.mark.parametrize("n, m", [(1, 0), (2, 3), (4, 4), (0, 2), (9, 2)])
+def test_hsd_scan_blocks_equal_whole_grid(monkeypatch, n, m, block_cells):
+    # row blocks, ragged last block included, give the single-block values bit for bit; the
+    # alpha = 0 row with m > n is the documented NaN, and n = 9 sums 10 levels
+    a_vals, r_vals = np.arange(0.0, 16.0, 0.25), np.linspace(0.05, 0.95, 37)
+    monkeypatch.setattr(dq, "BLOCK_CELLS", 10**9)
+    whole = nongauss.hsd_scan(n, m, a_vals, r_vals)
+    monkeypatch.setattr(dq, "BLOCK_CELLS", block_cells)
+    assert (len(dq.row_blocks(whole.shape)) > 1) == (block_cells < whole.size)
+    assert np.array_equal(nongauss.hsd_scan(n, m, a_vals, r_vals), whole, equal_nan=True)
+    assert np.isnan(whole[0]).all() == (m > n)
+
+
+def test_hsd_scan_evaluates_row_blocks(monkeypatch):
+    # hsd_of_coeffs never holds more than BLOCK_CELLS cells; one allocation of the whole
+    # 400 x 230 grid took 326 MB at n = 20
+    a_vals, r_vals = np.linspace(0.05, 16.0, 200), np.linspace(0.05, 0.95, 100)
+    whole = nongauss.hsd_scan(2, 1, a_vals, r_vals)
+    cells, kernel = [], nongauss.hsd_of_coeffs
+
+    def spy(c):
+        cells.append(math.prod(c.shape[1:]))
+        return kernel(c)
+
+    monkeypatch.setattr(nongauss, "hsd_of_coeffs", spy)
+    assert np.array_equal(nongauss.hsd_scan(2, 1, a_vals, r_vals), whole)
+    assert len(cells) == len(dq.row_blocks(whole.shape)) == 5
+    assert max(cells) <= dq.BLOCK_CELLS and sum(cells) == whole.size
+
+
 def test_hsd_nan_cells_without_warning():
     # alpha = 0 with m > n heralds nothing: NaN, as variance_x_map gives, and
     # no RuntimeWarning (the test suite turns those into errors)

@@ -187,7 +187,7 @@ def _grid_inputs(a_vals, r_vals):
 
 
 # one-row blocks, a ragged mid size, a large size and the shipped one
-_BLOCK_SIZES = sorted({1, 1000, 2**14, squeezing.BLOCK_CELLS})
+_BLOCK_SIZES = sorted({1, 1000, 2**14, dq.BLOCK_CELLS})
 
 
 @pytest.mark.parametrize("block_cells", _BLOCK_SIZES)
@@ -196,7 +196,7 @@ _BLOCK_SIZES = sorted({1, 1000, 2**14, squeezing.BLOCK_CELLS})
        a_vals=st.lists(_alpha_sq, min_size=1, max_size=9),
        r_vals=st.lists(_reflectivity, min_size=1, max_size=7))
 def test_variance_grid_equals_oracle_bit_for_bit(block_cells, n, m, a_vals, r_vals):
-    with mock.patch.object(squeezing, "BLOCK_CELLS", block_cells):
+    with mock.patch.object(dq, "BLOCK_CELLS", block_cells):
         for alpha_sq, R in _grid_inputs(np.array(a_vals), np.array(r_vals)):
             got = squeezing.variance_x_map(n, m, alpha_sq, R)
             assert np.array_equal(got, _variance_oracle(n, m, alpha_sq, R), equal_nan=True)
@@ -210,12 +210,12 @@ def test_variance_map_blocks_equal_whole_grid(monkeypatch, n, m, block_cells):
     # moment terms, so the oracle gives 1/2 there)
     a_vals = np.arange(0.0, 30.0, 0.25)
     r_vals = np.arange(0.01, 0.99, 0.0025)
-    monkeypatch.setattr(squeezing, "BLOCK_CELLS", 10**9)
+    monkeypatch.setattr(dq, "BLOCK_CELLS", 10**9)
     whole = squeezing.variance_x_map(n, m, a_vals[:, None], r_vals[None, :])
     assert np.array_equal(whole, _variance_oracle(n, m, a_vals[:, None], r_vals[None, :]),
                           equal_nan=True)
-    monkeypatch.setattr(squeezing, "BLOCK_CELLS", block_cells)
-    assert len(squeezing.row_blocks(whole.shape)) > 1
+    monkeypatch.setattr(dq, "BLOCK_CELLS", block_cells)
+    assert len(dq.row_blocks(whole.shape)) > 1
     blocked = squeezing.variance_x_map(n, m, a_vals[:, None], r_vals[None, :])
     assert np.array_equal(blocked, whole, equal_nan=True)
     assert np.isnan(whole[0]).all() == (m > n > 0)
@@ -243,7 +243,7 @@ def test_bare_moment_batch_axes_against_dense_oracle():
     c = rng.standard_normal((5, 2, 3)) + 1j * rng.standard_normal((5, 2, 3))
     a = fock.annihilation_matrix(fock.Truncation(5))
     for u, v in [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 1), (0, 4), (3, 3), (5, 0)]:
-        got = squeezing.bare_moment(c, u, v)
+        got = dq.bare_moment(c, u, v)
         assert got.shape == (2, 3)
         op = np.linalg.matrix_power(a.conj().T, u) @ np.linalg.matrix_power(a, v)
         for idx in np.ndindex(2, 3):
@@ -280,7 +280,7 @@ def _fake_scans(monkeypatch, grids, minimize=None):
     """
     def blocks(n, m, alpha_sq, R):
         V = grids[np.broadcast_shapes(np.shape(alpha_sq), np.shape(R))]
-        for lo, hi in squeezing.row_blocks(V.shape):
+        for lo, hi in dq.row_blocks(V.shape):
             yield lo, hi, V[lo:hi].copy()
 
     monkeypatch.setattr(squeezing, "_variance_blocks", blocks)
@@ -303,7 +303,7 @@ def test_coarse_scan_argmin_is_nanargmin_first_occurrence(monkeypatch):
     # np.nanargmin picks on the whole grid
     a_vals, r_vals = _cm_axes()
     V = _tied_grid((a_vals.size, r_vals.size), [(100, 7), (30, 200), (30, 5), (599, 392)])
-    assert len(squeezing.row_blocks(V.shape)) > 3
+    assert len(dq.row_blocks(V.shape)) > 3
     _fake_scans(monkeypatch, {V.shape: V})
     rec = squeezing.optimize_cm_squeezing(0, 1)
     ia, ir = np.unravel_index(np.nanargmin(V), V.shape)
@@ -325,8 +325,8 @@ def test_subgrid_scan_argmin_and_fallbacks(monkeypatch, least, end, start, cells
     assert (sub_a.size, sub_r.size) == (120, 79)
     sub = _tied_grid((sub_a.size, sub_r.size), [(100, 7), (30, 60), least, (119, 78)])
     fine = _tied_grid((a_vals.size, r_vals.size), [(30, 200), (30, 5), (599, 392)], seed=8)
-    monkeypatch.setattr(squeezing, "BLOCK_CELLS", 1000)
-    assert len(squeezing.row_blocks(sub.shape)) > 3
+    monkeypatch.setattr(dq, "BLOCK_CELLS", 1000)
+    assert len(dq.row_blocks(sub.shape)) > 3
     runs = []
 
     def simplex(fun, x0, **kw):  # the first run ends at `end` if given, a later one at its start
