@@ -18,11 +18,9 @@ with a ``meta`` header and row-major ``data``; ``optimize`` and ``table1``
 list each row's optimizer run (``nit``, ``nfev``, ``converged``, start-scan
 cells ``scan_cells``) in ``meta.optimizer``, where a row with
 ``boundary_hit`` true may be ``converged`` short of the box edge's minimum,
-since the penalty outside the box can hold the simplex at its start;
-``state --eta-*`` and
-``fidelity-map`` give their k sum's last k and relative tail bound as
-``meta.k_cutoff`` and ``meta.k_tail_bound``.  Floats carry 12 significant
-digits; files are byte-identical across re-runs (timing goes to stderr).
+since the penalty outside the box can hold the simplex at its start.  Floats
+carry 12 significant digits; files are byte-identical across re-runs
+(timing goes to stderr).
 Exit codes: 0 success, 2 usage error, 3 numerical failure.
 """
 
@@ -222,12 +220,10 @@ def _cmd_state(args):
         rho, prob_imp = imperfections.mixture(terms, 0, eta_s)
         rows.append(("success_prob_realized", prob_imp))
         rows.append(("fidelity_realized", np.vdot(state.coeffs, rho @ state.coeffs).real))
-        lam = eta_s * terms.weights[0] * terms.probs / prob_imp  # the vacuum adds no moment
-        a1, a2, n1 = (complex(lam @ dq.bare_moment(terms.coeffs.T, u, v))
-                      for u, v in ((0, 1), (0, 2), (1, 1)))
+        a1, a2, n1 = (eta_s * complex(dq.bare_moment(terms.comps[0].T, u, v).sum()) / prob_imp
+                      for u, v in ((0, 1), (0, 2), (1, 1)))  # the vacuum adds no moment
         realized = squeezing.principal_variances(a1, a2, n1.real)
         rows += zip(("var_x_realized", "var_p_realized", "min_var_realized"), realized)
-        meta.update(k_cutoff=terms.cutoff, k_tail_bound=terms.tail)
     return ["field", "value"], rows, meta
 
 
@@ -322,9 +318,9 @@ def _cmd_fidelity_map(args):
         raise argparse.ArgumentTypeError(
             f"bad fidelity-map grid '{args.grid}': eta_d and eta_s must lie in [0, 1]"
         )
-    terms = imperfections.herald_terms(cfg, d_vals)
-    meta = {"command": "fidelity-map", "k_cutoff": terms.cutoff, "k_tail_bound": terms.tail}
-    return ["eta_d", "eta_s", "fidelity"], imperfections.fidelity_rows(terms, s_vals), meta
+    dq.build_dq(cfg)  # where the ideal state overflows, exit 3 before the (n + 1)^2 components
+    rows = imperfections.fidelity_rows(imperfections.herald_terms(cfg, d_vals), s_vals)
+    return ["eta_d", "eta_s", "fidelity"], rows, {"command": "fidelity-map"}
 
 
 # ---------------------------------------------------------------------------

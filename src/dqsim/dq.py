@@ -203,9 +203,12 @@ BLOCK_CELLS = 2**12
 
 
 def row_blocks(shape: tuple) -> list[tuple[int, int]]:
-    """(start, stop) ranges of the leading axis of shape, about BLOCK_CELLS cells each."""
+    """(start, stop) ranges of the leading axis of shape, about BLOCK_CELLS cells each; a last
+    block of one cell, whose levels numpy would sum pairwise, joins the block before it."""
     rows = max(1, BLOCK_CELLS // max(1, math.prod(shape[1:])))
-    return [(lo, min(lo + rows, shape[0])) for lo in range(0, shape[0], rows)]
+    single = shape[0] > rows and shape[0] % rows == 1 == math.prod(shape[1:])
+    starts = list(range(0, shape[0] - single, rows))
+    return list(zip(starts, starts[1:] + [shape[0]]))
 
 
 def normalized(c: np.ndarray) -> np.ndarray:

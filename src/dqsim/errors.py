@@ -17,7 +17,7 @@ class DQSimError(Exception):
 
 
 class TruncationTooSmall(DQSimError):
-    """A Fock-space cutoff, or the k-sum term cap, leaves more than the tolerated tail."""
+    """A Fock-space cutoff leaves more than the tolerated tail."""
 
 
 class ZeroProbability(DQSimError):

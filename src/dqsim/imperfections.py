@@ -1,32 +1,38 @@
-"""Non-ideal heralding: lossy detector POVM, impure source, realized state.
+"""Non-ideal heralding: lossy detector, impure source, realized state.
 
-A detector of efficiency eta_d that reports m clicks implements the POVM
-element pi_m = sum_{k>=m} w_k |k><k|, w_k = C(k,m) eta_d^m (1-eta_d)^(k-m)
-(no dark counts); the source emits (1-eta_s)|0><0| + eta_s |n><n|.  So a
-report of m is an ideal detection of some k >= m with weight w_k, and for
-each k `dq.build_dq` gives p(n, k) and the state D(alpha sqrt R) c_k with
-the same displacement.  The vacuum branch gives D(alpha sqrt R)|0> with
-weight Poisson(eta_d chi; m), chi = |alpha|^2 (1-R).  The realized state is
-therefore D(alpha sqrt R) rho_bare D^dag with the exact mixture over levels
-0..n (`herald_terms`, then `mixture`, as a plain array; no Fock cutoff)
+The source emits (1-eta_s)|0><0| + eta_s |n><n|; a detector of efficiency
+eta_d is an ideal one behind a beam splitter that transmits eta_d (Leonhardt,
+Measuring the Quantum State of Light, 1997).  Loss commutes with
+displacement, D(beta) -> D(sqrt(eta_d) beta), and U|0>|n> holds exactly n
+photons, so each source photon is lost independently with probability
+(1-eta_d) R.  With l lost, the rest form an ideal input at sqrt(eta_d) alpha:
 
-    rho_bare ∝ eta_s sum_{k>=m} w_k p(n,k) c_k c_k^dag + (1-eta_s) Poisson(eta_d chi; m) |0><0|.
+    u_l[q] = sqrt(C(n,l) ((1-eta_d) R)^l / (m! (n-l)!)) e^(-eta_d chi/2) C(n-l,q) sqrt(q!)
+             (eta_d R)^((n-l-q)/2) (1-R)^(q/2) H_{n-l-q,m}(sqrt(eta_d) x*, sqrt(eta_d) x),
 
-`realized_state` and `realized_fidelity` evolve the two modes in a truncated
-Fock space instead and are kept as the independent oracle.  They get p(n, m)
-by cancellation inside U|alpha>|n>, so they hold only above p(n, m) ~ 1e-20.
+q = 0..n-l, x = alpha sqrt(1-R), chi = |x|^2; |u_l|^2 is the branch's
+probability (u_0 = sqrt(p(n, m)) c_m at eta_d = 1).  The realized state is
+D(alpha sqrt R) rho_bare D^dag with the exact mixture over levels 0..n
+(`herald_terms`, `mixture`; no Fock cutoff, no ratio of eta_d or R)
+
+    rho_bare ∝ eta_s sum_{l=0}^{n} u_l u_l^dag + (1-eta_s) Poisson(eta_d chi; m) |0><0|,
+
+whose vacuum term is the n = 0 case of u_0.  `realized_state` and
+`realized_fidelity` evolve the two modes in a truncated Fock space instead
+and are kept as the independent oracle; they get p(n, m) by cancellation
+inside U|alpha>|n>, so they hold only above p(n, m) ~ 1e-20.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import dq, fock
-from .errors import NonFiniteResult, TruncationTooSmall, ZeroProbability
+from .errors import NonFiniteResult, ZeroProbability
 from .polynomials import hermite2_rows
 
 __all__ = [
@@ -40,11 +46,8 @@ __all__ = [
     "fidelity_heatmap",
 ]
 
-TAIL_REL = 1e-16  # bound on the neglected k-sum tail, relative to the sum so far
-MAX_TERMS = 1000  # k-sum terms before TruncationTooSmall
-
-# k = m..cutoff: w_k per eta_d, p(n, k), c_k, Poisson(eta_d chi; m) per eta_d, relative tail
-HeraldTerms = namedtuple("HeraldTerms", "cfg eta_d weights probs coeffs vacuum cutoff tail")
+# comps[i, l] is u_l at eta_d[i], zero above level n - l; vacuum[i] is Poisson(eta_d[i] chi; m)
+HeraldTerms = namedtuple("HeraldTerms", "cfg eta_d comps vacuum")
 
 
 @dataclass(frozen=True)
@@ -61,77 +64,52 @@ class ImperfectionParams:
                 raise ValueError(f"{name}={val} outside [0, 1]")
 
 
-def _weight(k: int, m: int, eta_d):
-    # eta_d = 1 collapses to the projector |m><m| through 0^0 = 1
-    return math.comb(k, m) * eta_d**m * (1.0 - eta_d) ** (k - m)
-
-
 def povm_element(m: int, eta_d: float, t: fock.Truncation) -> fock.DensityMatrix:
     """Diagonal POVM element of the lossy number-resolving detector."""
     if m < 0:
         raise ValueError("m must be non-negative")
     if not 0.0 <= eta_d <= 1.0:
         raise ValueError("eta_d must lie in [0, 1]")
-    weights = [_weight(k, m, eta_d) if k >= m else 0.0 for k in range(t.dim)]
+    # eta_d = 1 collapses to the projector |m><m| through 0^0 = 1
+    weights = [math.comb(k, m) * eta_d**m * (1.0 - eta_d) ** (k - m) if k >= m else 0.0
+               for k in range(t.dim)]
     return fock.DensityMatrix(np.diag(weights).astype(complex))
 
 
-def _tail_bound(cfg: dq.CMConfig, k: int, eta_d: np.ndarray) -> np.ndarray:
-    """Bound on sum_{j>k} w_j p(n, j) per eta_d, for k >= n - 1, with no cancellation.
-
-    p(n, j) <= U_j, the closed form with each Hermite term taken by modulus.
-    For j > k both U_{j+1}/U_j <= chi (j+1)/(j+1-n)^2 and w_{j+1}/w_j =
-    (1-eta_d)(j+1)/(j+1-m) fall with j, so once their product r at j = k+1
-    is below 1 the tail is below w_{k+1} U_{k+1} / (1 - r).
-    """
-    n, m, j = cfg.n, cfg.m, k + 1
-    r = dq.chi(cfg) * (j + 1) ** 2 * (1.0 - eta_d) / ((j + 1 - n) ** 2 * (j + 1 - m))
-    s = np.complex128(1j * abs(cfg.alpha) * math.sqrt(1.0 - cfg.R))  # |H(x*, x)| <= |H(is, is)|
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        h = [dq._level_factor(n, q, (1 - cfg.R) / cfg.R) * row
-             for q, row in enumerate(hermite2_rows(n, j, s, s))]
-        u = dq._herald_prefactor(dq.CMConfig(n, j, cfg.alpha, cfg.R)) * np.sum(np.abs(h) ** 2)
-        return np.where(r < 1.0, _weight(j, m, eta_d) * u / (1.0 - r), np.inf)
+def _components(cfg: dq.CMConfig, eta_d: np.ndarray) -> np.ndarray:
+    """u_l of the module docstring as an (eta_d.size, n + 1, n + 1) array [i, l, q]."""
+    n, m, R = cfg.n, cfg.m, cfg.R
+    y = np.sqrt(eta_d) * complex(cfg.alpha) * math.sqrt(1.0 - R)
+    h = hermite2_rows(n, m, np.conj(y), y)  # h[l + q] = H_{n-l-q,m}(y*, y)
+    log_c = math.lgamma(n + 1) - math.lgamma(m + 1) - eta_d * dq.chi(cfg)  # no float factorial
+    u = np.zeros((eta_d.size, n + 1, n + 1), dtype=complex)
+    for l in range(n + 1):
+        front = np.exp(0.5 * (log_c - math.lgamma(l + 1)) - math.lgamma(n - l + 1))
+        for q in range(n - l + 1):
+            powers = ((1.0 - eta_d) * R) ** (l / 2) * (eta_d * R) ** ((n - l - q) / 2)
+            u[:, l, q] = front * powers * dq._level_factor(n - l, q, 1.0 - R) * h[l + q]
+    return u
 
 
 def herald_terms(cfg: dq.CMConfig, eta_d_values) -> HeraldTerms:
-    """The k sum until its tail bound is below TAIL_REL of the sum for every eta_d; a
-    term that raises ZeroProbability counts as 0.  Raises TruncationTooSmall past
-    MAX_TERMS terms and NonFiniteResult, naming k, where a term's sum_q |C_q|^2 overflows
-    (n = 2: chi >~ 70-120)."""
+    """The n + 1 components u_l and the vacuum branch's Poisson(eta_d chi; m) for each eta_d;
+    NonFiniteResult where one overflows."""
     eta_d = np.atleast_1d(np.asarray(eta_d_values, float))
-    weights, probs, coeffs = [], [], []
-    total = np.zeros(eta_d.size)
-    for k in range(cfg.m, cfg.m + MAX_TERMS):
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            state, p = dq.build_dq(dq.CMConfig(cfg.n, k, cfg.alpha, cfg.R))
-        except ZeroProbability:
-            state, p = None, 0.0
-        except NonFiniteResult:
-            raise NonFiniteResult(
-                f"C_q or sum_q |C_q|^2 overflows at the k sum's term k={k} for n={cfg.n},"
-                f" m={cfg.m}, alpha={cfg.alpha}, R={cfg.R}"
-            ) from None
-        weights.append(_weight(k, cfg.m, eta_d))
-        probs.append(p)
-        coeffs.append(state.coeffs if state else np.zeros(cfg.n + 1, dtype=complex))
-        total += weights[-1] * p
-        tail = _tail_bound(cfg, k, eta_d) if k + 1 >= cfg.n else np.inf
-        if np.all(tail <= TAIL_REL * total):
-            mu = eta_d * dq.chi(cfg)
-            with np.errstate(divide="ignore"):  # log 0 = -inf: Poisson(0; m > 0) = 0
-                log_mu_m = cfg.m * np.log(mu) if cfg.m else 0.0
-            vacuum = np.exp(log_mu_m - mu - math.lgamma(cfg.m + 1))
-            rel = np.divide(tail, total, out=np.zeros_like(total), where=tail > 0)
-            return HeraldTerms(cfg, eta_d, np.array(weights).T, np.array(probs),
-                               np.array(coeffs), vacuum, k, float(rel.max()))
-    raise TruncationTooSmall(f"k sum not closed in {MAX_TERMS} terms for n={cfg.n}, m={cfg.m}")
+            comps = _components(cfg, eta_d)
+            vacuum = np.abs(_components(replace(cfg, n=0), eta_d)[:, 0, 0]) ** 2
+        except OverflowError:  # k! of H_{n-l-q,m} for k >= 171
+            comps = vacuum = np.inf
+    if not (np.isfinite(comps).all() and np.isfinite(vacuum).all()):
+        raise NonFiniteResult(f"the realized state's components overflow for n={cfg.n},"
+                              f" m={cfg.m}, alpha={cfg.alpha}, R={cfg.R}")
+    return HeraldTerms(cfg, eta_d, comps, vacuum)
 
 
 def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[np.ndarray, float]:
     """Normalized rho_bare over levels 0..n as an array, and its probability at eta_d[i], eta_s."""
-    c = terms.coeffs
-    rho = eta_s * (c.T * (terms.weights[i] * terms.probs)) @ c.conj()
+    rho = eta_s * (terms.comps[i].T @ terms.comps[i].conj())
     rho[0, 0] += (1.0 - eta_s) * terms.vacuum[i]
     prob = float(np.trace(rho).real)
     if prob < 1e-300:
@@ -140,21 +118,21 @@ def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[np.ndarray, float
 
 
 def fidelity_rows(terms: HeraldTerms, eta_s_values) -> list[tuple[float, float, float]]:
-    """Rows (eta_d, eta_s, <c_m|rho_bare|c_m>) from w @ p and w @ (p |<c_m|c_k>|^2), with
-    0 where the herald never fires."""
+    """Rows (eta_d, eta_s, <c_m|rho_bare|c_m>), with 0 where the herald never fires."""
     ideal = dq.build_dq(terms.cfg)[0].coeffs
-    ov = terms.probs * np.abs(terms.coeffs.conj() @ ideal) ** 2
+    probs = np.sum(np.abs(terms.comps) ** 2, axis=(1, 2))
+    overlaps = np.sum(np.abs(terms.comps @ ideal.conj()) ** 2, axis=1)
     rows = []
-    for ed, w, vac in zip(terms.eta_d, terms.weights, terms.vacuum):
+    for ed, p, ov, vac in zip(terms.eta_d, probs, overlaps, terms.vacuum):
         for es in np.asarray(eta_s_values, float):
-            prob = es * float(w @ terms.probs) + (1.0 - es) * vac
-            fid = es * float(w @ ov) + (1.0 - es) * vac * abs(ideal[0]) ** 2
-            rows.append((float(ed), float(es), fid / prob if prob >= 1e-300 else 0.0))
+            prob = es * p + (1.0 - es) * vac
+            fid = es * ov + (1.0 - es) * vac * abs(ideal[0]) ** 2
+            rows.append((float(ed), float(es), float(fid / prob) if prob >= 1e-300 else 0.0))
     return rows
 
 
 def fidelity_heatmap(cfg: dq.CMConfig, eta_d_values, eta_s_values) -> list[tuple[float, ...]]:
-    """Rows (eta_d, eta_s, fidelity) over the efficiency grid, from one k sum."""
+    """Rows (eta_d, eta_s, fidelity) over the efficiency grid, from one `herald_terms`."""
     return fidelity_rows(herald_terms(cfg, eta_d_values), eta_s_values)
 
 

@@ -237,14 +237,51 @@ def _no_two_mode_fock(*args, **kwargs):
 
 
 def test_fidelity_map_overflow_exit_code(capsys, monkeypatch):
-    # chi = 200: p(2, k) overflows before the k sum closes (the documented limit)
+    # chi = 200 and m = 150: the ideal state's own sum_q |C_q|^2 overflows (the documented limit)
     monkeypatch.setattr(fock, "_bs_output", _no_two_mode_fock)
-    rc = _run(["fidelity-map", "--n", "2", "--m", "1", "--alpha-sq", "400", "--R", "0.5",
+    rc = _run(["fidelity-map", "--n", "2", "--m", "150", "--alpha-sq", "400", "--R", "0.5",
                "--grid", "0.5:0.9:2,0.5:1:2"])
     assert rc == 3
     err = capsys.readouterr().err
     assert "NonFiniteResult" in err and "overflows" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_fidelity_map_checks_the_ideal_state_first(capsys, monkeypatch):
+    # at n = 2000 the ideal C_q overflow; the (n + 1)^2 components per eta_d are never built
+    def not_reached(*args):
+        raise AssertionError("herald_terms ran before the ideal state was checked")
+
+    monkeypatch.setattr(imperfections, "herald_terms", not_reached)
+    rc = _run(["fidelity-map", "--n", "2000", "--m", "1", "--alpha-sq", "0.5", "--R", "0.5"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "NonFiniteResult: coefficients C_q overflow" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("m, alpha_sq", [(70, 140), (1, 400)], ids=["m70-a140", "m1-a400"])
+def test_fidelity_map_at_large_chi_matches_mpmath(tmp_path, m, alpha_sq):
+    # chi = 70 and 200 on the default grid: there p(2, k) at some k >= m that the lossy detector
+    # may see has an overflowing sum_q |C_q|^2, while the n + 1 components stay finite
+    out = tmp_path / "f.csv"
+    argv = ["--n", "2", "--m", str(m), "--alpha-sq", str(alpha_sq), "--R", "0.5"]
+    assert _run(["fidelity-map", *argv, "--out", str(out)]) == 0
+    rows = {(d, s): f for d, s, f in np.loadtxt(out, delimiter=",", skiprows=1)}
+    assert len(rows) == 21 * 21
+    for eta_d, eta_s in ((0.05, 1.0), (0.55, 0.5), (0.9, 1.0)):
+        expected = _mp_mixture(2, m, alpha_sq, 0.5, eta_d, eta_s)[1]
+        assert rows[eta_d, eta_s] == pytest.approx(expected, rel=1e-10)
+
+
+def test_state_realized_at_large_chi_matches_mpmath(tmp_path):
+    out = tmp_path / "state.json"
+    assert _run(["state", "--n", "2", "--m", "1", "--alpha-sq", "400", "--R", "0.5",
+                 "--eta-d", "0.9", "--eta-s", "0.9", "--format", "json", "--out", str(out)]) == 0
+    fields = {row[0]: row[1] for row in json.loads(out.read_text())["data"]}
+    prob, fid = _mp_mixture(2, 1, 400, 0.5, 0.9, 0.9)
+    assert fields["success_prob_realized"] == pytest.approx(prob, rel=1e-10)
+    assert fields["fidelity_realized"] == pytest.approx(fid, rel=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -263,6 +300,7 @@ def test_imperfection_commands_evolve_no_two_mode_state(tmp_path, monkeypatch, a
 
 
 def test_k_sum_meta(tmp_path):
+    # the realized commands sum no series over k, so meta reports no k cutoff or tail bound
     config = ["--n", "3", "--m", "2", "--alpha-sq", "9", "--R", "0.4"]
     for argv in (["state", *config, "--eta-d", "0.05", "--eta-s", "0.5"],
                  ["fidelity-map", *config, "--grid", "0:1:5,0:1:3"]):
@@ -270,7 +308,7 @@ def test_k_sum_meta(tmp_path):
         assert _run(argv + ["--format", "json", "--out", str(out)]) == 0
         meta = json.loads(out.read_text())["meta"]
         assert "dim" not in meta
-        assert meta["k_cutoff"] >= 2 and 0 <= meta["k_tail_bound"] <= 1e-16
+        assert not [key for key in meta if key.startswith("k_")]
 
 
 @pytest.mark.parametrize("grid", ["0:2:3,-1:1:3", "0:1:3,0:1.5:2", "-0.5:1:3,0:1:3"])
@@ -538,15 +576,6 @@ def test_hsd_scan_n40_default_grid_stays_in_range(tmp_path):
     assert _run(["hsd-scan", "--n", "40", "--m", "0", "--out", str(out)]) == 0
     values = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2]
     assert values.size == 80 * 46 and np.all((values >= 0) & (values <= 0.5))
-
-
-def test_k_sum_overflow_names_k_and_requested_m(capsys):
-    # sum_q |C_q|^2 of the term k = 165 overflows; a finite map needs log-scale heralding
-    rc = _run(["fidelity-map", "--n", "2", "--m", "70", "--alpha-sq", "140", "--R", "0.5"])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert "NonFiniteResult" in err and "k=165" in err and "m=70," in err and "m=165" not in err
-    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_flat_row_optimize_leaves_numpy_ma_unloaded():

@@ -226,3 +226,19 @@ def test_hermite_coefficient_overflow_is_non_finite():
     # C(400, k) C(300, k) k! leaves the float range: a numerical failure, not OverflowError
     with pytest.raises(NonFiniteResult):
         dq.coefficients_grid(400, 300, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("n", [7, 12])
+def test_one_cell_last_block_keeps_grids_bit_identical(monkeypatch, n):
+    # a 4097 x 1 grid ends in a one-cell block, whose norm numpy would sum pairwise
+    from dqsim import nongauss, squeezing
+
+    a_vals, r_val = np.linspace(0.05, 16.0, 4097), 0.5
+    assert dq.row_blocks((4097, 1)) == [(0, 4097)]
+    blocked = (squeezing.variance_x_map(n, 2, a_vals[:, None], [[r_val]]),
+               nongauss.hsd_scan(n, 2, a_vals, [r_val]))
+    monkeypatch.setattr(dq, "BLOCK_CELLS", 10**9)
+    whole = (squeezing.variance_x_map(n, 2, a_vals[:, None], [[r_val]]),
+             nongauss.hsd_scan(n, 2, a_vals, [r_val]))
+    for b, w in zip(blocked, whole):
+        assert np.array_equal(b, w)

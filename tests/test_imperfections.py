@@ -1,12 +1,14 @@
 import math
+from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dqsim import dq, fock, imperfections
-from dqsim.errors import TruncationTooSmall, ZeroProbability
+from dqsim.errors import ZeroProbability
 
 BENCHMARKS = [
     # (n, |alpha|^2, R) with single-photon heralding
@@ -140,11 +142,14 @@ def test_zero_probability_guard():
 _reflectivity = st.floats(0.05, 0.95)
 
 
-@given(n=st.integers(0, 6), alpha_sq=st.floats(0.0, 30.0), R=_reflectivity)
-def test_herald_probabilities_are_complete(n, alpha_sq, R):
-    # m = 0 with a blind detector weights every k by 1: the k sum is sum_k p(n, k)
-    terms = imperfections.herald_terms(_cfg(n, alpha_sq, R, m=0), [0.0])
-    assert terms.probs.sum() == pytest.approx(1.0, abs=1e-12)
+@given(n=st.integers(0, 6), alpha_sq=st.floats(0.0, 30.0), R=_reflectivity,
+       eta_s=st.floats(0.0, 1.0))
+def test_herald_probabilities_are_complete(n, alpha_sq, R, eta_s):
+    # a blind detector (eta_d = 0) reports m = 0 whatever arrives: the herald fires with p = 1
+    _, prob = imperfections.mixture(
+        imperfections.herald_terms(_cfg(n, alpha_sq, R, m=0), [0.0]), 0, eta_s
+    )
+    assert prob == pytest.approx(1.0, abs=1e-12)
 
 
 @given(
@@ -205,26 +210,41 @@ def test_vacuum_branch_is_poisson(m, alpha_sq, R, eta_d):
         assert abs(rho[0, 0]) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_k_sum_cap_raises_truncation_too_small(monkeypatch):
-    monkeypatch.setattr(imperfections, "MAX_TERMS", 3)
-    with pytest.raises(TruncationTooSmall):
-        imperfections.herald_terms(_cfg(2, 9.0, 0.4, m=1), [0.5])
+def _mp_mixture(n, m, a2, R, eta_d, eta_s, k_max=100):
+    """rho_bare over levels 0..n and its probability from a 50-digit mpmath evaluation of the
+    sum over the k >= m photons the lossy detector saw, real alpha."""
+    with mpmath.workdps(50):
+        R, eta_d, eta_s = mpmath.mpf(R), mpmath.mpf(eta_d), mpmath.mpf(eta_s)
+        x = mpmath.sqrt(mpmath.mpf(a2) * (1 - R))
+        f = mpmath.factorial
+        rho = mpmath.zeros(n + 1)
+        for n_src, branch in ((n, eta_s), (0, 1 - eta_s)):
+            for k in range(m, k_max):  # C_q = C(n,q) sqrt(q!) ((1-R)/R)^(q/2) H_{n-q,k}(x, x)
+                c = [mpmath.binomial(n_src, q) * mpmath.sqrt(f(q)) * ((1 - R) / R) ** (q / 2.0)
+                     * mpmath.fsum((-1) ** i * mpmath.binomial(n_src - q, i)
+                                   * mpmath.binomial(k, i) * f(i) * x ** (n_src - q + k - 2 * i)
+                                   for i in range(min(n_src - q, k) + 1))
+                     for q in range(n_src + 1)]
+                w = mpmath.binomial(k, m) * eta_d**m * (1 - eta_d) ** (k - m)
+                scale = branch * w * R**n_src * mpmath.exp(-(x**2)) / (f(k) * f(n_src))
+                for i, j in product(range(n_src + 1), repeat=2):
+                    rho[i, j] += scale * c[i] * c[j]
+        prob = sum(rho[q, q] for q in range(n + 1))
+        return np.array((rho / prob).tolist(), dtype=float), float(prob)
 
 
-@given(
-    n=st.integers(0, 4),
-    m=st.integers(0, 6),
-    alpha_sq=st.floats(0.5, 16.0),
-    R=_reflectivity,
-    eta_d=st.floats(0.02, 1.0),
-    extra=st.integers(0, 40),
-)
-def test_tail_bound_covers_the_tail(n, m, alpha_sq, R, eta_d, extra):
-    cfg = _cfg(n, alpha_sq, R, m=m)
-    k = max(m, n - 1) + extra
-    bound = imperfections._tail_bound(cfg, k, np.array([eta_d]))[0]
-    tail = math.fsum(
-        imperfections._weight(j, m, eta_d) * dq.success_probability(_cfg(n, alpha_sq, R, m=j))
-        for j in range(k + 1, k + 100)  # the terms beyond fall below 1e-30 of the tail
-    )
-    assert bound >= tail * (1.0 - 1e-12)
+@pytest.mark.parametrize("eta_d", [1e-100, 1e-300])
+@pytest.mark.parametrize("n, m", [(1, 1), (4, 1), (3, 2), (6, 3)])
+def test_mixture_at_tiny_eta_d_matches_mpmath(n, m, eta_d):
+    # no power of eta_d or R is divided out, so nothing underflows on the way to p ~ eta_d^m;
+    # (3, 2) and (6, 3) at 1e-300 never fire (p ~ 1e-600 and 1e-900)
+    cfg = _cfg(n, 7.0, 0.4, m=m)
+    terms = imperfections.herald_terms(cfg, [eta_d])
+    rho_mp, prob_mp = _mp_mixture(n, m, 7.0, 0.4, eta_d, 0.8)
+    if prob_mp < 1e-300:
+        with pytest.raises(ZeroProbability):
+            imperfections.mixture(terms, 0, 0.8)
+        return
+    rho, prob = imperfections.mixture(terms, 0, 0.8)
+    assert prob == pytest.approx(prob_mp, rel=1e-13)
+    np.testing.assert_allclose(rho, rho_mp, rtol=0, atol=1e-14)
