@@ -62,5 +62,8 @@ scan-json scan --n 1 --m 0 --format json
 wigner wigner --n 2 --m 1 --alpha-sq 5.45 --R 0.8175
 state-json state --n 2 --m 1 --alpha-sq 5.45 --R 0.8175 --eta-d 0.9 --format json
 fidelity-map fidelity-map --n 2 --m 1 --alpha-sq 5.45 --R 0.8175
+fidelity-map-n6 fidelity-map --n 6 --m 3 --alpha-sq 9 --R 0.4
+table3-eta table3 --eta-d 0.7 --eta-s 0.5 --format json
+state-n5 state --n 5 --m 2 --alpha-sq 7.5 --R 0.55 --eta-d 0.6 --eta-s 0.8
 COMMANDS
 exit "$status"

@@ -220,7 +220,8 @@ def _cmd_state(args):
         rho, prob_imp = imperfections.mixture(terms, 0, eta_s)
         rows.append(("success_prob_realized", prob_imp))
         rows.append(("fidelity_realized", np.vdot(state.coeffs, rho @ state.coeffs).real))
-        a1, a2, n1 = (eta_s * complex(dq.bare_moment(terms.comps[0].T, u, v).sum()) / prob_imp
+        comps = imperfections.components(terms)[0].T  # comps[q, l] = u_l[q]
+        a1, a2, n1 = (eta_s * complex(dq.bare_moment(comps, u, v).sum()) / prob_imp
                       for u, v in ((0, 1), (0, 2), (1, 1)))  # the vacuum adds no moment
         realized = squeezing.principal_variances(a1, a2, n1.real)
         rows += zip(("var_x_realized", "var_p_realized", "min_var_realized"), realized)
@@ -272,8 +273,7 @@ def _cmd_table2(args):
 
 def _cmd_table3(args):
     """Success probability and exact Wigner negativity of the four benchmark states, in order."""
-    eta_d = args.eta_d if args.eta_d is not None else 0.9
-    eta_s = args.eta_s if args.eta_s is not None else 0.9
+    eta_d, eta_s = (0.9 if v is None else v for v in (args.eta_d, args.eta_s))
     rows = []
     for n, a2, R in _TABLE3_CONFIGS:
         cfg = dq.CMConfig(n, 1, complex(math.sqrt(a2)), R)
@@ -305,21 +305,19 @@ def _cmd_wigner(args):
 
 
 def _cmd_hsd_scan(args):
-    # delta lies in [0, 1/2]; cancellation in Tr(rho tau) leaves it from about n = 40
+    # delta lies in [0, 1/2]; the range check is a guard against cancellation in Tr(rho tau)
     a_vals, r_vals, grid = _scan_map(args, nongauss.hsd_scan, -1e-9, 0.5 + 1e-9)
     meta = {"command": "hsd-scan", "n": args.n, "m": args.m}
     return ["alpha_sq", "R", "value"], Grid(a_vals, r_vals, grid), meta
 
 
 def _cmd_fidelity_map(args):
-    cfg = _config(args)
     d_vals, s_vals = _parse_grid2(args.grid)
     if min(d_vals[0], s_vals[0]) < 0 or max(d_vals[-1], s_vals[-1]) > 1:
         raise argparse.ArgumentTypeError(
             f"bad fidelity-map grid '{args.grid}': eta_d and eta_s must lie in [0, 1]"
         )
-    dq.build_dq(cfg)  # where the ideal state overflows, exit 3 before the (n + 1)^2 components
-    rows = imperfections.fidelity_rows(imperfections.herald_terms(cfg, d_vals), s_vals)
+    rows = imperfections.fidelity_heatmap(_config(args), d_vals, s_vals)
     return ["eta_d", "eta_s", "fidelity"], rows, {"command": "fidelity-map"}
 
 

@@ -7,27 +7,28 @@ displacement, D(beta) -> D(sqrt(eta_d) beta), and U|0>|n> holds exactly n
 photons, so each source photon is lost independently with probability
 (1-eta_d) R.  With l lost, the rest form an ideal input at sqrt(eta_d) alpha:
 
-    u_l[q] = sqrt(C(n,l) ((1-eta_d) R)^l / (m! (n-l)!)) e^(-eta_d chi/2) C(n-l,q) sqrt(q!)
-             (eta_d R)^((n-l-q)/2) (1-R)^(q/2) H_{n-l-q,m}(sqrt(eta_d) x*, sqrt(eta_d) x),
+    u_l[q] = K a_l b_q g_{n-l-q},  K = sqrt(n!/m!) e^(-eta_d chi/2),  b_q = (1-R)^(q/2) / sqrt(q!),
+    a_l = ((1-eta_d) R)^(l/2) / sqrt(l!),  g_k = (eta_d R)^(k/2) H_{k,m}(y*, y) / k!,
 
-q = 0..n-l, x = alpha sqrt(1-R), chi = |x|^2; |u_l|^2 is the branch's
-probability (u_0 = sqrt(p(n, m)) c_m at eta_d = 1).  The realized state is
-D(alpha sqrt R) rho_bare D^dag with the exact mixture over levels 0..n
-(`herald_terms`, `mixture`; no Fock cutoff, no ratio of eta_d or R)
+y = sqrt(eta_d) x, x = alpha sqrt(1-R), chi = |x|^2 and u_l[q] = 0 for q > n-l;
+|u_l|^2 is the branch's probability (u_0 = sqrt(p(n, m)) c_m at eta_d = 1).
+The realized state is D(alpha sqrt R) rho_bare D^dag with the exact mixture
+over levels 0..n (no Fock cutoff, no ratio of eta_d or R)
 
-    rho_bare ∝ eta_s sum_{l=0}^{n} u_l u_l^dag + (1-eta_s) Poisson(eta_d chi; m) |0><0|,
+    rho_bare ∝ eta_s sum_{l=0}^{n} u_l u_l^dag + (1-eta_s) e^(-eta_d chi) |g_0|^2/m! |0><0|,
 
-whose vacuum term is the n = 0 case of u_0.  `realized_state` and
-`realized_fidelity` evolve the two modes in a truncated Fock space instead
-and are kept as the independent oracle; they get p(n, m) by cancellation
-inside U|alpha>|n>, so they hold only above p(n, m) ~ 1e-20.
+whose vacuum weight, Poisson(eta_d chi; m), is the g_0 = y^m term.
+`realized_state` and `realized_fidelity` evolve the two modes in a
+truncated Fock space instead and are kept as the independent oracle; they
+get p(n, m) by cancellation inside U|alpha>|n>, so they hold only above
+p(n, m) ~ 1e-20.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +40,15 @@ __all__ = [
     "ImperfectionParams",
     "povm_element",
     "herald_terms",
+    "components",
     "mixture",
-    "fidelity_rows",
     "realized_state",
     "realized_fidelity",
     "fidelity_heatmap",
 ]
 
-# comps[i, l] is u_l at eta_d[i], zero above level n - l; vacuum[i] is Poisson(eta_d[i] chi; m)
-HeraldTerms = namedtuple("HeraldTerms", "cfg eta_d comps vacuum")
+# a[i, l], b[q], g[i, k] = K g_k at eta_d[i]; vacuum[i] = Poisson(eta_d[i] chi; m)
+HeraldTerms = namedtuple("HeraldTerms", "cfg eta_d a b g vacuum")
 
 
 @dataclass(frozen=True)
@@ -76,40 +77,42 @@ def povm_element(m: int, eta_d: float, t: fock.Truncation) -> fock.DensityMatrix
     return fock.DensityMatrix(np.diag(weights).astype(complex))
 
 
-def _components(cfg: dq.CMConfig, eta_d: np.ndarray) -> np.ndarray:
-    """u_l of the module docstring as an (eta_d.size, n + 1, n + 1) array [i, l, q]."""
-    n, m, R = cfg.n, cfg.m, cfg.R
-    y = np.sqrt(eta_d) * complex(cfg.alpha) * math.sqrt(1.0 - R)
-    h = hermite2_rows(n, m, np.conj(y), y)  # h[l + q] = H_{n-l-q,m}(y*, y)
-    log_c = math.lgamma(n + 1) - math.lgamma(m + 1) - eta_d * dq.chi(cfg)  # no float factorial
-    u = np.zeros((eta_d.size, n + 1, n + 1), dtype=complex)
-    for l in range(n + 1):
-        front = np.exp(0.5 * (log_c - math.lgamma(l + 1)) - math.lgamma(n - l + 1))
-        for q in range(n - l + 1):
-            powers = ((1.0 - eta_d) * R) ** (l / 2) * (eta_d * R) ** ((n - l - q) / 2)
-            u[:, l, q] = front * powers * dq._level_factor(n - l, q, 1.0 - R) * h[l + q]
-    return u
-
-
 def herald_terms(cfg: dq.CMConfig, eta_d_values) -> HeraldTerms:
-    """The n + 1 components u_l and the vacuum branch's Poisson(eta_d chi; m) for each eta_d;
-    NonFiniteResult where one overflows."""
+    """The factors a, b, K g and the vacuum weight for each eta_d; NonFiniteResult on overflow."""
+    n, m, R = cfg.n, cfg.m, cfg.R
     eta_d = np.atleast_1d(np.asarray(eta_d_values, float))
+    level = np.arange(n + 1)
+    log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
+    y = np.sqrt(eta_d) * complex(cfg.alpha) * math.sqrt(1.0 - R)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            comps = _components(cfg, eta_d)
-            vacuum = np.abs(_components(replace(cfg, n=0), eta_d)[:, 0, 0]) ** 2
-        except OverflowError:  # k! of H_{n-l-q,m} for k >= 171
-            comps = vacuum = np.inf
-    if not (np.isfinite(comps).all() and np.isfinite(vacuum).all()):
-        raise NonFiniteResult(f"the realized state's components overflow for n={cfg.n},"
-                              f" m={cfg.m}, alpha={cfg.alpha}, R={cfg.R}")
-    return HeraldTerms(cfg, eta_d, comps, vacuum)
+            h = np.array(hermite2_rows(n, m, np.conj(y), y)).T[:, ::-1]  # h[i, k] = H_{k,m}
+        except OverflowError:  # the factor min(k, m)! of H_{k,m} for min(k, m) >= 171
+            h = np.full((eta_d.size, n + 1), np.inf)
+        a = ((1.0 - eta_d) * R)[:, None] ** (level / 2) * np.exp(-0.5 * log_fact)
+        b = (1.0 - R) ** (level / 2) * np.exp(-0.5 * log_fact)
+        # K / k! as one exponential: sqrt(n!) and 1/k! never have to fit in a float alone
+        log_k = 0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1) - eta_d * dq.chi(cfg))
+        g = np.exp(log_k[:, None] - log_fact) * (eta_d * R)[:, None] ** (level / 2) * h
+        vacuum = np.abs(np.exp(-0.5 * (math.lgamma(m + 1) + eta_d * dq.chi(cfg))) * h[:, 0]) ** 2
+    if not (np.isfinite(g).all() and np.isfinite(vacuum).all()):
+        raise NonFiniteResult(f"the realized state's components overflow for n={n}, m={m},"
+                              f" alpha={cfg.alpha}, R={R}")
+    return HeraldTerms(cfg, eta_d, a, b, g, vacuum)
+
+
+def components(terms: HeraldTerms, rows: slice = slice(None)) -> np.ndarray:
+    """u_l[q] at eta_d[rows] as a (rows, n + 1, n + 1) array [i, l, q], zero where l + q > n."""
+    n = terms.cfg.n
+    k = n - np.arange(n + 1)[:, None] - np.arange(n + 1)  # the Hankel index n - l - q
+    g = np.pad(terms.g[rows], ((0, 0), (0, 1)))  # its last column, 0, fills l + q > n
+    return terms.a[rows, :, None] * terms.b * g[:, np.where(k < 0, -1, k)]
 
 
 def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[np.ndarray, float]:
     """Normalized rho_bare over levels 0..n as an array, and its probability at eta_d[i], eta_s."""
-    rho = eta_s * (terms.comps[i].T @ terms.comps[i].conj())
+    u = components(terms, slice(i, i + 1))[0]
+    rho = eta_s * (u.T @ u.conj())
     rho[0, 0] += (1.0 - eta_s) * terms.vacuum[i]
     prob = float(np.trace(rho).real)
     if prob < 1e-300:
@@ -117,23 +120,22 @@ def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[np.ndarray, float
     return rho / prob, prob
 
 
-def fidelity_rows(terms: HeraldTerms, eta_s_values) -> list[tuple[float, float, float]]:
-    """Rows (eta_d, eta_s, <c_m|rho_bare|c_m>), with 0 where the herald never fires."""
-    ideal = dq.build_dq(terms.cfg)[0].coeffs
-    probs = np.sum(np.abs(terms.comps) ** 2, axis=(1, 2))
-    overlaps = np.sum(np.abs(terms.comps @ ideal.conj()) ** 2, axis=1)
-    rows = []
-    for ed, p, ov, vac in zip(terms.eta_d, probs, overlaps, terms.vacuum):
-        for es in np.asarray(eta_s_values, float):
-            prob = es * p + (1.0 - es) * vac
-            fid = es * ov + (1.0 - es) * vac * abs(ideal[0]) ** 2
-            rows.append((float(ed), float(es), float(fid / prob) if prob >= 1e-300 else 0.0))
-    return rows
-
-
 def fidelity_heatmap(cfg: dq.CMConfig, eta_d_values, eta_s_values) -> list[tuple[float, ...]]:
-    """Rows (eta_d, eta_s, fidelity) over the efficiency grid, from one `herald_terms`."""
-    return fidelity_rows(herald_terms(cfg, eta_d_values), eta_s_values)
+    """Rows (eta_d, eta_s, <c_m|rho_bare|c_m>), 0 where the herald never fires; after the ideal
+    state, the components are formed in `dq.row_blocks` of eta_d, not all at once."""
+    ideal = dq.build_dq(cfg)[0].coeffs
+    terms = herald_terms(cfg, eta_d_values)
+    rows = []
+    for block in (slice(*b) for b in dq.row_blocks((terms.eta_d.size, cfg.n + 1, cfg.n + 1))):
+        u = components(terms, block)
+        probs = np.sum(np.abs(u) ** 2, axis=(1, 2))
+        overlaps = np.sum(np.abs(u @ ideal.conj()) ** 2, axis=1)
+        for ed, p, ov, vac in zip(terms.eta_d[block], probs, overlaps, terms.vacuum[block]):
+            for es in np.asarray(eta_s_values, float):
+                prob = es * p + (1.0 - es) * vac
+                fid = es * ov + (1.0 - es) * vac * abs(ideal[0]) ** 2
+                rows.append((float(ed), float(es), float(fid / prob) if prob >= 1e-300 else 0.0))
+    return rows
 
 
 def realized_state(

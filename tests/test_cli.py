@@ -250,9 +250,9 @@ def test_fidelity_map_overflow_exit_code(capsys, monkeypatch):
 def test_fidelity_map_checks_the_ideal_state_first(capsys, monkeypatch):
     # at n = 2000 the ideal C_q overflow; the (n + 1)^2 components per eta_d are never built
     def not_reached(*args):
-        raise AssertionError("herald_terms ran before the ideal state was checked")
+        raise AssertionError("the components were built before the ideal state was checked")
 
-    monkeypatch.setattr(imperfections, "herald_terms", not_reached)
+    monkeypatch.setattr(imperfections, "components", not_reached)
     rc = _run(["fidelity-map", "--n", "2000", "--m", "1", "--alpha-sq", "0.5", "--R", "0.5"])
     assert rc == 3
     err = capsys.readouterr().err

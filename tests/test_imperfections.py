@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import mpmath
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dqsim import dq, fock, imperfections
+from dqsim import dq, fock, imperfections, polynomials
 from dqsim.errors import ZeroProbability
 
 BENCHMARKS = [
@@ -123,6 +124,27 @@ def test_heatmap_matches_pointwise_evaluation():
         assert f == pytest.approx(direct, abs=1e-12)
 
 
+def test_heatmap_memory_is_bounded_and_rows_match_mixture():
+    # n = 100 on 1001 eta_d: the (n + 1)^2 components of all eta_d at once would take 163 MB
+    cfg = dq.CMConfig(100, 1, complex(math.sqrt(2.0)), 0.9)
+    eta_d = np.linspace(0, 1, 1001)
+    tracemalloc.start()
+    try:
+        rows = imperfections.fidelity_heatmap(cfg, eta_d, [0.0, 1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    assert len(rows) == 2 * eta_d.size
+    ideal = dq.build_dq(cfg)[0].coeffs
+    for i in (1, 250, 500, 750, 1000):
+        for j, eta_s in enumerate((0.0, 1.0)):
+            rho, _ = imperfections.mixture(imperfections.herald_terms(cfg, [eta_d[i]]), 0, eta_s)
+            fid = np.vdot(ideal, rho @ ideal).real / np.trace(rho).real
+            assert rows[2 * i + j][:2] == (eta_d[i], eta_s)
+            assert rows[2 * i + j][2] == pytest.approx(fid, rel=1e-12)
+
+
 def test_impure_source_can_help():
     # for the qutrit benchmark there are efficiency cells where a less pure
     # source yields a higher fidelity than a pure one
@@ -175,6 +197,40 @@ def test_mixture_matches_fock_oracle(n, m, alpha_sq, R, eta_d, eta_s, phase):
     ideal, _ = dq.build_dq(cfg)
     fid = np.vdot(ideal.coeffs, rho @ ideal.coeffs).real
     assert fid == pytest.approx(imperfections.realized_fidelity(cfg, imp), abs=1e-10)
+
+
+def _components_reference(n, m, alpha, R, eta_d):
+    """u_l[q] in its unfactorized form, one (l, q) at a time on Python numbers."""
+    y = math.sqrt(eta_d) * alpha * math.sqrt(1.0 - R)
+    u = np.zeros((n + 1, n + 1), dtype=complex)
+    for l in range(n + 1):
+        for q in range(n - l + 1):
+            k = n - l - q
+            u[l, q] = (math.sqrt(math.comb(n, l) * ((1.0 - eta_d) * R) ** l
+                                 / (math.factorial(m) * math.factorial(n - l)))
+                       * math.exp(-eta_d * abs(alpha) ** 2 * (1.0 - R) / 2)
+                       * math.comb(n - l, q) * math.sqrt(math.factorial(q))
+                       * (eta_d * R) ** (k / 2) * (1.0 - R) ** (q / 2)
+                       * polynomials.hermite2(k, m, y.conjugate(), y))
+    return u
+
+
+@given(
+    n=st.integers(0, 8),
+    m=st.integers(0, 8),
+    alpha_sq=st.floats(0.0, 30.0),
+    R=_reflectivity,
+    phase=st.sampled_from([0.0, 0.7, -2.3]),
+)
+def test_components_match_the_unfactorized_form(n, m, alpha_sq, R, phase):
+    # u_l[q] = K a_l b_q g_{n-l-q}, gathered for several eta_d at once, against the product of
+    # binomials, factorials and powers it factors
+    alpha = math.sqrt(alpha_sq) * complex(math.cos(phase), math.sin(phase))
+    eta_d = [0.0, 0.3, 0.7, 1.0]
+    u = imperfections.components(imperfections.herald_terms(dq.CMConfig(n, m, alpha, R), eta_d))
+    for i, ed in enumerate(eta_d):
+        ref = _components_reference(n, m, alpha, R, ed)
+        np.testing.assert_allclose(u[i], ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
 @given(

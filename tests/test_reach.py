@@ -98,7 +98,6 @@ UNREACHED = {
     "imperfections.povm_element": _REALIZED,
     "imperfections.realized_state": _REALIZED,
     "imperfections.realized_fidelity": _REALIZED,
-    "imperfections.fidelity_heatmap": "herald_terms and fidelity_rows in one call, for tests",
     **dict.fromkeys([
         "fock.Truncation.__post_init__", "fock.Truncation.auto",
         "fock.FockVector.__post_init__", "fock.FockVector.dim", "fock.FockVector.norm2",
