@@ -216,7 +216,7 @@ def _cmd_state(args):
     meta = {"command": "state"}
     if args.eta_d is not None or args.eta_s is not None:
         eta_d, eta_s = (1.0 if v is None else v for v in (args.eta_d, args.eta_s))
-        terms = imperfections.herald_terms(cfg, [eta_d])
+        terms = dq.herald_terms(cfg, [eta_d])
         rho, prob_imp = imperfections.mixture(terms, 0, eta_s)
         rows.append(("success_prob_realized", prob_imp))
         rows.append(("fidelity_realized", np.vdot(state.coeffs, rho @ state.coeffs).real))
@@ -278,7 +278,7 @@ def _cmd_table3(args):
     for n, a2, R in _TABLE3_CONFIGS:
         cfg = dq.CMConfig(n, 1, complex(math.sqrt(a2)), R)
         state, prob_ideal = dq.build_dq(cfg)
-        _, prob = imperfections.mixture(imperfections.herald_terms(cfg, [eta_d]), 0, eta_s)
+        _, prob = imperfections.mixture(dq.herald_terms(cfg, [eta_d]), 0, eta_s)
         rows.append((n, a2, R, prob, nongauss.wigner_negativity(state), prob_ideal))
     return (
         ["n", "alpha_sq", "R", "success_prob", "wigner_negativity", "success_prob_ideal"],

@@ -1,27 +1,26 @@
 """Closed-form displaced qudits from heralded beam-splitter interference.
 
 A coherent state |alpha> meets a number state |n> on a beam splitter of
-reflectivity R; detecting m photons on the ancillary output leaves the
-signal mode in a displaced finite superposition
+reflectivity R; a detector of efficiency eta_d (an ideal one behind a beam
+splitter that transmits eta_d) counts m photons on the ancillary output.
+Each source photon is lost independently with probability (1-eta_d) R, and
+with l lost the signal mode is left in D(alpha sqrt R) sum_q u_l[q] |q>,
 
-    |psi> = D(alpha sqrt(R)) sum_{q=0}^{n} A_q |q>.
+    u_l[q] = K a_l b_q g_{n-l-q},  K = sqrt(n!/m!) e^(-eta_d chi/2),  b_q = (1-R)^(q/2) / sqrt(q!),
+    a_l = ((1-eta_d) R)^(l/2) / sqrt(l!),  g_k = (eta_d R)^(k/2) H_{k,m}(y*, y) / k!,
 
-The unnormalized coefficient of |q> is
-
-    C_q = C(n,q) sqrt(q!) ((1-R)/R)^(q/2) H_{n-q,m}(x*, x),   x = alpha sqrt(1-R),
-
-with H the two-variable Hermite polynomial (H_{n-q,m}(x, x) for real
-alpha; the conjugate keeps the phase of a complex alpha exact), and the
-heralding success probability is
-
-    S_p = R^n / (m! n!) exp(-|alpha|^2 (1-R)) sum_q |C_q|^2.
-
-Laguerre-route evaluations of the same coefficients are provided as an
-independent cross-check, together with root loci of individual
-coefficients in the combined parameter chi = |alpha|^2 (1-R), found as
-exact real roots of the coefficient polynomials in alpha.  The squeezing and
-non-Gaussianity grids share the `row_blocks`, the `normalized` coefficients
-and their `bare_moment`s here.
+y = sqrt(eta_d) x, x = alpha sqrt(1-R), chi = |x|^2, H the two-variable
+Hermite polynomial and u_l[q] = 0 for q > n-l; |u_l|^2 is the branch's
+probability.  `herald_terms` is this one closed form.  The ideal displaced
+qudit (`build_dq`) is its eta_d = 1, l = 0 slice: A_q = u_0[q] / sqrt(p),
+with p = sum_q |u_0[q]|^2 the heralding success probability.  The
+parameter-space grids (`coefficients_grid`) take the same coefficients up
+to a q-independent factor, C_q = C(n,q) sqrt(q!) ((1-R)/R)^(q/2) H_{n-q,m}(x*, x).
+Laguerre-route evaluations of the C_q are an independent cross-check, and
+root loci of single coefficients in chi are exact real roots of the
+coefficient polynomials in alpha.  The squeezing and non-Gaussianity grids
+share the `row_blocks`, the `normalized` coefficients and their
+`bare_moment`s here.
 """
 
 from __future__ import annotations
@@ -29,12 +28,15 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fock
-from .errors import NonFiniteResult, NoRootInBracket, TruncationTooSmall, ZeroProbability
+from .errors import (NonFiniteResult, NoRootInBracket, PrecisionLoss, TruncationTooSmall,
+                     ZeroProbability)
 from .polynomials import hermite2_rows, laguerre
 
 __all__ = [
@@ -44,11 +46,12 @@ __all__ = [
     "chi",
     "classify",
     "coefficient_laguerre",
-    "raw_coefficients",
     "coefficients_grid",
     "normalized",
     "bare_moment",
     "covariance_from_moments",
+    "HeraldTerms",
+    "herald_terms",
     "success_probability",
     "build_dq",
     "to_fock",
@@ -145,36 +148,23 @@ def coefficient_laguerre(cfg: CMConfig, q: int) -> complex:
     x2 = abs(alpha) ** 2 * (1.0 - R)
     base = _level_factor(n, q, (1.0 - R) / R)
     if m >= n:
-        val = (
-            (-1) ** (n - q)
-            * math.factorial(n - q)
-            * (alpha * sq) ** (m - n + q)
-            * laguerre(n - q, m - n + q, x2)
-        )
+        val = ((-1) ** (n - q) * math.factorial(n - q) * (alpha * sq) ** (m - n + q)
+               * laguerre(n - q, m - n + q, x2))
     else:
         power = n - m - q
         if alpha == 0 and power < 0:
             return 0j
-        val = (
-            (-1) ** m
-            * math.factorial(m)
-            * (alpha.conjugate() * sq) ** power
-            * laguerre(m, power, x2)
-        )
+        val = ((-1) ** m * math.factorial(m) * (alpha.conjugate() * sq) ** power
+               * laguerre(m, power, x2))
     return complex(base * val)
-
-
-def raw_coefficients(cfg: CMConfig) -> np.ndarray:
-    """All unnormalized coefficients C_0..C_n (Hermite route)."""
-    return coefficients_grid(cfg.n, cfg.m, complex(cfg.alpha), cfg.R)
 
 
 def coefficients_grid(n: int, m: int, alpha, R) -> np.ndarray:
     """Unnormalized coefficients over broadcast grids of alpha (real or complex) and R.
 
     Returns an array of shape (n + 1,) + broadcast(alpha, R).shape; the
-    parameter-space scans pass real alpha grids, raw_coefficients one
-    complex alpha.  Each C_q is _level_factor(n, q, ratio) * hermite2(n - q,
+    parameter-space scans pass real alpha grids; one state and its p come
+    from `build_dq`.  Each C_q is _level_factor(n, q, ratio) * hermite2(n - q,
     m, conj(x), x) (`hermite2_rows`), elementwise, so a block of a grid
     gives the whole grid's values bit for bit; real x is not conjugated, and
     the level factors are taken on R's own shape before they broadcast.
@@ -248,22 +238,82 @@ def covariance_from_moments(a1: complex, a2: complex, n1: float) -> tuple[float,
     return central.real + spread + 0.5, -central.real + spread + 0.5, central.imag
 
 
-def _herald_prefactor(cfg: CMConfig) -> float:
-    """R^n / (m! n!) exp(-|alpha|^2 (1 - R)), the success probability per unit sum_q |C_q|^2.
+# a[i, l], b[q], g[i, k] = K g_k at eta_d[i]; vacuum[i] = Poisson(eta_d[i] chi; m)
+HeraldTerms = namedtuple("HeraldTerms", "cfg eta_d a b g vacuum")
 
-    Evaluated in log space, so m! n! never has to fit in a float.
+_TINY = sys.float_info.min  # the smallest normal float
+_LOG_TINY, _LOG_MAX = math.log(_TINY), math.log(sys.float_info.max)
+_ULP = math.log(2.0**-1072)  # 4 units of the last subnormal place
+
+
+def herald_terms(cfg: CMConfig, eta_d_values) -> HeraldTerms:
+    """The factors a, b and K g of u_l[q] (module docstring) and the vacuum weight for each eta_d.
+
+    Exact logarithms bound each component's error from factors and partial products outside
+    the normal float range, in `row_blocks` of eta_d: a subnormal one is off by `_ULP`; one that
+    overflows, or an H_{k,m} whose power y^d underflows, is lost.  PrecisionLoss where an error
+    can pass (n + 1) eps sqrt(p), the rounding of p's n + 1 terms, unless p is below the normal
+    range; a lost g_k below that is set to 0.  NonFiniteResult where H_{k,m} overflows.
     """
-    log_pref = (
-        cfg.n * math.log(cfg.R)
-        - math.lgamma(cfg.m + 1)
-        - math.lgamma(cfg.n + 1)
-        - abs(cfg.alpha) ** 2 * (1.0 - cfg.R)
-    )
-    return math.exp(log_pref)
+    n, m, R = cfg.n, cfg.m, cfg.R
+    where = f"n={n}, m={m}, alpha={cfg.alpha}, R={R}"
+    eta_d = np.atleast_1d(np.asarray(eta_d_values, float))
+    level = np.arange(n + 1)
+    log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
+    y = np.sqrt(eta_d) * complex(cfg.alpha) * math.sqrt(1.0 - R)
+    szego = np.array([math.lgamma(max(k, m) + 1) - math.lgamma(abs(k - m) + 1) for k in level])
+
+    def lost_terms(i: slice) -> np.ndarray:
+        """Where g_k of the rows i is lost; PrecisionLoss where an error can pass rounding."""
+        ed, y_i = eta_d[i, None], y[i, None]
+        log_y = np.where(y_i == 0, np.inf, np.abs(level - m) * np.log(np.abs(y_i)))  # |y|^d
+        unknown = log_y < _LOG_TINY  # H_{k,m} = (-1)^j j! y^d L_j^(d)(|y|^2), its power lost
+        # Szego's |L_j^(d)(z)| <= C(j+d, j) e^(z/2): |H_{k,m}| <= max(k, m)!/d! |y|^d e^(|y|^2/2)
+        log_h = np.where(unknown, szego + log_y + np.abs(y_i) ** 2 / 2, np.log(np.abs(h[i])))
+        log_f, log_w = log_k[i] - log_fact, np.where(level == 0, 0.0, level / 2 * np.log(ed * R))
+        log_g = log_f + log_w + log_h
+        parts = np.array([log_f, log_w, log_f + log_w, log_h, log_g])  # -inf: an exact 0
+        lost = unknown | (parts.max(axis=0) > _LOG_MAX) | ~np.isfinite(g[i])
+        # error of g_k: all of it where lost, else a subnormal ulp times (1 + |f|)(1 + |w|)(1 + |H|)
+        # where a factor or partial product underflows (a root of L leaves a true 0)
+        under = np.any((parts > -np.inf) & (parts < _LOG_TINY), axis=0)
+        err_g = np.where(lost, log_g, np.where(
+            under, _ULP + np.logaddexp(0, parts[[0, 1, 3]]).sum(axis=0), -np.inf))
+        # log max |a_l b_q| over l + q = n - k, and whether one is below the normal range (then
+        # so is one at l = 0 or l = n - k, where the concave log |a_l b_q| is least)
+        pair = (0.5 * (level * np.log1p(-ed * R) - log_fact))[:, ::-1]
+        below = (((a[i] < _TINY) & (ed < 1)) | (b < _TINY))[:, ::-1]
+        err = np.logaddexp(pair + err_g, np.where(below, _ULP + log_g, -np.inf))
+        log_p = np.logaddexp.reduce(np.where(unknown, -np.inf, 2 * (log_g + pair)), axis=1)
+        loss = (err > (math.log((n + 1) * sys.float_info.epsilon) + log_p / 2)[:, None]) & (
+            log_p >= _LOG_TINY)[:, None]
+        if loss.any():
+            r, k = np.argwhere(loss)[0]
+            raise PrecisionLoss(f"a factor outside the float range costs {loss.sum()} of {loss.size}"
+                                f" g_k more than rounding, first k={k} at eta_d={eta_d[i][r]:.12g},"
+                                f" for {where}")
+        return lost
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            h = np.array(hermite2_rows(n, m, np.conj(y), y)).T[:, ::-1]  # h[i, k] = H_{k,m}
+        except OverflowError:  # the factor min(k, m)! of H_{k,m} for min(k, m) >= 171
+            h = np.full((eta_d.size, n + 1), np.inf)
+        if not np.isfinite(h).all():
+            raise NonFiniteResult(f"the Hermite factors H_(k,{m}) of the C_q overflow for {where}")
+        a = ((1.0 - eta_d[:, None]) * R) ** (level / 2) * np.exp(-0.5 * log_fact)
+        b = (1.0 - R) ** (level / 2) * np.exp(-0.5 * log_fact)
+        # K / k! as one exponential: sqrt(n!) and 1/k! never have to fit in a float alone
+        log_k = 0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1) - eta_d[:, None] * chi(cfg))
+        g = np.exp(log_k - log_fact) * (eta_d[:, None] * R) ** (level / 2) * h
+        vacuum = np.abs(np.exp(-0.5 * (math.lgamma(m + 1) + eta_d * chi(cfg))) * h[:, 0]) ** 2
+        for lo, hi in row_blocks(g.shape):
+            g[lo:hi][lost_terms(slice(lo, hi))] = 0.0
+    return HeraldTerms(cfg, eta_d, a, b, g, vacuum)
 
 
 def success_probability(cfg: CMConfig) -> float:
-    """Ideal heralding probability of the (n, m, alpha, R) run; 0 where build_dq finds none."""
+    """Ideal heralding probability p of the (n, m, alpha, R) run; 0 where build_dq finds none."""
     try:
         return build_dq(cfg)[1]
     except ZeroProbability:
@@ -271,31 +321,17 @@ def success_probability(cfg: CMConfig) -> float:
 
 
 def build_dq(cfg: CMConfig) -> tuple[DQState, float]:
-    """Closed-form displaced qudit and its ideal success probability.
-
-    Raises NonFiniteResult if the C_q or sum_q |C_q|^2 overflow and
-    ZeroProbability if the sum vanishes or the success probability
-    underflows to 0.
-    """
-    where = f"n={cfg.n}, m={cfg.m}, alpha={cfg.alpha}, R={cfg.R}"
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = raw_coefficients(cfg)
-    if not np.all(np.isfinite(c)):
-        raise NonFiniteResult(f"coefficients C_q overflow for {where}")
-    s = float(np.vdot(c, c).real)
-    if not math.isfinite(s):
-        raise NonFiniteResult(f"coefficient norm sum_q |C_q|^2 overflows for {where}")
-    if s < 1e-300:
-        raise ZeroProbability(f"all coefficients vanish for {where}")
-    prob = _herald_prefactor(cfg) * s
-    if prob == 0.0:
-        raise ZeroProbability(f"success probability underflows to 0 for {where}")
-    state = DQState(
-        displacement=complex(cfg.alpha) * math.sqrt(cfg.R),
-        coeffs=c / math.sqrt(s),
-        config=cfg,
-    )
-    return state, prob
+    """Closed-form displaced qudit and its ideal success probability p = sum_q |u_0[q]|^2: the
+    eta_d = 1 slice u_0[q] = b_q (K g)_{n-q} of `herald_terms`, one (n + 1)-vector.  Raises
+    what herald_terms raises, and ZeroProbability where p is below the normal float range."""
+    terms = herald_terms(cfg, [1.0])
+    u = terms.b * terms.g[0, ::-1]
+    prob = float(np.vdot(u, u).real)
+    if not prob >= _TINY:
+        why = ("all coefficients vanish" if cfg.alpha == 0 and cfg.m > cfg.n
+               else "success probability underflows the float range")
+        raise ZeroProbability(f"{why} for n={cfg.n}, m={cfg.m}, alpha={cfg.alpha}, R={cfg.R}")
+    return DQState(complex(cfg.alpha) * math.sqrt(cfg.R), u / math.sqrt(prob), cfg), prob
 
 
 def to_fock(state: DQState, t: fock.Truncation) -> fock.FockVector:
@@ -314,14 +350,8 @@ class LocusTarget(enum.Enum):
     EQUAL_SUPERPOSITION = "equal-superposition"
 
 
-def locus_solve(
-    n: int,
-    m: int,
-    q: int,
-    target: LocusTarget,
-    R: float,
-    alpha_max: float = 12.0,
-) -> list[float]:
+def locus_solve(n: int, m: int, q: int, target: LocusTarget, R: float,
+                alpha_max: float = 12.0) -> list[float]:
     """Real alpha > 0 values at fixed R where a coefficient condition holds.
 
     COEFFICIENT_ZERO finds roots of C_q(alpha); EQUAL_SUPERPOSITION finds

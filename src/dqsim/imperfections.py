@@ -5,15 +5,10 @@ eta_d is an ideal one behind a beam splitter that transmits eta_d (Leonhardt,
 Measuring the Quantum State of Light, 1997).  Loss commutes with
 displacement, D(beta) -> D(sqrt(eta_d) beta), and U|0>|n> holds exactly n
 photons, so each source photon is lost independently with probability
-(1-eta_d) R.  With l lost, the rest form an ideal input at sqrt(eta_d) alpha:
-
-    u_l[q] = K a_l b_q g_{n-l-q},  K = sqrt(n!/m!) e^(-eta_d chi/2),  b_q = (1-R)^(q/2) / sqrt(q!),
-    a_l = ((1-eta_d) R)^(l/2) / sqrt(l!),  g_k = (eta_d R)^(k/2) H_{k,m}(y*, y) / k!,
-
-y = sqrt(eta_d) x, x = alpha sqrt(1-R), chi = |x|^2 and u_l[q] = 0 for q > n-l;
-|u_l|^2 is the branch's probability (u_0 = sqrt(p(n, m)) c_m at eta_d = 1).
-The realized state is D(alpha sqrt R) rho_bare D^dag with the exact mixture
-over levels 0..n (no Fock cutoff, no ratio of eta_d or R)
+(1-eta_d) R, and the branch that lost l is the component u_l of
+`dq.herald_terms` (its eta_d = 1, l = 0 slice is `dq.build_dq`'s ideal
+state).  The realized state is D(alpha sqrt R) rho_bare D^dag with the exact
+mixture over levels 0..n (no Fock cutoff, no ratio of eta_d or R)
 
     rho_bare ∝ eta_s sum_{l=0}^{n} u_l u_l^dag + (1-eta_s) e^(-eta_d chi) |g_0|^2/m! |0><0|,
 
@@ -27,28 +22,23 @@ p(n, m) ~ 1e-20.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dq, fock
-from .errors import NonFiniteResult, ZeroProbability
-from .polynomials import hermite2_rows
+from .dq import HeraldTerms, herald_terms
+from .errors import ZeroProbability
 
 __all__ = [
     "ImperfectionParams",
     "povm_element",
-    "herald_terms",
     "components",
     "mixture",
     "realized_state",
     "realized_fidelity",
     "fidelity_heatmap",
 ]
-
-# a[i, l], b[q], g[i, k] = K g_k at eta_d[i]; vacuum[i] = Poisson(eta_d[i] chi; m)
-HeraldTerms = namedtuple("HeraldTerms", "cfg eta_d a b g vacuum")
 
 
 @dataclass(frozen=True)
@@ -75,30 +65,6 @@ def povm_element(m: int, eta_d: float, t: fock.Truncation) -> fock.DensityMatrix
     weights = [math.comb(k, m) * eta_d**m * (1.0 - eta_d) ** (k - m) if k >= m else 0.0
                for k in range(t.dim)]
     return fock.DensityMatrix(np.diag(weights).astype(complex))
-
-
-def herald_terms(cfg: dq.CMConfig, eta_d_values) -> HeraldTerms:
-    """The factors a, b, K g and the vacuum weight for each eta_d; NonFiniteResult on overflow."""
-    n, m, R = cfg.n, cfg.m, cfg.R
-    eta_d = np.atleast_1d(np.asarray(eta_d_values, float))
-    level = np.arange(n + 1)
-    log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
-    y = np.sqrt(eta_d) * complex(cfg.alpha) * math.sqrt(1.0 - R)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            h = np.array(hermite2_rows(n, m, np.conj(y), y)).T[:, ::-1]  # h[i, k] = H_{k,m}
-        except OverflowError:  # the factor min(k, m)! of H_{k,m} for min(k, m) >= 171
-            h = np.full((eta_d.size, n + 1), np.inf)
-        a = ((1.0 - eta_d) * R)[:, None] ** (level / 2) * np.exp(-0.5 * log_fact)
-        b = (1.0 - R) ** (level / 2) * np.exp(-0.5 * log_fact)
-        # K / k! as one exponential: sqrt(n!) and 1/k! never have to fit in a float alone
-        log_k = 0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1) - eta_d * dq.chi(cfg))
-        g = np.exp(log_k[:, None] - log_fact) * (eta_d * R)[:, None] ** (level / 2) * h
-        vacuum = np.abs(np.exp(-0.5 * (math.lgamma(m + 1) + eta_d * dq.chi(cfg))) * h[:, 0]) ** 2
-    if not (np.isfinite(g).all() and np.isfinite(vacuum).all()):
-        raise NonFiniteResult(f"the realized state's components overflow for n={n}, m={m},"
-                              f" alpha={cfg.alpha}, R={R}")
-    return HeraldTerms(cfg, eta_d, a, b, g, vacuum)
 
 
 def components(terms: HeraldTerms, rows: slice = slice(None)) -> np.ndarray:

@@ -417,7 +417,7 @@ def test_coefficient_formula_cross_checks():
             for m in range(8):
                 cfg = dq.CMConfig(n, m, complex(alpha), R)
                 for q in range(n + 1):
-                    h = dq.raw_coefficients(cfg)[q]
+                    h = dq.coefficients_grid(n, m, complex(alpha), R)[q]
                     l = dq.coefficient_laguerre(cfg, q)
                     worst = max(worst, abs(h - l) / max(abs(h), abs(l), 1e-30))
     ok = worst < 1e-10
@@ -437,7 +437,7 @@ def test_chi_root_loci():
     for n, m, q, chi_root in checks:
         for R in (0.25, 0.5, 0.75):
             alpha = math.sqrt(chi_root / (1 - R))
-            worst = max(worst, abs(dq.raw_coefficients(dq.CMConfig(n, m, complex(alpha), R))[q]))
+            worst = max(worst, abs(dq.coefficients_grid(n, m, complex(alpha), R)[q]))
     ok = worst < 1e-10
     _report("chi root loci", ok, f"worst |coefficient| at roots {worst:.2e}")
 

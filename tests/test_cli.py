@@ -121,7 +121,7 @@ def test_bad_grid_exit_code(capsys):
         # exp(-|alpha|^2 (1 - R)) underflows
         (["state", "--n", "2", "--m", "1", "--alpha-sq", "100000", "--R", "0.5"],
          "success probability"),
-        # m! no longer fits in a float, and R^n / (m! n!) underflows
+        # m! no longer fits in a float, and p ~ 1e-360 lies below the float range
         (["state", "--n", "2", "--m", "171", "--alpha-sq", "1", "--R", "0.5"],
          "success probability"),
         # the coefficients are finite, but the degree-240 Wigner polynomial overflows
@@ -236,19 +236,21 @@ def _no_two_mode_fock(*args, **kwargs):
     raise AssertionError("a CLI command evolved the two-mode Fock state")
 
 
-def test_fidelity_map_overflow_exit_code(capsys, monkeypatch):
-    # chi = 200 and m = 150: the ideal state's own sum_q |C_q|^2 overflows (the documented limit)
+def test_fidelity_map_past_the_coefficient_norm_matches_mpmath(tmp_path, monkeypatch):
+    # chi = 200 and m = 150: sum_q |C_q|^2 of the ideal state overflows a float, but p(2, 150) is
+    # 8.2e-4 and the closed form's factors stay finite; no two-mode Fock evolution
     monkeypatch.setattr(fock, "_bs_output", _no_two_mode_fock)
-    rc = _run(["fidelity-map", "--n", "2", "--m", "150", "--alpha-sq", "400", "--R", "0.5",
-               "--grid", "0.5:0.9:2,0.5:1:2"])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "NonFiniteResult" in err and "overflows" in err
-    assert len(err.strip().splitlines()) == 1
+    out = tmp_path / "f.csv"
+    assert _run(["fidelity-map", "--n", "2", "--m", "150", "--alpha-sq", "400", "--R", "0.5",
+                 "--grid", "0.5:0.9:2,0.5:1:2", "--out", str(out)]) == 0
+    rows = [tuple(float(v) for v in ln.split(",")) for ln in out.read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    for eta_d, eta_s, fid in rows:
+        assert fid == pytest.approx(_mp_mixture(2, 150, 400, 0.5, eta_d, eta_s)[1], rel=1e-10)
 
 
 def test_fidelity_map_checks_the_ideal_state_first(capsys, monkeypatch):
-    # at n = 2000 the ideal C_q overflow; the (n + 1)^2 components per eta_d are never built
+    # at n = 2000, p(n, m) ~ 1e-599 underflows; the (n + 1)^2 components per eta_d are never built
     def not_reached(*args):
         raise AssertionError("the components were built before the ideal state was checked")
 
@@ -256,7 +258,7 @@ def test_fidelity_map_checks_the_ideal_state_first(capsys, monkeypatch):
     rc = _run(["fidelity-map", "--n", "2000", "--m", "1", "--alpha-sq", "0.5", "--R", "0.5"])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "NonFiniteResult: coefficients C_q overflow" in err
+    assert "ZeroProbability: success probability underflows" in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -680,6 +682,17 @@ def test_scan_alpha_zero_nan_stays(tmp_path):
                  "--out", str(out)]) == 0
     values = [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]]
     assert values[:3] == ["nan"] * 3 and "nan" not in values[3:]
+
+
+def test_point_commands_at_large_n_end_fast():
+    # p(20000, 1) ~ 1e-6016: the closed form finds it in O(n) floats, without big integers
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for command in ("state", "wigner", "fidelity-map"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dqsim.cli", command, "--n", "20000", "--m", "1",
+             "--alpha-sq", "1", "--R", "0.5"], capture_output=True, text=True, timeout=5,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode in (0, 3) and len(proc.stderr.strip().splitlines()) == 1, command
 
 
 def test_level_factor_past_float_factorial(capsys):

@@ -1,12 +1,14 @@
 import cmath
 import math
+import tracemalloc
+from itertools import product
 
 import mpmath
 import numpy as np
 import pytest
 
-from dqsim import dq, fock
-from dqsim.errors import NoRootInBracket, NonFiniteResult, ZeroProbability
+from dqsim import dq, fock, imperfections
+from dqsim.errors import DQSimError, NoRootInBracket, NonFiniteResult, ZeroProbability
 
 
 def _cfg(n, m, alpha, R):
@@ -31,8 +33,8 @@ def test_classify_and_chi():
 
 def test_single_photon_vacuum_detection_ratio():
     # coefficients proportional to (alpha sqrt(1-R), sqrt((1-R)/R))
-    cfg = _cfg(1, 0, 1.3, 0.58)
-    ratio = dq.raw_coefficients(cfg)[0] / dq.raw_coefficients(cfg)[1]
+    c = dq.coefficients_grid(1, 0, complex(1.3), 0.58)
+    ratio = c[0] / c[1]
     assert ratio == pytest.approx(1.3 * math.sqrt(0.58), rel=1e-12)
 
 
@@ -40,10 +42,10 @@ def test_known_coefficient_roots():
     # zero of the vacuum coefficient of the (1,2) state at chi = 2
     R = 0.45
     alpha = math.sqrt(2.0 / (1 - R))
-    assert abs(dq.raw_coefficients(_cfg(1, 2, alpha, R))[0]) < 1e-10
+    assert abs(dq.coefficients_grid(1, 2, complex(alpha), R)[0]) < 1e-10
     # zero of the middle coefficient of the (2,1) state at chi = 1
     alpha = math.sqrt(1.0 / (1 - R))
-    assert abs(dq.raw_coefficients(_cfg(2, 1, alpha, R))[1]) < 1e-10
+    assert abs(dq.coefficients_grid(2, 1, complex(alpha), R)[1]) < 1e-10
 
 
 def test_two_photon_herald_three_roots():
@@ -51,7 +53,7 @@ def test_two_photon_herald_three_roots():
     R = 0.6
     for chi_root in (3 - math.sqrt(3), 3 + math.sqrt(3)):
         alpha = math.sqrt(chi_root / (1 - R))
-        assert abs(dq.raw_coefficients(_cfg(2, 3, alpha, R))[0]) < 1e-10
+        assert abs(dq.coefficients_grid(2, 3, complex(alpha), R)[0]) < 1e-10
 
 
 def test_hermite_and_laguerre_routes_agree():
@@ -65,7 +67,7 @@ def test_hermite_and_laguerre_routes_agree():
                 for m in range(8):
                     cfg = _cfg(n, m, a, R)
                     for q in range(n + 1):
-                        h = dq.raw_coefficients(cfg)[q]
+                        h = dq.coefficients_grid(n, m, complex(a), R)[q]
                         l = dq.coefficient_laguerre(cfg, q)
                         scale = max(abs(h), abs(l), 1e-30)
                         assert abs(h - l) / scale < 1e-10
@@ -242,3 +244,76 @@ def test_one_cell_last_block_keeps_grids_bit_identical(monkeypatch, n):
              nongauss.hsd_scan(n, 2, a_vals, [r_val]))
     for b, w in zip(blocked, whole):
         assert np.array_equal(b, w)
+
+
+def _mp_heralded(n, m, alpha_sq, R, eta_d=1):
+    """60-digit p and, at eta_d = 1, the normalized u_0, else the diagonal of rho_bare / p, of
+    u_l[q] = K a_l b_q g_{n-l-q} for real alpha, with H_{k,m} from the Laguerre recurrence."""
+    with mpmath.workdps(60):
+        R, eta, y2 = mpmath.mpf(R), mpmath.mpf(eta_d), eta_d * mpmath.mpf(alpha_sq) * (1 - R)
+        f = mpmath.factorial
+        g = []
+        for k in range(n + 1):
+            j, d = min(k, m), abs(k - m)
+            prev, lag = 1, 1 + d - y2 if j else 1
+            for i in range(1, j):  # (i + 1) L_{i+1} = (2i + 1 + d - z) L_i - (i + d) L_{i-1}
+                prev, lag = lag, ((2 * i + 1 + d - y2) * lag - (i + d) * prev) / (i + 1)
+            h = (-1) ** j * f(j) * mpmath.sqrt(y2) ** d * lag
+            g.append(mpmath.sqrt(f(n) / f(m) * mpmath.exp(-y2) * (eta * R) ** k) * h / f(k))
+        a2 = [((1 - eta) * R) ** l / f(l) for l in range(n + 1)]
+        b2 = [(1 - R) ** q / f(q) for q in range(n + 1)]
+        p = mpmath.fsum(g[k] ** 2 * (1 - eta * R) ** (n - k) / f(n - k) for k in range(n + 1))
+        if eta_d == 1:
+            return p, np.array([float(mpmath.sqrt(b2[q] / p) * g[n - q]) for q in range(n + 1)])
+        return p, np.array([float(mpmath.fsum(a2[l] * b2[q] * g[n - l - q] ** 2
+                                              for l in range(n - q + 1)) / p)
+                            for q in range(n + 1)])
+
+
+_SWEEP = list(product([20, 50, 100, 150, 200, 300], [0, 6, 40, 100, 200], [0.5, 20, 400],
+                      [0.3, 0.5, 0.97]))
+# p lost its last digits to a subnormal prefactor R^n/(m! n!) e^(-chi) in the separate C_q
+# route, and p(2, 150) = 8.2e-4, whose sum_q |C_q|^2 overflows a float
+_MUST_MATCH = [(150, 6, 20, 0.5), (150, 40, 400, 0.97), (2, 150, 400, 0.5)]
+
+
+@pytest.mark.parametrize(
+    "n, m, alpha_sq, R",
+    [_SWEEP[i] for i in np.random.default_rng(33).choice(len(_SWEEP), 16, replace=False)]
+    + _MUST_MATCH + [(200, 6, 0.5, 0.97), (300, 40, 20, 0.3)])
+def test_build_dq_matches_mpmath_or_raises(n, m, alpha_sq, R):
+    # a state is exact to rounding or a DQSimError, never a silently wrong value
+    p_mp, c_mp = _mp_heralded(n, m, alpha_sq, R)
+    try:
+        state, p = dq.build_dq(_cfg(n, m, math.sqrt(alpha_sq), R))
+    except DQSimError:
+        assert (n, m, alpha_sq, R) not in _MUST_MATCH
+        return
+    assert p == pytest.approx(float(p_mp), rel=1e-10, abs=0)
+    np.testing.assert_allclose(state.coeffs, c_mp, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("eta_d", [1.0, 0.3])
+def test_realized_state_matches_mpmath_or_raises(eta_d):
+    # the library path, without the ideal state first: K/k! (eta_d R)^(k/2) leaves the float
+    # range next to an H_{k,m} near 1e263, so the kernel must be exact or raise
+    cfg = _cfg(150, 200, math.sqrt(0.5), 0.3)
+    try:
+        rho, p = imperfections.mixture(dq.herald_terms(cfg, [eta_d]), 0, 1.0)
+    except DQSimError:
+        return
+    p_mp, diag = _mp_heralded(150, 200, 0.5, 0.3, eta_d)
+    assert p == pytest.approx(float(p_mp), rel=1e-10, abs=0)
+    np.testing.assert_allclose(np.diag(rho).real, diag, rtol=0, atol=1e-10)
+
+
+def test_build_dq_memory_at_large_n():
+    # p(20000, 1) ~ 1e-6016 lies below the float range; the kernel finds it in O(n) floats
+    tracemalloc.start()
+    try:
+        with pytest.raises(ZeroProbability, match="success probability underflows"):
+            dq.build_dq(_cfg(20000, 1, 1.0, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
