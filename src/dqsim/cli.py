@@ -16,9 +16,9 @@ Coherent amplitudes are entered as |alpha|^2 (real, phase 0).  CSV output
 is UTF-8 with a header row and LF line endings; JSON output is one object
 with a ``meta`` header and row-major ``data``; ``optimize`` and ``table1``
 list each row's optimizer run (``nit``, ``nfev``, ``converged``, start-scan
-cells ``scan_cells``) in ``meta.optimizer``, where a row with
-``boundary_hit`` true may be ``converged`` short of the box edge's minimum,
-since the penalty outside the box can hold the simplex at its start.  Floats
+cells ``scan_cells``) in ``meta.optimizer``.  A row whose simplex ends on
+the box edge (``boundary_hit`` true) is then minimized along that edge, and
+its ``nit``, ``nfev`` and ``converged`` count both runs.  Floats
 carry 12 significant digits; files are byte-identical across re-runs
 (timing goes to stderr).
 Exit codes: 0 success, 2 usage error, 3 numerical failure.

@@ -30,7 +30,6 @@ import functools
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,25 +58,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CMConfig:
+class CMConfig(namedtuple("CMConfig", "n m alpha R")):
     """One heralding run: input |n>, detected m, coherent alpha, reflectivity R."""
 
-    n: int
-    m: int
-    alpha: complex
-    R: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+    def __new__(cls, n: int, m: int, alpha: complex, R: float):
+        if not isinstance(n, int) or n < 0:
             raise ValueError("n must be a non-negative integer")
-        if not isinstance(self.m, int) or self.m < 0:
+        if not isinstance(m, int) or m < 0:
             raise ValueError("m must be a non-negative integer")
-        if not 0.0 < self.R < 1.0:
+        if not 0.0 < R < 1.0:
             raise ValueError("R must lie strictly inside (0, 1)")
-        a = complex(self.alpha)
+        a = complex(alpha)
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             raise ValueError("alpha must be finite")
+        return super().__new__(cls, n, m, alpha, R)
 
 
 def chi(cfg: CMConfig) -> float:
@@ -92,21 +88,19 @@ def classify(n: int, m: int) -> str:
     return f"DQ{'+' if m < n else '-'}{abs(n - m)}"
 
 
-@dataclass
-class DQState:
+class DQState(namedtuple("DQState", "displacement coeffs config")):
     """Displacement plus normalized superposition coefficients A_0..A_n."""
 
-    displacement: complex
-    coeffs: np.ndarray
-    config: CMConfig | None = field(default=None)
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.ndim != 1 or self.coeffs.size == 0:
+    def __new__(cls, displacement: complex, coeffs: np.ndarray, config: CMConfig | None = None):
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coeffs must be a non-empty 1-d array")
-        norm2 = float(np.vdot(self.coeffs, self.coeffs).real)
+        norm2 = float(np.vdot(coeffs, coeffs).real)
         if abs(norm2 - 1.0) > 1e-12:
             raise ValueError("coeffs must be normalized; use DQState.from_coeffs")
+        return super().__new__(cls, displacement, coeffs, config)
 
     @classmethod
     def from_coeffs(cls, coeffs, displacement: complex = 0j, config: CMConfig | None = None):

@@ -22,7 +22,7 @@ p(n, m) ~ 1e-20.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -41,18 +41,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ImperfectionParams:
+class ImperfectionParams(namedtuple("ImperfectionParams", "eta_d eta_s")):
     """Detector efficiency eta_d and source purity weight eta_s, both in [0, 1]."""
 
-    eta_d: float
-    eta_s: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("eta_d", "eta_s"):
-            val = getattr(self, name)
+    def __new__(cls, eta_d: float, eta_s: float):
+        for name, val in (("eta_d", eta_d), ("eta_s", eta_s)):
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name}={val} outside [0, 1]")
+        return super().__new__(cls, eta_d, eta_s)
 
 
 def povm_element(m: int, eta_d: float, t: fock.Truncation) -> fock.DensityMatrix:

@@ -22,7 +22,7 @@ untruncated displacement (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -62,14 +62,10 @@ _POLY_BLOCK = 1 << 16
 _SEGMENT_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class GaussianRef:
+class GaussianRef(namedtuple("GaussianRef", "gamma r phi nbar")):
     """Displaced squeezed thermal state parameters (gamma, r e^{i phi}, nbar)."""
 
-    gamma: complex
-    r: float
-    phi: float
-    nbar: float
+    __slots__ = ()
 
     def covariance(self) -> np.ndarray:
         """Quadrature covariance matrix in (X, P) with vacuum = I/2."""
@@ -84,12 +80,10 @@ class GaussianRef:
         )
 
 
-@dataclass
-class PhaseGrid:
+class PhaseGrid(namedtuple("PhaseGrid", "xs ps")):
     """Rectangular grid over beta = x + i p (x = Re beta, p = Im beta)."""
 
-    xs: np.ndarray
-    ps: np.ndarray
+    __slots__ = ()
 
     @classmethod
     def centered(cls, center: complex, half_width: float, points: int = 201) -> "PhaseGrid":

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,46 +53,26 @@ SCAN_STRIDE = 5
 TABLE2_N_MAX = 6
 
 
-@dataclass(frozen=True)
-class QuadratureReport:
-    var_x: float
-    var_p: float
-    mean_x: float
-    mean_p: float
-    min_var: float
+QuadratureReport = namedtuple("QuadratureReport", "var_x var_p mean_x mean_p min_var")
 
 
-@dataclass(frozen=True)
-class OptimumRecord:
+class OptimumRecord(namedtuple("OptimumRecord", "n m min_var alpha_sq R boundary_hit "
+                                                "nit nfev converged scan_cells")):
     """Best squeezing found for one (n, m) heralding cell.
 
     nit, nfev and converged report the Nelder-Mead refinement: iterations,
     objective evaluations, whether it stopped on its tolerances rather than
-    its iteration cap, and the grid cells its start scans evaluated.  With
-    boundary_hit true, converged only means the simplex met its tolerances:
-    the 1e6 penalty outside the box can hold it at its start on the edge,
-    short of the edge's own minimum (optimize --n 6 --m 7 stops at min_var
-    0.247224466 where the edge reaches 0.246608323).
+    its iteration cap, and the grid cells its start scans evaluated.  The
+    1e6 penalty outside the box can hold the simplex at its start on the
+    box edge; from there a 1-D simplex minimizes along that edge, and nit,
+    nfev and converged count both runs (optimize --n 6 --m 7 reaches the
+    edge's minimum 0.246608323, where the 2-D simplex stops at 0.247224466).
     """
 
-    n: int
-    m: int
-    min_var: float
-    alpha_sq: float
-    R: float
-    boundary_hit: bool
-    nit: int
-    nfev: int
-    converged: bool
-    scan_cells: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Table2Row:
-    n: int
-    dq_min_var: float
-    fock_min_var: float
-    difference: float
+Table2Row = namedtuple("Table2Row", "n dq_min_var fock_min_var difference")
 
 
 def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int) -> SimpleNamespace:
@@ -267,8 +247,9 @@ def optimize_cm_squeezing(n: int, m: int) -> OptimumRecord:
 
     Nelder-Mead refines `_variance_point` from the first least cell of a
     start scan (`_first_least`); box-boundary hits are flagged, not
-    rejected.  Isolated optima (n >= 2, m >= 1) scan every SCAN_STRIDE-th
-    point of the CM_ALPHA_SQ_AXIS x CM_R_AXIS grid.  An optimum on the box
+    rejected, and a simplex held on a bound minimizes along it.  Isolated
+    optima (n >= 2, m >= 1) scan every SCAN_STRIDE-th point of the
+    CM_ALPHA_SQ_AXIS x CM_R_AXIS grid.  An optimum on the box
     edge depends on its start, so a start on the subgrid's outer ring, or a
     simplex ending within SCAN_STRIDE steps of the edge, reruns from the
     full grid.  The m = 0 and n = 1 optima are flat sets, whose reported
@@ -344,7 +325,8 @@ def _near_edge(alpha_sq: float, R: float, steps: int) -> bool:
 
 
 def _refine(n: int, m: int, alpha_sq, R, start_var: float, scan_cells: int) -> OptimumRecord:
-    """The OptimumRecord of a Nelder-Mead run from the scan's best cell (alpha_sq, R)."""
+    """The OptimumRecord of a Nelder-Mead run from the scan's best cell (alpha_sq, R), and,
+    where that run ends on a bound of the box, of a 1-D run along the bound."""
     (a_lo, a_hi, _), (r_lo, r_hi, _) = CM_ALPHA_SQ_AXIS, CM_R_AXIS
 
     def objective(p):
@@ -354,11 +336,28 @@ def _refine(n: int, m: int, alpha_sq, R, start_var: float, scan_cells: int) -> O
         return _variance_point(n, m, a, r)
 
     res = minimize(objective, np.array([alpha_sq, R]), xatol=1e-6, fatol=1e-9, maxiter=4000)
-    best_a, best_r, best_v = float(res.x[0]), float(res.x[1]), float(res.fun)
+    best, best_v = [float(res.x[0]), float(res.x[1])], float(res.fun)
     if best_v > start_var:
-        best_a, best_r, best_v = float(alpha_sq), float(R), start_var
+        best, best_v = [float(alpha_sq), float(R)], start_var
+    nit, nfev, converged = res.nit, res.nfev, res.success
+    box = [(a_lo, a_hi), (r_lo, r_hi)]
+    edge = next((k for k, (lo, hi) in enumerate(box) if not lo < best[k] < hi), None)
+    if edge is not None:  # the penalty holds the simplex on a bound: minimize along that edge
+        (lo, hi), free, point = box[edge], 1 - edge, list(best)
+        point[edge] = min(max(point[edge], lo), hi)
+
+        def along(x):
+            point[free] = float(x[0])
+            return objective(point)
+
+        run = minimize(along, [best[free]], xatol=1e-10, fatol=1e-9, maxiter=4000)
+        nit, nfev, converged = nit + run.nit, nfev + run.nfev, converged and run.success
+        if run.fun < best_v:
+            point[free] = float(run.x[0])
+            best, best_v = point, run.fun
+    best_a, best_r = best
     return OptimumRecord(n, m, best_v, best_a, best_r, _near_edge(best_a, best_r, 1),
-                         res.nit, res.nfev, res.success, scan_cells)
+                         nit, nfev, converged, scan_cells)
 
 
 def _fock_shift_brackets(n: int):

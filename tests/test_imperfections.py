@@ -302,5 +302,5 @@ def test_mixture_at_tiny_eta_d_matches_mpmath(n, m, eta_d):
             imperfections.mixture(terms, 0, 0.8)
         return
     rho, prob = imperfections.mixture(terms, 0, 0.8)
-    assert prob == pytest.approx(prob_mp, rel=1e-13)
+    assert prob == pytest.approx(prob_mp, rel=1e-13, abs=0)
     np.testing.assert_allclose(rho, rho_mp, rtol=0, atol=1e-14)

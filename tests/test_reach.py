@@ -4,7 +4,8 @@ A `sys.setprofile` hook records each dqsim function that the commands call, and 
 `SourceFileLoader.exec_module` hook the command during which each dqsim module first runs.
 A function that no command reaches is either a cross-check kept on purpose, listed in
 `UNREACHED` with its reason, or dead code.  A listed function that a command starts to call
-is a second implementation on a command path.  Either one fails the census.
+is a second implementation on a command path.  Either one fails the census.  The modules
+loaded after the last command show what the commands' start-up imports.
 """
 
 import inspect
@@ -42,7 +43,7 @@ sys.setprofile(None)
 pkg = os.path.dirname(cli.__file__) + os.sep
 reached = {f"{Path(c.co_filename).stem}.{c.co_qualname}" for c in called
            if c.co_filename.startswith(pkg)}
-print(json.dumps({"reached": sorted(reached), "executed": executed}))
+print(json.dumps({"reached": sorted(reached), "executed": executed, "modules": sorted(sys.modules)}))
 """
 
 _CONFIG = ["--n", "2", "--m", "1", "--alpha-sq", "5.45", "--R", "0.8175"]
@@ -94,7 +95,7 @@ UNREACHED = {
     "nongauss.GaussianRef.covariance": _HSD,
     "nongauss.wigner_oracle": "displaced-parity Wigner oracle that wigner_closed is pinned to",
     "nongauss.__getattr__": "binds expm and minimize for perfbench's span tracer only",
-    "imperfections.ImperfectionParams.__post_init__": _REALIZED,
+    "imperfections.ImperfectionParams.__new__": _REALIZED,
     "imperfections.povm_element": _REALIZED,
     "imperfections.realized_state": _REALIZED,
     "imperfections.realized_fidelity": _REALIZED,
@@ -145,3 +146,8 @@ def test_no_command_runs_the_fock_module(census):
     # table3 and wigner run first: neither needs the moments of squeezing.py
     assert executed["dqsim.squeezing"] not in ("table3", "wigner")
     assert executed["dqsim.nongauss"] == "table3"
+
+
+def test_no_command_loads_dataclasses(census):
+    # the records on command paths are namedtuples, so no command generates dataclass code
+    assert "dataclasses" not in census["modules"]

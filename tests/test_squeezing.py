@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -382,9 +381,32 @@ def test_start_scans_reach_the_fine_path_optimum(n, m):
         for got, want in ((rec.alpha_sq, fine.alpha_sq), (rec.R, fine.R)):
             assert abs(got - want) <= 1e-3 * max(1.0, abs(want))
     else:
-        assert dataclasses.replace(rec, scan_cells=fine.scan_cells) == fine
+        assert rec._replace(scan_cells=fine.scan_cells) == fine
     subgrid = n >= 2 and m >= 1 and (n, m) not in _EDGE + [(3, 4)]
     assert (rec.scan_cells == 120 * 79) == subgrid
+
+
+@pytest.mark.parametrize("n, m, edge_min", [
+    (2, 6, 0.277211641), (4, 8, 0.276490301), (5, 7, 0.265751670), (6, 7, 0.246608323),
+])
+def test_edge_optima_reach_the_edge_minimum(monkeypatch, n, m, edge_min):
+    # the penalty outside the box holds the 2-D simplex at its start cell on |alpha|^2 = 30;
+    # a 1-D run along that edge reaches the edge's minimum (a bounded 1-D minimization at
+    # xatol 1e-10), and the record counts both runs
+    runs, simplex = [], squeezing.minimize
+
+    def counted(fun, x0, **kw):
+        runs.append(simplex(fun, x0, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(squeezing, "minimize", counted)
+    rec = squeezing.optimize_cm_squeezing(n, m)
+    assert rec.min_var <= edge_min + 1e-9
+    assert rec.alpha_sq == squeezing.CM_ALPHA_SQ_AXIS[1] and rec.boundary_hit
+    plane, edge = runs[-2:]  # after the subgrid's own run, where that ends near the edge
+    assert (plane.x.size, edge.x.size) == (2, 1)
+    assert (rec.nit, rec.nfev) == (plane.nit + edge.nit, plane.nfev + edge.nfev)
+    assert rec.converged == (plane.success and edge.success)
 
 
 @pytest.mark.parametrize("n, m", [(n, 0) for n in range(1, 13)] + [(1, m) for m in range(1, 21)])
