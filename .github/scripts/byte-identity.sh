@@ -8,6 +8,8 @@
 # rounding change, so a kernel change must leave these outputs identical
 # until the exact optimizer (ROADMAP item 2) replaces the simplex path.
 # The CSV and JSON writers of the grid and report commands are covered too.
+# The last two cases pin the realized p and F of one component formula: a
+# fidelity map whose eta_d = 0 rows never fire (and print 0), and a report.
 # For an output that differs it also prints how many fields differ and the
 # largest relative and absolute differences between two numeric fields.
 # Exits 1 if any output differs.
@@ -65,5 +67,7 @@ fidelity-map fidelity-map --n 2 --m 1 --alpha-sq 5.45 --R 0.8175
 fidelity-map-n6 fidelity-map --n 6 --m 3 --alpha-sq 9 --R 0.4
 table3-eta table3 --eta-d 0.7 --eta-s 0.5 --format json
 state-n5 state --n 5 --m 2 --alpha-sq 7.5 --R 0.55 --eta-d 0.6 --eta-s 0.8
+fidelity-map-never fidelity-map --n 1 --m 3 --alpha-sq 0.5 --R 0.5 --grid 0:1:3,0:1:3
+state-json-eta state --n 3 --m 2 --alpha-sq 4 --R 0.6 --eta-d 0.3 --eta-s 0.4 --format json
 COMMANDS
 exit "$status"

@@ -17,8 +17,9 @@ is UTF-8 with a header row and LF line endings; JSON output is one object
 with a ``meta`` header and row-major ``data``; ``optimize`` and ``table1``
 list each row's optimizer run (``nit``, ``nfev``, ``converged``, start-scan
 cells ``scan_cells``) in ``meta.optimizer``.  A row whose simplex ends on
-the box edge (``boundary_hit`` true) is then minimized along that edge, and
-its ``nit``, ``nfev`` and ``converged`` count both runs.  Floats
+the box edge, or within 1e-5 of it (``boundary_hit`` true), is then
+minimized along that edge, and its ``nit``, ``nfev`` and ``converged``
+count both runs.  Floats
 carry 12 significant digits; files are byte-identical across re-runs
 (timing goes to stderr).
 Exit codes: 0 success, 2 usage error, 3 numerical failure.
@@ -217,9 +218,9 @@ def _cmd_state(args):
     if args.eta_d is not None or args.eta_s is not None:
         eta_d, eta_s = (1.0 if v is None else v for v in (args.eta_d, args.eta_s))
         terms = dq.herald_terms(cfg, [eta_d])
-        rho, prob_imp = imperfections.mixture(terms, 0, eta_s)
+        prob_imp, fid = imperfections.realized_point(terms, eta_s, state.coeffs)
         rows.append(("success_prob_realized", prob_imp))
-        rows.append(("fidelity_realized", np.vdot(state.coeffs, rho @ state.coeffs).real))
+        rows.append(("fidelity_realized", fid))
         comps = imperfections.components(terms)[0].T  # comps[q, l] = u_l[q]
         a1, a2, n1 = (eta_s * complex(dq.bare_moment(comps, u, v).sum()) / prob_imp
                       for u, v in ((0, 1), (0, 2), (1, 1)))  # the vacuum adds no moment
@@ -278,7 +279,7 @@ def _cmd_table3(args):
     for n, a2, R in _TABLE3_CONFIGS:
         cfg = dq.CMConfig(n, 1, complex(math.sqrt(a2)), R)
         state, prob_ideal = dq.build_dq(cfg)
-        _, prob = imperfections.mixture(dq.herald_terms(cfg, [eta_d]), 0, eta_s)
+        prob, _ = imperfections.realized_point(dq.herald_terms(cfg, [eta_d]), eta_s)
         rows.append((n, a2, R, prob, nongauss.wigner_negativity(state), prob_ideal))
     return (
         ["n", "alpha_sq", "R", "success_prob", "wigner_negativity", "success_prob_ideal"],

@@ -12,7 +12,9 @@ mixture over levels 0..n (no Fock cutoff, no ratio of eta_d or R)
 
     rho_bare ∝ eta_s sum_{l=0}^{n} u_l u_l^dag + (1-eta_s) e^(-eta_d chi) |g_0|^2/m! |0><0|,
 
-whose vacuum weight, Poisson(eta_d chi; m), is the g_0 = y^m term.
+whose vacuum weight, Poisson(eta_d chi; m), is the g_0 = y^m term.  The commands take
+p and F from `realized_probability`, the component norms and overlaps, with no rho;
+`mixture` forms rho_bare for library callers and the oracle tests.
 `realized_state` and `realized_fidelity` evolve the two modes in a
 truncated Fock space instead and are kept as the independent oracle; they
 get p(n, m) by cancellation inside U|alpha>|n>, so they hold only above
@@ -34,6 +36,8 @@ __all__ = [
     "ImperfectionParams",
     "povm_element",
     "components",
+    "realized_probability",
+    "realized_point",
     "mixture",
     "realized_state",
     "realized_fidelity",
@@ -73,33 +77,52 @@ def components(terms: HeraldTerms, rows: slice = slice(None)) -> np.ndarray:
     return terms.a[rows, :, None] * terms.b * g[:, np.where(k < 0, -1, k)]
 
 
+def realized_probability(terms: HeraldTerms, eta_s_values, ideal=None):
+    """p and p F over eta_d x eta_s, arrays of shape (eta_d, eta_s); p F is None without c.
+
+    Per eta_d, in `dq.row_blocks`, the components give S = sum_l ||u_l||^2 and, for the ideal
+    coefficients c, O = sum_l |<c|u_l>|^2; then p = eta_s S + (1 - eta_s) vacuum and
+    p F = eta_s O + (1 - eta_s) vacuum |c_0|^2.  No rho is formed."""
+    norms, overlaps = np.empty(terms.eta_d.size), np.empty(terms.eta_d.size)
+    for lo, hi in dq.row_blocks((terms.eta_d.size, terms.cfg.n + 1, terms.cfg.n + 1)):
+        u = components(terms, slice(lo, hi))
+        norms[lo:hi] = np.sum(np.abs(u) ** 2, axis=(1, 2))
+        if ideal is not None:
+            overlaps[lo:hi] = np.sum(np.abs(u @ ideal.conj()) ** 2, axis=1)
+    es, vac = np.asarray(eta_s_values, float), terms.vacuum[:, None]
+    fid = None if ideal is None else es * overlaps[:, None] + (1.0 - es) * vac * abs(ideal[0]) ** 2
+    return es * norms[:, None] + (1.0 - es) * vac, fid
+
+
+def realized_point(terms: HeraldTerms, eta_s: float, ideal=None) -> tuple[float, float | None]:
+    """p and F (None without c) at eta_d[0] and eta_s; ZeroProbability where p < 1e-300."""
+    prob, prob_fid = realized_probability(terms, [eta_s], ideal)
+    if prob[0, 0] < 1e-300:
+        raise ZeroProbability(f"herald m={terms.cfg.m} never fires (eta_d={terms.eta_d[0]})")
+    return float(prob[0, 0]), None if ideal is None else float(prob_fid[0, 0] / prob[0, 0])
+
+
 def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[np.ndarray, float]:
-    """Normalized rho_bare over levels 0..n as an array, and its probability at eta_d[i], eta_s."""
-    u = components(terms, slice(i, i + 1))[0]
+    """Normalized rho_bare over levels 0..n as an array, and its probability at eta_d[i], eta_s,
+    for library callers and the oracle tests: rho is normalized with `realized_point`'s p."""
+    r = slice(i, i + 1)
+    row = HeraldTerms(terms.cfg, terms.eta_d[r], terms.a[r], terms.b, terms.g[r], terms.vacuum[r])
+    prob, _ = realized_point(row, eta_s)
+    u = components(row)[0]
     rho = eta_s * (u.T @ u.conj())
     rho[0, 0] += (1.0 - eta_s) * terms.vacuum[i]
-    prob = float(np.trace(rho).real)
-    if prob < 1e-300:
-        raise ZeroProbability(f"herald m={terms.cfg.m} never fires (eta_d={terms.eta_d[i]})")
     return rho / prob, prob
 
 
 def fidelity_heatmap(cfg: dq.CMConfig, eta_d_values, eta_s_values) -> list[tuple[float, ...]]:
-    """Rows (eta_d, eta_s, <c_m|rho_bare|c_m>), 0 where the herald never fires; after the ideal
-    state, the components are formed in `dq.row_blocks` of eta_d, not all at once."""
+    """Rows (eta_d, eta_s, <c_m|rho_bare|c_m>) from `realized_probability`, 0 where the herald
+    never fires; the ideal state comes first, so a failing one builds no components."""
     ideal = dq.build_dq(cfg)[0].coeffs
     terms = herald_terms(cfg, eta_d_values)
-    rows = []
-    for block in (slice(*b) for b in dq.row_blocks((terms.eta_d.size, cfg.n + 1, cfg.n + 1))):
-        u = components(terms, block)
-        probs = np.sum(np.abs(u) ** 2, axis=(1, 2))
-        overlaps = np.sum(np.abs(u @ ideal.conj()) ** 2, axis=1)
-        for ed, p, ov, vac in zip(terms.eta_d[block], probs, overlaps, terms.vacuum[block]):
-            for es in np.asarray(eta_s_values, float):
-                prob = es * p + (1.0 - es) * vac
-                fid = es * ov + (1.0 - es) * vac * abs(ideal[0]) ** 2
-                rows.append((float(ed), float(es), float(fid / prob) if prob >= 1e-300 else 0.0))
-    return rows
+    prob, prob_fid = realized_probability(terms, eta_s_values, ideal)
+    fid = np.divide(prob_fid, prob, out=np.zeros_like(prob), where=prob >= 1e-300)
+    es, eds = np.asarray(eta_s_values, float).tolist(), terms.eta_d.tolist()
+    return [(ed, s, f) for ed, row in zip(eds, fid.tolist()) for s, f in zip(es, row)]
 
 
 def realized_state(

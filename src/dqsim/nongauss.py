@@ -374,7 +374,8 @@ def wigner_negativity(state: dq.DQState) -> float:
     c = np.trim_zeros(np.asarray(state.coeffs, dtype=complex), "b")
     n = c.size - 1
     r = math.sqrt(n) + 6.0
-    centers = -np.conj(np.roots(_taylor_coeffs(c)[::-1])) / 2
+    d = _taylor_coeffs(c)
+    centers = -np.conj(np.roots((d if np.any(d.imag) else d.real)[::-1])) / 2  # real E: real eigvals
     box = np.c_[centers.real, centers.imag][np.abs(centers) < r + 0.55 * n]
     if not box.size:  # n = 0, or P < 0 only where |W| is below rounding
         return 0.0

@@ -257,8 +257,7 @@ def optimize_cm_squeezing(n: int, m: int) -> OptimumRecord:
     `_locus_band`, which holds the full grid's start cell.  n = 0 and a
     locus outside the box scan the full grid.
     """
-    a_vals, r_vals = (np.arange(lo, hi + step / 2, step)
-                      for lo, hi, step in (CM_ALPHA_SQ_AXIS, CM_R_AXIS))
+    a_vals, r_vals = _cm_axes()
     scanned = 0
     if n >= 2 and m >= 1:
         sub_a, sub_r = a_vals[::SCAN_STRIDE], r_vals[::SCAN_STRIDE]
@@ -274,6 +273,12 @@ def optimize_cm_squeezing(n: int, m: int) -> OptimumRecord:
         return _refine(n, m, a_vals[ia], r_vals[ir], v, band.size)
     (ia, ir), v = _first_least(n, m, a_vals[:, None], r_vals[None, :])
     return _refine(n, m, a_vals[ia], r_vals[ir], v, scanned + a_vals.size * r_vals.size)
+
+
+def _cm_axes() -> tuple[np.ndarray, np.ndarray]:
+    """The full start-scan axes of `optimize_cm_squeezing`, |alpha|^2 and R, clipped to the box."""
+    return tuple(np.minimum(np.arange(lo, hi + step / 2, step), hi)
+                 for lo, hi, step in (CM_ALPHA_SQ_AXIS, CM_R_AXIS))
 
 
 def _first_least(n: int, m: int, alpha_sq, R) -> tuple[tuple[int, int], float]:
@@ -326,7 +331,8 @@ def _near_edge(alpha_sq: float, R: float, steps: int) -> bool:
 
 def _refine(n: int, m: int, alpha_sq, R, start_var: float, scan_cells: int) -> OptimumRecord:
     """The OptimumRecord of a Nelder-Mead run from the scan's best cell (alpha_sq, R), and,
-    where that run ends on a bound of the box, of a 1-D run along the bound."""
+    where that run ends on a bound of the box or within 1e-5 (10 xatol) of it, of a 1-D run on
+    the bound itself."""
     (a_lo, a_hi, _), (r_lo, r_hi, _) = CM_ALPHA_SQ_AXIS, CM_R_AXIS
 
     def objective(p):
@@ -341,10 +347,10 @@ def _refine(n: int, m: int, alpha_sq, R, start_var: float, scan_cells: int) -> O
         best, best_v = [float(alpha_sq), float(R)], start_var
     nit, nfev, converged = res.nit, res.nfev, res.success
     box = [(a_lo, a_hi), (r_lo, r_hi)]
-    edge = next((k for k, (lo, hi) in enumerate(box) if not lo < best[k] < hi), None)
+    edge = next((k for k, (lo, hi) in enumerate(box) if not lo + 1e-5 < best[k] < hi - 1e-5), None)
     if edge is not None:  # the penalty holds the simplex on a bound: minimize along that edge
         (lo, hi), free, point = box[edge], 1 - edge, list(best)
-        point[edge] = min(max(point[edge], lo), hi)
+        point[edge] = lo if best[edge] - lo < hi - best[edge] else hi
 
         def along(x):
             point[free] = float(x[0])

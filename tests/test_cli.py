@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqsim import cli, dq, fock, imperfections, nongauss, squeezing
+from dqsim.errors import ZeroProbability
 
 
 def _run(argv):
@@ -299,6 +300,58 @@ def test_state_realized_at_large_chi_matches_mpmath(tmp_path):
 def test_imperfection_commands_evolve_no_two_mode_state(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(fock, "_bs_output", _no_two_mode_fock)
     assert _run(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+def test_table3_forms_no_rho_and_solves_only_real_eigenproblems(monkeypatch):
+    # table3's p comes from the component norms, and the roots of E and of the line polynomials
+    # from real matrices: it needs neither a complex matrix product nor a complex eigensolver
+    def not_reached(*args):
+        raise AssertionError("table3 formed the realized rho")
+
+    roots, eigvals, seen = np.roots, np.linalg.eigvals, {"roots": [], "eigvals": []}
+    monkeypatch.setattr(imperfections, "mixture", not_reached)
+    monkeypatch.setattr(np, "roots", lambda p: seen["roots"].append(np.asarray(p)) or roots(p))
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: seen["eigvals"].append(np.asarray(a)) or eigvals(a))
+    assert _run(["table3", "--out", os.devnull]) == 0
+    assert len(seen["roots"]) == len(cli._TABLE3_CONFIGS) and seen["eigvals"]
+    assert all(np.isrealobj(a) for a in seen["roots"] + seen["eigvals"])
+
+
+@pytest.mark.parametrize("n, m, alpha_sq, R, eta_d, eta_s", [
+    (2, 1, 5.45, 0.8175, 0.9, 0.8),
+    (3, 2, 4.0, 0.6, 0.3, 0.4),
+    (5, 2, 7.5, 0.55, 0.6, 0.0),
+    (1, 3, 0.5, 0.5, 0.5, 1.0),
+    (4, 0, 2.0, 0.3, 0.0, 0.5),
+])
+def test_state_realized_p_and_f_match_fidelity_map_and_mixture(n, m, alpha_sq, R, eta_d, eta_s):
+    # one component formula gives the report's p and F, the fidelity-map cell and mixture's p;
+    # mixture's rho, normalized with that p, gives the same F
+    fields = _state_fields(["--n", str(n), "--m", str(m), "--alpha-sq", str(alpha_sq), "--R", str(R),
+                            "--eta-d", str(eta_d), "--eta-s", str(eta_s)])
+    cfg = dq.CMConfig(n, m, complex(math.sqrt(alpha_sq)), R)
+    cell = imperfections.fidelity_heatmap(cfg, [0.0, eta_d, 1.0], [eta_s])[1]
+    rho, prob = imperfections.mixture(dq.herald_terms(cfg, [eta_d]), 0, eta_s)
+    ideal = dq.build_dq(cfg)[0].coeffs
+    fid = fields["fidelity_realized"]
+    assert cell[:2] == (eta_d, eta_s)
+    assert fields["success_prob_realized"] == pytest.approx(prob, rel=1e-14, abs=0)
+    assert fid == pytest.approx(cell[2], rel=1e-14, abs=0)
+    assert fid == pytest.approx(np.vdot(ideal, rho @ ideal).real, rel=1e-14, abs=0)
+
+
+def test_never_firing_herald_exits_3_in_state_and_table3_and_reads_0_in_the_map(capsys):
+    # eta_d = 0 reports m = 0 whatever arrives, so an m >= 1 herald never fires
+    config = ["--n", "2", "--m", "1", "--alpha-sq", "5.45", "--R", "0.8175"]
+    for argv in (["state", *config, "--eta-d", "0", "--eta-s", "0.7"], ["table3", "--eta-d", "0"]):
+        assert _run(argv) == 3
+        assert "ZeroProbability: herald m=1 never fires" in capsys.readouterr().err
+    cfg = dq.CMConfig(2, 1, complex(math.sqrt(5.45)), 0.8175)
+    rows = imperfections.fidelity_heatmap(cfg, [0.0], [0.0, 0.7])
+    assert rows == [(0.0, 0.0, 0.0), (0.0, 0.7, 0.0)]
+    with pytest.raises(ZeroProbability):
+        imperfections.mixture(dq.herald_terms(cfg, [0.0]), 0, 0.7)
 
 
 def test_k_sum_meta(tmp_path):

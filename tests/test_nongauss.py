@@ -743,3 +743,17 @@ def test_wigner_closed_rounding_guard_raises_past_tolerance():
     state, _ = dq.build_dq(dq.CMConfig(40, 0, complex(math.sqrt(8.0)), 0.5))
     with pytest.raises(PrecisionLoss, match="wigner_pointwise"):
         nongauss.wigner_closed(state, nongauss.default_grid(state, 41).mesh())
+
+
+def test_negativity_is_invariant_under_a_global_phase(monkeypatch):
+    # E's roots come from the real Taylor coefficients of a real state and from the complex
+    # ones of e^(i phi) c: both root paths give one negativity
+    rng, roots, real_inputs = np.random.default_rng(35), np.roots, []
+    monkeypatch.setattr(np, "roots", lambda p: real_inputs.append(np.isrealobj(p)) or roots(p))
+    for _ in range(12):
+        c = rng.normal(size=int(rng.integers(1, 7)) + 1)
+        turned = np.exp(1j * rng.uniform(0.1, 2 * np.pi - 0.1)) * c
+        value, turned_value = (nongauss.wigner_negativity(dq.DQState.from_coeffs(v))
+                               for v in (c, turned))
+        assert abs(turned_value - value) <= 1e-12
+    assert real_inputs == [True, False] * 12

@@ -266,10 +266,7 @@ def test_optimizer_not_above_coarse_grid():
     assert rec.min_var <= np.nanmin(V) + 1e-9
 
 
-def _cm_axes():
-    """The full (|alpha|^2, R) grid axes of optimize_cm_squeezing."""
-    return tuple(np.arange(lo, hi + step / 2, step)
-                 for lo, hi, step in (squeezing.CM_ALPHA_SQ_AXIS, squeezing.CM_R_AXIS))
+_cm_axes = squeezing._cm_axes  # the full (|alpha|^2, R) grid axes of optimize_cm_squeezing
 
 
 def _fake_scans(monkeypatch, grids, minimize=None):
@@ -407,6 +404,26 @@ def test_edge_optima_reach_the_edge_minimum(monkeypatch, n, m, edge_min):
     assert (plane.x.size, edge.x.size) == (2, 1)
     assert (rec.nit, rec.nfev) == (plane.nit + edge.nit, plane.nfev + edge.nfev)
     assert rec.converged == (plane.success and edge.success)
+
+
+@pytest.mark.parametrize("n, m, axis, bound, edge_min", [
+    (8, 11, 0, 30.0, 0.2636624774), (4, 13, 1, 0.01, 0.2876562831),
+])
+def test_simplex_ends_just_inside_a_bound_reach_the_edge_minimum(n, m, axis, bound, edge_min):
+    # the 2-D simplex stops within its xatol of the bound (|alpha|^2 = 29.9999997 and
+    # R = 0.0100000047), which counts as on it; the 1-D run on the bound itself reaches the
+    # edge minimum (golden-section search from the least cell of a 20001-point edge scan)
+    rec = squeezing.optimize_cm_squeezing(n, m)
+    assert abs(rec.min_var - edge_min) <= 1e-9
+    assert (rec.alpha_sq, rec.R)[axis] == bound and rec.boundary_hit
+    box = (squeezing.CM_ALPHA_SQ_AXIS, squeezing.CM_R_AXIS)
+    assert all(lo <= v <= hi for v, (lo, hi, _) in zip((rec.alpha_sq, rec.R), box))
+
+
+def test_start_axes_stay_inside_the_box():
+    # np.arange past hi - step / 2 overshoots the upper bounds by an ulp or two
+    for axis, (lo, hi, step) in zip(_cm_axes(), (squeezing.CM_ALPHA_SQ_AXIS, squeezing.CM_R_AXIS)):
+        assert (axis[0], axis[-1]) == (lo, hi) and np.all(np.diff(axis) > 0.99 * step)
 
 
 @pytest.mark.parametrize("n, m", [(n, 0) for n in range(1, 13)] + [(1, m) for m in range(1, 21)])
