@@ -8,8 +8,10 @@
 # rounding change, so a kernel change must leave these outputs identical
 # until the exact optimizer (ROADMAP item 2) replaces the simplex path.
 # The CSV and JSON writers of the grid and report commands are covered too.
-# The last two cases pin the realized p and F of one component formula: a
-# fidelity map whose eta_d = 0 rows never fire (and print 0), and a report.
+# The last five cases pin the realized p, F and moments of the one pass over
+# the lost photons: a fidelity map whose eta_d = 0 rows never fire (and print
+# 0), reports at n = 12 and at n = 1 (which has no <a^2> terms), and a map at
+# n = 30.
 # For an output that differs it also prints how many fields differ and the
 # largest relative and absolute differences between two numeric fields.
 # Exits 1 if any output differs.
@@ -69,5 +71,8 @@ table3-eta table3 --eta-d 0.7 --eta-s 0.5 --format json
 state-n5 state --n 5 --m 2 --alpha-sq 7.5 --R 0.55 --eta-d 0.6 --eta-s 0.8
 fidelity-map-never fidelity-map --n 1 --m 3 --alpha-sq 0.5 --R 0.5 --grid 0:1:3,0:1:3
 state-json-eta state --n 3 --m 2 --alpha-sq 4 --R 0.6 --eta-d 0.3 --eta-s 0.4 --format json
+state-n12 state --n 12 --m 4 --alpha-sq 6 --R 0.7 --eta-d 0.8 --eta-s 0.9 --format json
+state-n1 state --n 1 --m 3 --alpha-sq 2 --R 0.5 --eta-d 0.7 --eta-s 0.5
+fidelity-map-n30 fidelity-map --n 30 --m 2 --alpha-sq 8 --R 0.5 --grid 0:1:101,0:1:3
 COMMANDS
 exit "$status"

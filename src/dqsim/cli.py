@@ -217,15 +217,11 @@ def _cmd_state(args):
     meta = {"command": "state"}
     if args.eta_d is not None or args.eta_s is not None:
         eta_d, eta_s = (1.0 if v is None else v for v in (args.eta_d, args.eta_s))
-        terms = dq.herald_terms(cfg, [eta_d])
-        prob_imp, fid = imperfections.realized_point(terms, eta_s, state.coeffs)
-        rows.append(("success_prob_realized", prob_imp))
-        rows.append(("fidelity_realized", fid))
-        comps = imperfections.components(terms)[0].T  # comps[q, l] = u_l[q]
-        a1, a2, n1 = (eta_s * complex(dq.bare_moment(comps, u, v).sum()) / prob_imp
-                      for u, v in ((0, 1), (0, 2), (1, 1)))  # the vacuum adds no moment
-        realized = squeezing.principal_variances(a1, a2, n1.real)
-        rows += zip(("var_x_realized", "var_p_realized", "min_var_realized"), realized)
+        prob_imp, fid, (a1, a2, n1) = imperfections.realized_point(
+            dq.herald_terms(cfg, [eta_d]), eta_s, state.coeffs)
+        realized = (prob_imp, fid, *squeezing.principal_variances(a1, a2, n1.real))
+        rows += zip(("success_prob_realized", "fidelity_realized", "var_x_realized",
+                     "var_p_realized", "min_var_realized"), realized)
     return ["field", "value"], rows, meta
 
 
@@ -279,7 +275,7 @@ def _cmd_table3(args):
     for n, a2, R in _TABLE3_CONFIGS:
         cfg = dq.CMConfig(n, 1, complex(math.sqrt(a2)), R)
         state, prob_ideal = dq.build_dq(cfg)
-        prob, _ = imperfections.realized_point(dq.herald_terms(cfg, [eta_d]), eta_s)
+        prob = imperfections.realized_point(dq.herald_terms(cfg, [eta_d]), eta_s)[0]
         rows.append((n, a2, R, prob, nongauss.wigner_negativity(state), prob_ideal))
     return (
         ["n", "alpha_sq", "R", "success_prob", "wigner_negativity", "success_prob_ideal"],

@@ -12,9 +12,9 @@ mixture over levels 0..n (no Fock cutoff, no ratio of eta_d or R)
 
     rho_bare ∝ eta_s sum_{l=0}^{n} u_l u_l^dag + (1-eta_s) e^(-eta_d chi) |g_0|^2/m! |0><0|,
 
-whose vacuum weight, Poisson(eta_d chi; m), is the g_0 = y^m term.  The commands take
-p and F from `realized_probability`, the component norms and overlaps, with no rho;
-`mixture` forms rho_bare for library callers and the oracle tests.
+whose vacuum weight, Poisson(eta_d chi; m), is the g_0 = y^m term.  The commands take p, F
+and the bare moments from `realized_probability`, one pass over l with no rho and no (n + 1)^2
+array; `mixture` forms rho_bare from `components` for library callers and the oracle tests.
 `realized_state` and `realized_fidelity` evolve the two modes in a
 truncated Fock space instead and are kept as the independent oracle; they
 get p(n, m) by cancellation inside U|alpha>|n>, so they hold only above
@@ -69,37 +69,45 @@ def povm_element(m: int, eta_d: float, t: fock.Truncation) -> fock.DensityMatrix
     return fock.DensityMatrix(np.diag(weights).astype(complex))
 
 
-def components(terms: HeraldTerms, rows: slice = slice(None)) -> np.ndarray:
-    """u_l[q] at eta_d[rows] as a (rows, n + 1, n + 1) array [i, l, q], zero where l + q > n."""
+def components(terms: HeraldTerms) -> np.ndarray:
+    """u_l[q] at each eta_d as an (eta_d, n + 1, n + 1) array [i, l, q], zero where l + q > n."""
     n = terms.cfg.n
     k = n - np.arange(n + 1)[:, None] - np.arange(n + 1)  # the Hankel index n - l - q
-    g = np.pad(terms.g[rows], ((0, 0), (0, 1)))  # its last column, 0, fills l + q > n
-    return terms.a[rows, :, None] * terms.b * g[:, np.where(k < 0, -1, k)]
+    g = np.pad(terms.g, ((0, 0), (0, 1)))  # its last column, 0, fills l + q > n
+    return terms.a[:, :, None] * terms.b * g[:, np.where(k < 0, -1, k)]
 
 
 def realized_probability(terms: HeraldTerms, eta_s_values, ideal=None):
-    """p and p F over eta_d x eta_s, arrays of shape (eta_d, eta_s); p F is None without c.
-
-    Per eta_d, in `dq.row_blocks`, the components give S = sum_l ||u_l||^2 and, for the ideal
-    coefficients c, O = sum_l |<c|u_l>|^2; then p = eta_s S + (1 - eta_s) vacuum and
-    p F = eta_s O + (1 - eta_s) vacuum |c_0|^2.  No rho is formed."""
-    norms, overlaps = np.empty(terms.eta_d.size), np.empty(terms.eta_d.size)
-    for lo, hi in dq.row_blocks((terms.eta_d.size, terms.cfg.n + 1, terms.cfg.n + 1)):
-        u = components(terms, slice(lo, hi))
-        norms[lo:hi] = np.sum(np.abs(u) ** 2, axis=(1, 2))
+    """p and p F (None without c) over eta_d x eta_s, and p (<a>, <a^2>, <a^dag a>) over 3 x both:
+    one pass over the slabs u_l of the `components` products sums S = sum_l ||u_l||^2,
+    O = sum_l |<c|u_l>|^2 and z_d[j] = sum_l conj(u_l[j - d]) u_l[j], d = 0..2; p = eta_s S +
+    (1 - eta_s) vacuum, p F = eta_s O + (1 - eta_s) vacuum |c_0|^2, p <.> = eta_s sum w z_d."""
+    n, rows = terms.cfg.n, terms.eta_d.size
+    g = np.ascontiguousarray(terms.g[:, ::-1].T)  # g[n - k, i] = K g_k at eta_d[i], contiguous
+    norms, overlaps, z = np.zeros(rows), np.zeros(rows), np.zeros((3, n + 1, rows), complex)
+    for l, k in zip(range(n, -1, -1), range(1, n + 2)):  # small slabs first: a_l falls with l
+        u = terms.a[:, l] * terms.b[:k, None] * g[l:]  # u[q, i] = u_l[q] at eta_d[i], q < k
+        norms += np.sum(np.abs(u) ** 2, axis=0)  # the real |u|^2: through z_0, S rounds apart
+        for d in range(3):
+            z[d, d:k] += u[:k - d].conj() * u[d:]
         if ideal is not None:
-            overlaps[lo:hi] = np.sum(np.abs(u @ ideal.conj()) ** 2, axis=1)
+            overlaps += np.abs(ideal[:k].conj() @ u) ** 2
     es, vac = np.asarray(eta_s_values, float), terms.vacuum[:, None]
     fid = None if ideal is None else es * overlaps[:, None] + (1.0 - es) * vac * abs(ideal[0]) ** 2
-    return es * norms[:, None] + (1.0 - es) * vac, fid
+    moments = np.array([sum((w * z[j - i, j] for i, j, w in dq._moment_terms(n + 1, *uv)),
+                            np.zeros(rows, complex)) for uv in ((0, 1), (0, 2), (1, 1))])
+    return es * norms[:, None] + (1.0 - es) * vac, fid, es * moments[:, :, None]
 
 
-def realized_point(terms: HeraldTerms, eta_s: float, ideal=None) -> tuple[float, float | None]:
-    """p and F (None without c) at eta_d[0] and eta_s; ZeroProbability where p < 1e-300."""
-    prob, prob_fid = realized_probability(terms, [eta_s], ideal)
-    if prob[0, 0] < 1e-300:
-        raise ZeroProbability(f"herald m={terms.cfg.m} never fires (eta_d={terms.eta_d[0]})")
-    return float(prob[0, 0]), None if ideal is None else float(prob_fid[0, 0] / prob[0, 0])
+def realized_point(terms: HeraldTerms, eta_s: float, ideal=None):
+    """p, F (None without c) and the bare moments (<a>, <a^2>, <a^dag a>) of the realized state
+    at eta_d[0] and eta_s; ZeroProbability where p is below the normal float range."""
+    [[p]], prob_fid, prob_moments = realized_probability(terms, [eta_s], ideal)  # the one cell
+    if not p >= dq._TINY:
+        why = "never fires" if p == 0 else "fires with p below the normal float range"
+        raise ZeroProbability(f"herald m={terms.cfg.m} {why} (eta_d={terms.eta_d[0]})")
+    fid = None if ideal is None else float(prob_fid[0, 0] / p)
+    return float(p), fid, tuple(complex(x) / p for x in prob_moments[:, 0, 0])
 
 
 def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[np.ndarray, float]:
@@ -107,7 +115,7 @@ def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[np.ndarray, float
     for library callers and the oracle tests: rho is normalized with `realized_point`'s p."""
     r = slice(i, i + 1)
     row = HeraldTerms(terms.cfg, terms.eta_d[r], terms.a[r], terms.b, terms.g[r], terms.vacuum[r])
-    prob, _ = realized_point(row, eta_s)
+    prob = realized_point(row, eta_s)[0]
     u = components(row)[0]
     rho = eta_s * (u.T @ u.conj())
     rho[0, 0] += (1.0 - eta_s) * terms.vacuum[i]
@@ -115,12 +123,12 @@ def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[np.ndarray, float
 
 
 def fidelity_heatmap(cfg: dq.CMConfig, eta_d_values, eta_s_values) -> list[tuple[float, ...]]:
-    """Rows (eta_d, eta_s, <c_m|rho_bare|c_m>) from `realized_probability`, 0 where the herald
-    never fires; the ideal state comes first, so a failing one builds no components."""
+    """Rows (eta_d, eta_s, <c_m|rho_bare|c_m>) from `realized_probability`, 0 where p is below the
+    normal float range; the ideal state comes first, so a failing one builds no herald terms."""
     ideal = dq.build_dq(cfg)[0].coeffs
     terms = herald_terms(cfg, eta_d_values)
-    prob, prob_fid = realized_probability(terms, eta_s_values, ideal)
-    fid = np.divide(prob_fid, prob, out=np.zeros_like(prob), where=prob >= 1e-300)
+    prob, prob_fid, _ = realized_probability(terms, eta_s_values, ideal)
+    fid = np.divide(prob_fid, prob, out=np.zeros_like(prob), where=prob >= dq._TINY)
     es, eds = np.asarray(eta_s_values, float).tolist(), terms.eta_d.tolist()
     return [(ed, s, f) for ed, row in zip(eds, fid.tolist()) for s, f in zip(es, row)]
 

@@ -251,11 +251,11 @@ def test_fidelity_map_past_the_coefficient_norm_matches_mpmath(tmp_path, monkeyp
 
 
 def test_fidelity_map_checks_the_ideal_state_first(capsys, monkeypatch):
-    # at n = 2000, p(n, m) ~ 1e-599 underflows; the (n + 1)^2 components per eta_d are never built
+    # at n = 2000, p(n, m) ~ 1e-599 underflows; the herald terms of the eta_d axis are never built
     def not_reached(*args):
-        raise AssertionError("the components were built before the ideal state was checked")
+        raise AssertionError("the herald terms were built before the ideal state was checked")
 
-    monkeypatch.setattr(imperfections, "components", not_reached)
+    monkeypatch.setattr(imperfections, "herald_terms", not_reached)
     rc = _run(["fidelity-map", "--n", "2000", "--m", "1", "--alpha-sq", "0.5", "--R", "0.5"])
     assert rc == 3
     err = capsys.readouterr().err
@@ -352,6 +352,54 @@ def test_never_firing_herald_exits_3_in_state_and_table3_and_reads_0_in_the_map(
     assert rows == [(0.0, 0.0, 0.0), (0.0, 0.7, 0.0)]
     with pytest.raises(ZeroProbability):
         imperfections.mixture(dq.herald_terms(cfg, [0.0]), 0, 0.7)
+
+
+@pytest.mark.parametrize("eta_d", [1e-302, 1e-303])
+def test_herald_fires_with_p_below_1e_300_in_the_normal_float_range(tmp_path, eta_d):
+    # p ~ 3.5 eta_d is a normal float: the report and the map give the mixture's p and F
+    config = ["--n", "2", "--m", "1", "--alpha-sq", "5", "--R", "0.5"]
+    out = tmp_path / "state.json"
+    assert _run(["state", *config, "--eta-d", str(eta_d), "--format", "json",
+                 "--out", str(out)]) == 0
+    fields = {row[0]: row[1] for row in json.loads(out.read_text())["data"]}
+    prob, fid = _mp_mixture(2, 1, 5, 0.5, eta_d, 1.0, k_max=80)
+    assert fields["success_prob_realized"] == pytest.approx(prob, rel=1e-10, abs=0)
+    assert fields["fidelity_realized"] == pytest.approx(fid, rel=1e-10)
+    out = tmp_path / "f.csv"
+    assert _run(["fidelity-map", *config, "--grid", f"{eta_d}:1e-299:2,0.5:1:2",
+                 "--out", str(out)]) == 0
+    rows = [tuple(float(v) for v in ln.split(",")) for ln in out.read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    for ed, es, f in rows:
+        assert f == pytest.approx(_mp_mixture(2, 1, 5, 0.5, ed, es, k_max=80)[1], rel=1e-10)
+
+
+def test_subnormal_realized_p_exits_3_below_the_normal_float_range(capsys):
+    # p ~ 3.5e-309 is subnormal: neither "never fires" nor a value to divide by
+    assert _run(["state", "--n", "2", "--m", "1", "--alpha-sq", "5", "--R", "0.5",
+                 "--eta-d", "1e-309"]) == 3
+    err = capsys.readouterr().err
+    assert "ZeroProbability: herald m=1 fires with p below the normal float range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "--n", "2", "--m", "1", "--alpha-sq", "5.45", "--R", "0.8175",
+         "--eta-d", "0.9", "--eta-s", "0.8"],
+        ["table3"],
+        ["fidelity-map", "--n", "2", "--m", "1", "--alpha-sq", "5.45", "--R", "0.8175"],
+    ],
+    ids=["state", "table3", "fidelity-map"],
+)
+def test_realized_commands_form_no_components(tmp_path, monkeypatch, argv):
+    # p, F and the realized moments come from one pass over the lost photons l, with no
+    # (n + 1)^2 component array
+    def not_reached(*args):
+        raise AssertionError("a command formed the (n + 1)^2 components")
+
+    monkeypatch.setattr(imperfections, "components", not_reached)
+    assert _run(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
 def test_k_sum_meta(tmp_path):

@@ -1,11 +1,12 @@
 import math
+import sys
 import tracemalloc
 from itertools import product
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dqsim import dq, fock, imperfections, polynomials
@@ -234,6 +235,35 @@ def test_components_match_the_unfactorized_form(n, m, alpha_sq, R, phase):
 
 
 @given(
+    n=st.integers(0, 11),
+    m=st.integers(0, 9),
+    alpha_sq=st.floats(0.0, 30.0),
+    R=_reflectivity,
+    phase=st.sampled_from([0.0, 0.7, -2.3]),
+    eta_s=st.sampled_from([0.0, 0.4, 1.0]),
+)
+def test_realized_sums_match_sums_over_the_components(n, m, alpha_sq, R, phase, eta_s):
+    # the one pass over l against S, O and the bare moments summed over the (n + 1)^2
+    # components at each eta_d; n <= 1 has no <a^2> terms
+    cfg = dq.CMConfig(n, m, math.sqrt(alpha_sq) * complex(math.cos(phase), math.sin(phase)), R)
+    try:  # the ideal c: an arbitrary one can cancel in <c|u_l> and cost digits on both sides
+        c = dq.build_dq(cfg)[0].coeffs
+    except ZeroProbability:
+        assume(False)
+    terms = imperfections.herald_terms(cfg, [0.0, 1e-100, 0.3, 1.0])
+    prob, prob_fid, prob_moments = imperfections.realized_probability(terms, [eta_s], c)
+    for i, u in enumerate(imperfections.components(terms)):
+        norm, vac = np.sum(np.abs(u) ** 2), terms.vacuum[i]
+        overlap = np.sum(np.abs(u @ c.conj()) ** 2)
+        assert prob[i, 0] == pytest.approx(eta_s * norm + (1 - eta_s) * vac, rel=1e-14, abs=0)
+        assert prob_fid[i, 0] == pytest.approx(
+            eta_s * overlap + (1 - eta_s) * vac * abs(c[0]) ** 2, rel=1e-14, abs=0)
+        for k, (s, t) in enumerate([(0, 1), (0, 2), (1, 1)]):
+            expected = eta_s * complex(dq.bare_moment(u.T, s, t).sum())
+            assert abs(prob_moments[k, i, 0] - expected) <= 1e-14 * norm * (n + 1)
+
+
+@given(
     n=st.integers(0, 8),
     m=st.integers(0, 12),
     alpha_sq=st.floats(0.01, 40.0),
@@ -297,7 +327,7 @@ def test_mixture_at_tiny_eta_d_matches_mpmath(n, m, eta_d):
     cfg = _cfg(n, 7.0, 0.4, m=m)
     terms = imperfections.herald_terms(cfg, [eta_d])
     rho_mp, prob_mp = _mp_mixture(n, m, 7.0, 0.4, eta_d, 0.8)
-    if prob_mp < 1e-300:
+    if prob_mp < sys.float_info.min:  # below the normal float range
         with pytest.raises(ZeroProbability):
             imperfections.mixture(terms, 0, 0.8)
         return

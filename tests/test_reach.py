@@ -97,6 +97,8 @@ UNREACHED = {
     "nongauss.__getattr__": "binds expm and minimize for perfbench's span tracer only",
     "imperfections.ImperfectionParams.__new__": _REALIZED,
     "imperfections.povm_element": _REALIZED,
+    "imperfections.components": ("the (n + 1)^2 components that the realized sums are pinned to;"
+                                 " `mixture`'s rho"),
     "imperfections.mixture": "the realized rho for library callers and the oracle tests",
     "imperfections.realized_state": _REALIZED,
     "imperfections.realized_fidelity": _REALIZED,
