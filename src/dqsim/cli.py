@@ -82,8 +82,9 @@ def _long_rows(grid: Grid) -> list[tuple]:
     return [(float(x), float(y), float(v)) for (x, y), v in zip(product(xs, ys), values.flat)]
 
 
-def _emit(args, header: list[str], rows, meta: dict) -> None:
-    """Write rows, a list of tuples or a Grid, as CSV or JSON to --out or stdout."""
+def _emit(args, header, rows, meta: dict) -> None:
+    """Write rows, a list of tuples or a Grid, as CSV or JSON to --out or stdout; meta
+    also names the command."""
     if args.format == "csv":
         if isinstance(rows, Grid):
             text = _grid_csv(header, rows)
@@ -99,6 +100,7 @@ def _emit(args, header: list[str], rows, meta: dict) -> None:
                 "tool": "dqsim",
                 "version": __version__,
                 "tolerances": TOLERANCES,
+                "command": args.command,
                 **meta,
             },
             "columns": header,
@@ -139,8 +141,8 @@ def _parse_grid2(spec: str):
     return _parse_range(parts[0], "first"), _parse_range(parts[1], "second")
 
 
-def _scan_map(args, kernel, lo=-math.inf, hi=math.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Axes of the --grid of scan or hsd-scan and kernel(n, m, alpha_sq, R) over them.
+def _scan_map(args, kernel, lo=-math.inf, hi=math.inf):
+    """Header, Grid and meta of kernel(n, m, alpha_sq, R) over the --grid of scan or hsd-scan.
 
     |alpha|^2 must be >= 0 and R inside (0, 1) (exit 2).  A cell that is
     not finite, or outside [lo, hi], exits 3, apart from the documented NaN
@@ -166,7 +168,7 @@ def _scan_map(args, kernel, lo=-math.inf, hi=math.inf) -> tuple[np.ndarray, np.n
             f"{args.command} value outside [{lo:.12g}, {hi:.12g}] in {bad.sum()} of {bad.size}"
             f" cells, first {values[i, j]:.12g} at alpha_sq={a_vals[i]:.12g}, R={r_vals[j]:.12g}"
         )
-    return a_vals, r_vals, values
+    return ["alpha_sq", "R", "value"], Grid(a_vals, r_vals, values), {"n": args.n, "m": args.m}
 
 
 def _parse_square(spec: str) -> tuple[float, int]:
@@ -214,7 +216,6 @@ def _cmd_state(args):
     for q, c in enumerate(state.coeffs):
         rows.append((f"coeff_{q}_re", c.real))
         rows.append((f"coeff_{q}_im", c.imag))
-    meta = {"command": "state"}
     if args.eta_d is not None or args.eta_s is not None:
         eta_d, eta_s = (1.0 if v is None else v for v in (args.eta_d, args.eta_s))
         prob_imp, fid, (a1, a2, n1) = imperfections.realized_point(
@@ -222,50 +223,33 @@ def _cmd_state(args):
         realized = (prob_imp, fid, *squeezing.principal_variances(a1, a2, n1.real))
         rows += zip(("success_prob_realized", "fidelity_realized", "var_x_realized",
                      "var_p_realized", "min_var_realized"), realized)
-    return ["field", "value"], rows, meta
+    return ["field", "value"], rows, {}
 
 
 def _cmd_scan(args):
-    a_vals, r_vals, V = _scan_map(
+    return _scan_map(
         args, lambda n, m, a, r: squeezing.variance_x_map(n, m, a[:, None], r[None, :])
     )
-    meta = {"command": "scan", "n": args.n, "m": args.m}
-    return ["alpha_sq", "R", "value"], Grid(a_vals, r_vals, V), meta
 
 
-_OPTIMUM_HEADER = ["n", "m", "min_var", "alpha_sq", "R", "boundary_hit"]
-
-
-def _optimum_row(r: squeezing.OptimumRecord) -> tuple:
-    return (r.n, r.m, r.min_var, r.alpha_sq, r.R, r.boundary_hit)
-
-
-def _optimizer_meta(records) -> list[dict]:
-    """Nelder-Mead iterations, objective evaluations, convergence and start-scan cells per row."""
-    return [{k: getattr(r, k) for k in ("nit", "nfev", "converged", "scan_cells")} for r in records]
+def _optima(records):
+    """The first six OptimumRecord fields as rows; Nelder-Mead iterations, objective
+    evaluations, convergence and start-scan cells per row in meta."""
+    fields = squeezing.OptimumRecord._fields
+    optimizer = [dict(zip(fields[6:], r[6:])) for r in records]
+    return fields[:6], [r[:6] for r in records], {"optimizer": optimizer}
 
 
 def _cmd_optimize(args):
-    rec = squeezing.optimize_cm_squeezing(args.n, args.m)
-    meta = {"command": "optimize", "optimizer": _optimizer_meta([rec])}
-    return _OPTIMUM_HEADER, [_optimum_row(rec)], meta
+    return _optima([squeezing.optimize_cm_squeezing(args.n, args.m)])
 
 
 def _cmd_table1(args):
-    records = squeezing.table1()
-    rows = [_optimum_row(r) for r in records]
-    return _OPTIMUM_HEADER, rows, {"command": "table1", "optimizer": _optimizer_meta(records)}
+    return _optima(squeezing.table1())
 
 
 def _cmd_table2(args):
-    rows = [
-        (r.n, r.dq_min_var, r.fock_min_var, r.difference) for r in squeezing.table2()
-    ]
-    return (
-        ["n", "dq_min_var", "fock_min_var", "difference"],
-        rows,
-        {"command": "table2"},
-    )
+    return squeezing.Table2Row._fields, squeezing.table2(), {}
 
 
 def _cmd_table3(args):
@@ -280,7 +264,7 @@ def _cmd_table3(args):
     return (
         ["n", "alpha_sq", "R", "success_prob", "wigner_negativity", "success_prob_ideal"],
         rows,
-        {"command": "table3", "eta_d": eta_d, "eta_s": eta_s},
+        {"eta_d": eta_d, "eta_s": eta_s},
     )
 
 
@@ -298,14 +282,12 @@ def _cmd_wigner(args):
     W = nongauss.wigner_closed(state, grid.mesh())
     if not np.all(np.isfinite(W)):
         raise NonFiniteResult("Wigner function overflows on the phase-space grid")
-    return ["re_beta", "im_beta", "value"], Grid(grid.xs, grid.ps, W), {"command": "wigner"}
+    return ["re_beta", "im_beta", "value"], Grid(grid.xs, grid.ps, W), {}
 
 
 def _cmd_hsd_scan(args):
     # delta lies in [0, 1/2]; the range check is a guard against cancellation in Tr(rho tau)
-    a_vals, r_vals, grid = _scan_map(args, nongauss.hsd_scan, -1e-9, 0.5 + 1e-9)
-    meta = {"command": "hsd-scan", "n": args.n, "m": args.m}
-    return ["alpha_sq", "R", "value"], Grid(a_vals, r_vals, grid), meta
+    return _scan_map(args, nongauss.hsd_scan, -1e-9, 0.5 + 1e-9)
 
 
 def _cmd_fidelity_map(args):
@@ -315,69 +297,66 @@ def _cmd_fidelity_map(args):
             f"bad fidelity-map grid '{args.grid}': eta_d and eta_s must lie in [0, 1]"
         )
     rows = imperfections.fidelity_heatmap(_config(args), d_vals, s_vals)
-    return ["eta_d", "eta_s", "fidelity"], rows, {"command": "fidelity-map"}
+    return ["eta_d", "eta_s", "fidelity"], rows, {}
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+# The flags a command may read, by their attribute on args; every command also takes --out
+# and --format.
+_FLAGS = {
+    "n": dict(type=int, required=True, help="input photon number"),
+    "m": dict(type=int, required=True, help="detected photon number"),
+    "alpha_sq": dict(type=float, required=True, help="coherent strength |alpha|^2"),
+    "R": dict(type=float, required=True, help="beam-splitter reflectivity"),
+    "grid": {},
+    "eta_d": dict(type=float, help="detector efficiency in [0, 1]"),
+    "eta_s": dict(type=float, help="source purity weight in [0, 1]"),
+    "points": dict(type=int, help=f"points per axis, >= 2 (default {_WIGNER_POINTS})"),
+}
+
+# The one list of commands: name -> (handler, help, the flags it reads, its --grid default).
+# A handler returns (header, rows, meta); rows are tuples or a Grid.
 _COMMANDS = {
-    "state": _cmd_state,
-    "scan": _cmd_scan,
-    "optimize": _cmd_optimize,
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "table3": _cmd_table3,
-    "wigner": _cmd_wigner,
-    "hsd-scan": _cmd_hsd_scan,
-    "fidelity-map": _cmd_fidelity_map,
+    "state": (_cmd_state, "single-configuration report", "n m alpha_sq R eta_d eta_s", None),
+    "scan": (_cmd_scan, "min variance over an (|alpha|^2, R) grid", "n m grid",
+             "0.05:16:160,0.05:0.95:91"),
+    "optimize": (_cmd_optimize, "best squeezing for one (n, m)", "n m", None),
+    "table1": (_cmd_table1, "squeezing optima grid", "", None),
+    "table2": (_cmd_table2, "heralded vs free superposition optima", "", None),
+    "table3": (_cmd_table3, "benchmark success probabilities and negativities", "eta_d eta_s",
+               None),
+    "wigner": (_cmd_wigner, "Wigner samples for one configuration",
+               "n m alpha_sq R grid points", None),
+    "hsd-scan": (_cmd_hsd_scan, "non-Gaussianity over an (|alpha|^2, R) grid", "n m grid",
+                 "0.05:16:80,0.05:0.95:46"),
+    "fidelity-map": (_cmd_fidelity_map, "fidelity over an (eta_d, eta_s) grid",
+                     "n m alpha_sq R grid", "0:1:21,0:1:21"),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """argparse's usage errors end as run()'s do: one line on stderr, exit 2."""
+        self.exit(2, f"dqsim: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dqsim",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, config=False, grid=None, etas=False):
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parser too
+    for name, (_, help_text, flags, grid) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="output file path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if config:
-            p.add_argument("--n", type=int, required=True, help="input photon number")
-            p.add_argument("--m", type=int, required=True, help="detected photon number")
-        if config == "full":
-            p.add_argument(
-                "--alpha-sq", type=float, required=True, help="coherent strength |alpha|^2"
-            )
-            p.add_argument("--R", type=float, required=True, help="beam-splitter reflectivity")
+        for flag in flags.split():
+            p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
         if grid:
-            p.add_argument("--grid", default=grid if grid is not True else None)
-        if etas:
-            p.add_argument("--eta-d", type=float, help="detector efficiency in [0, 1]")
-            p.add_argument("--eta-s", type=float, help="source purity weight in [0, 1]")
-
-    p = sub.add_parser("state", help="single-configuration report")
-    add_common(p, config="full", etas=True)
-    p = sub.add_parser("scan", help="min variance over an (|alpha|^2, R) grid")
-    add_common(p, config=True, grid="0.05:16:160,0.05:0.95:91")
-    p = sub.add_parser("optimize", help="best squeezing for one (n, m)")
-    add_common(p, config=True)
-    p = sub.add_parser("table1", help="squeezing optima grid")
-    add_common(p)
-    p = sub.add_parser("table2", help="heralded vs free superposition optima")
-    add_common(p)
-    p = sub.add_parser("table3", help="benchmark success probabilities and negativities")
-    add_common(p, etas=True)
-    p = sub.add_parser("wigner", help="Wigner samples for one configuration")
-    add_common(p, config="full", grid=True)
-    p.add_argument("--points", type=int, help=f"points per axis, >= 2 (default {_WIGNER_POINTS})")
-    p = sub.add_parser("hsd-scan", help="non-Gaussianity over an (|alpha|^2, R) grid")
-    add_common(p, config=True, grid="0.05:16:80,0.05:0.95:46")
-    p = sub.add_parser("fidelity-map", help="fidelity over an (eta_d, eta_s) grid")
-    add_common(p, config="full", grid="0:1:21,0:1:21")
+            p.set_defaults(grid=grid)
     return parser
 
 
@@ -399,7 +378,7 @@ def run(args) -> int:
             return 2
     try:
         with np.errstate(all="ignore"):  # each command checks the non-finite results it returns
-            header, rows, meta = _COMMANDS[args.command](args)
+            header, rows, meta = _COMMANDS[args.command][0](args)
         _emit(args, header, rows, meta)
     except argparse.ArgumentTypeError as exc:
         print(f"dqsim: {exc}", file=sys.stderr)

@@ -81,7 +81,8 @@ def realized_probability(terms: HeraldTerms, eta_s_values, ideal=None):
     """p and p F (None without c) over eta_d x eta_s, and p (<a>, <a^2>, <a^dag a>) over 3 x both:
     one pass over the slabs u_l of the `components` products sums S = sum_l ||u_l||^2,
     O = sum_l |<c|u_l>|^2 and z_d[j] = sum_l conj(u_l[j - d]) u_l[j], d = 0..2; p = eta_s S +
-    (1 - eta_s) vacuum, p F = eta_s O + (1 - eta_s) vacuum |c_0|^2, p <.> = eta_s sum w z_d."""
+    (1 - eta_s) vacuum, p F = eta_s O + (1 - eta_s) vacuum |c_0|^2, p <.> = eta_s sum w z_d.
+    ZeroProbability where 0 < p is below the normal float range, in any cell."""
     n, rows = terms.cfg.n, terms.eta_d.size
     g = np.ascontiguousarray(terms.g[:, ::-1].T)  # g[n - k, i] = K g_k at eta_d[i], contiguous
     norms, overlaps, z = np.zeros(rows), np.zeros(rows), np.zeros((3, n + 1, rows), complex)
@@ -96,16 +97,21 @@ def realized_probability(terms: HeraldTerms, eta_s_values, ideal=None):
     fid = None if ideal is None else es * overlaps[:, None] + (1.0 - es) * vac * abs(ideal[0]) ** 2
     moments = np.array([sum((w * z[j - i, j] for i, j, w in dq._moment_terms(n + 1, *uv)),
                             np.zeros(rows, complex)) for uv in ((0, 1), (0, 2), (1, 1))])
-    return es * norms[:, None] + (1.0 - es) * vac, fid, es * moments[:, :, None]
+    prob = es * norms[:, None] + (1.0 - es) * vac
+    subnormal = (prob > 0) & (prob < dq._TINY)
+    if subnormal.any():
+        i, j = np.argwhere(subnormal)[0]
+        raise ZeroProbability(f"herald m={terms.cfg.m} fires with p below the normal float range"
+                              f" (eta_d={terms.eta_d[i]}, eta_s={es[j]})")
+    return prob, fid, es * moments[:, :, None]
 
 
 def realized_point(terms: HeraldTerms, eta_s: float, ideal=None):
     """p, F (None without c) and the bare moments (<a>, <a^2>, <a^dag a>) of the realized state
-    at eta_d[0] and eta_s; ZeroProbability where p is below the normal float range."""
+    at eta_d[0] and eta_s; ZeroProbability where the herald never fires (p = 0)."""
     [[p]], prob_fid, prob_moments = realized_probability(terms, [eta_s], ideal)  # the one cell
-    if not p >= dq._TINY:
-        why = "never fires" if p == 0 else "fires with p below the normal float range"
-        raise ZeroProbability(f"herald m={terms.cfg.m} {why} (eta_d={terms.eta_d[0]})")
+    if p == 0:
+        raise ZeroProbability(f"herald m={terms.cfg.m} never fires (eta_d={terms.eta_d[0]})")
     fid = None if ideal is None else float(prob_fid[0, 0] / p)
     return float(p), fid, tuple(complex(x) / p for x in prob_moments[:, 0, 0])
 
@@ -123,12 +129,12 @@ def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[np.ndarray, float
 
 
 def fidelity_heatmap(cfg: dq.CMConfig, eta_d_values, eta_s_values) -> list[tuple[float, ...]]:
-    """Rows (eta_d, eta_s, <c_m|rho_bare|c_m>) from `realized_probability`, 0 where p is below the
-    normal float range; the ideal state comes first, so a failing one builds no herald terms."""
+    """Rows (eta_d, eta_s, <c_m|rho_bare|c_m>) from `realized_probability`, 0 where the herald
+    never fires; the ideal state comes first, so a failing one builds no herald terms."""
     ideal = dq.build_dq(cfg)[0].coeffs
     terms = herald_terms(cfg, eta_d_values)
     prob, prob_fid, _ = realized_probability(terms, eta_s_values, ideal)
-    fid = np.divide(prob_fid, prob, out=np.zeros_like(prob), where=prob >= dq._TINY)
+    fid = np.divide(prob_fid, prob, out=np.zeros_like(prob), where=prob > 0)
     es, eds = np.asarray(eta_s_values, float).tolist(), terms.eta_d.tolist()
     return [(ed, s, f) for ed, row in zip(eds, fid.tolist()) for s, f in zip(es, row)]
 

@@ -382,6 +382,17 @@ def test_subnormal_realized_p_exits_3_below_the_normal_float_range(capsys):
     assert "ZeroProbability: herald m=1 fires with p below the normal float range" in err
 
 
+def test_fidelity_map_with_subnormal_p_exits_3(capsys):
+    # the same subnormal p in a map cell: F -> 0.1127 and 0.1627 as eta_d -> 0, not the 0
+    # that only a herald which never fires reads
+    assert _run(["fidelity-map", "--n", "2", "--m", "1", "--alpha-sq", "5", "--R", "0.5",
+                 "--grid", "1e-310:1e-309:2,0.5:1:2"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert "ZeroProbability: herald m=1 fires with p below the normal float range" in lines[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -720,6 +731,27 @@ def test_dim_only_where_read():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "--n", "2"],
+        ["hsd-scan", "--n", "1", "--m", "2", "--dim", "2"],
+        ["state", "--n", "x", "--m", "1", "--alpha-sq", "2", "--R", "0.5"],
+        ["frobnicate"],
+        ["table3", "--points", "401"],
+    ],
+    ids=["missing-flag", "unread-flag", "bad-int", "unknown-command", "unknown-flag"],
+)
+def test_argparse_usage_errors_are_one_line(capsys, argv):
+    # argparse's own errors end as run()'s do: "dqsim: <message>" on one line, exit 2
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("dqsim: "), lines
+
+
 @pytest.mark.parametrize("command", ["state", "wigner", "fidelity-map"])
 @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
 def test_alpha_sq_must_be_finite(capsys, command, value):
@@ -859,6 +891,7 @@ def test_cli_fuzz_exit_codes(argv):
             rc = _run(argv)
         except SystemExit as exc:  # argparse's own usage error
             assert exc.code == 2, argv
+            assert len(err.getvalue().strip().splitlines()) == 1, argv
             return
     lines = err.getvalue().strip().splitlines()
     assert rc in (0, 2, 3), (argv, lines)

@@ -307,6 +307,27 @@ def test_realized_state_matches_mpmath_or_raises(eta_d):
     np.testing.assert_allclose(np.diag(rho).real, diag, rtol=0, atol=1e-10)
 
 
+def test_realized_sums_at_n200_where_b_squared_underflows():
+    # b_q^2 = (1 - R)^q / q! leaves the float range and |K g_k|^2 would overflow it, so a
+    # convolution of the squared factors returns wrong sums here; the one pass over l does not
+    cfg = _cfg(200, 1, math.sqrt(2), 0.5)
+    c = dq.build_dq(cfg)[0].coeffs
+    eta_d = [0.3, 0.9, 0.974, 1.0]
+    terms = dq.herald_terms(cfg, eta_d)
+    prob, prob_fid, _ = imperfections.realized_probability(terms, [1.0], c)
+    expected_p = [1.73491179106e-11, 1.28336100940e-41, 1.98512161895e-46, 3.36517598524e-48]
+    expected_f = [6.97315499958e-23, 7.02135138570e-3, 0.520311087047, 1.0]
+    assert prob[:, 0] == pytest.approx(expected_p, rel=1e-11, abs=0)
+    assert prob_fid[:, 0] / prob[:, 0] == pytest.approx(expected_f, rel=1e-11, abs=0)
+    for i, u in enumerate(imperfections.components(terms)):
+        assert prob[i, 0] == pytest.approx(np.sum(np.abs(u) ** 2), rel=1e-14, abs=0)
+        overlap = np.sum(np.abs(u @ c.conj()) ** 2)
+        assert prob_fid[i, 0] == pytest.approx(overlap, rel=1e-14, abs=0)
+    for i in (1, 3):  # eta_d = 0.9 and 1
+        p_mp, _ = _mp_heralded(200, 1, 2, 0.5, eta_d[i])
+        assert prob[i, 0] == pytest.approx(float(p_mp), rel=1e-10, abs=0)
+
+
 def test_build_dq_memory_at_large_n():
     # p(20000, 1) ~ 1e-6016 lies below the float range; the kernel finds it in O(n) floats
     tracemalloc.start()

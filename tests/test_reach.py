@@ -76,6 +76,7 @@ _REALIZED = "Fock-space oracle of the realized state that herald_terms and mixtu
 _ACCEPT = "closed form that only the acceptance checks use"
 
 UNREACHED = {
+    "cli._Parser.error": "argparse's usage errors; no census command is a usage error",
     "dq.DQState.from_coeffs": _DQ_ORACLE,
     "dq.to_fock": _DQ_ORACLE,
     "dq.coefficient_laguerre": _LAGUERRE,
