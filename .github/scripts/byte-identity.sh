@@ -11,7 +11,8 @@
 # The last five cases pin the realized p, F and moments of the one pass over
 # the lost photons: a fidelity map whose eta_d = 0 rows never fire (and print
 # 0), reports at n = 12 and at n = 1 (which has no <a^2> terms), and a map at
-# n = 30.
+# n = 30.  The three after them have factorials far past the float range: n = 150, m = 150
+# and n = 200.
 # For an output that differs it also prints how many fields differ and the
 # largest relative and absolute differences between two numeric fields.
 # Exits 1 if any output differs.
@@ -74,5 +75,8 @@ state-json-eta state --n 3 --m 2 --alpha-sq 4 --R 0.6 --eta-d 0.3 --eta-s 0.4 --
 state-n12 state --n 12 --m 4 --alpha-sq 6 --R 0.7 --eta-d 0.8 --eta-s 0.9 --format json
 state-n1 state --n 1 --m 3 --alpha-sq 2 --R 0.5 --eta-d 0.7 --eta-s 0.5
 fidelity-map-n30 fidelity-map --n 30 --m 2 --alpha-sq 8 --R 0.5 --grid 0:1:101,0:1:3
+state-n150 state --n 150 --m 40 --alpha-sq 400 --R 0.97 --format json
+state-m150 state --n 2 --m 150 --alpha-sq 400 --R 0.5
+fidelity-map-n200 fidelity-map --n 200 --m 1 --alpha-sq 2 --R 0.5 --grid 0.3:1:3,0:1:2
 COMMANDS
 exit "$status"

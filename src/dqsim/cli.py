@@ -336,10 +336,17 @@ _COMMANDS = {
 }
 
 
+def _usage(message) -> int:
+    """Print "dqsim: <message>" as one stderr line, escaping str.splitlines' breaks; return 2."""
+    breaks = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+    print("dqsim: " + str(message).translate(breaks), file=sys.stderr)
+    return 2
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         """argparse's usage errors end as run()'s do: one line on stderr, exit 2."""
-        self.exit(2, f"dqsim: {message}\n")
+        self.exit(_usage(message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,15 +381,13 @@ def run(args) -> int:
     for name, (ok, rule) in validators.items():
         val = getattr(args, name, None)
         if val is not None and not ok(val):
-            print(f"dqsim: invalid --{name.replace('_', '-')} {val}: {rule}", file=sys.stderr)
-            return 2
+            return _usage(f"invalid --{name.replace('_', '-')} {val}: {rule}")
     try:
         with np.errstate(all="ignore"):  # each command checks the non-finite results it returns
             header, rows, meta = _COMMANDS[args.command][0](args)
         _emit(args, header, rows, meta)
     except argparse.ArgumentTypeError as exc:
-        print(f"dqsim: {exc}", file=sys.stderr)
-        return 2
+        return _usage(exc)
     except DQSimError as exc:
         print(f"dqsim: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -36,7 +36,7 @@ import numpy as np
 from . import fock
 from .errors import (NonFiniteResult, NoRootInBracket, PrecisionLoss, TruncationTooSmall,
                      ZeroProbability)
-from .polynomials import hermite2_rows, laguerre
+from .polynomials import hermite2_rows, laguerre, laguerre_recurrence
 
 __all__ = [
     "CMConfig",
@@ -243,66 +243,59 @@ _ULP = math.log(2.0**-1072)  # 4 units of the last subnormal place
 def herald_terms(cfg: CMConfig, eta_d_values) -> HeraldTerms:
     """The factors a, b and K g of u_l[q] (module docstring) and the vacuum weight for each eta_d.
 
-    Exact logarithms bound each component's error from factors and partial products outside
-    the normal float range, in `row_blocks` of eta_d: a subnormal one is off by `_ULP`; one that
-    overflows, or an H_{k,m} whose power y^d underflows, is lost.  PrecisionLoss where an error
-    can pass (n + 1) eps sqrt(p), the rounding of p's n + 1 terms, unless p is below the normal
-    range; a lost g_k below that is set to 0.  NonFiniteResult where H_{k,m} overflows.
-    """
+    H_{k,m}(y*, y) = (-1)^j j! y^d L_j^(d)(|y|^2), j = min(k, m), d = |k - m|, so K g_k = e^(f_k)
+    (-1)^j (y/|y|)^d L_j^(d): f_k, the log of K j!/k! |y|^d (eta_d R)^(k/2), keeps factorials and
+    powers out of floats, and L is `laguerre_recurrence`'s.  Exact logarithms bound each error per
+    `row_blocks` of eta_d: a factor or product below the normal range is off by `_ULP`, one above
+    it is lost.  PrecisionLoss where an error can pass (n + 1) eps sqrt(p), the rounding of p's
+    n + 1 terms, unless p is below the normal range (a lost g_k is then 0); NonFiniteResult where
+    L overflows."""
     n, m, R = cfg.n, cfg.m, cfg.R
     where = f"n={n}, m={m}, alpha={cfg.alpha}, R={R}"
     eta_d = np.atleast_1d(np.asarray(eta_d_values, float))
     level = np.arange(n + 1)
     log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
     y = np.sqrt(eta_d) * complex(cfg.alpha) * math.sqrt(1.0 - R)
-    szego = np.array([math.lgamma(max(k, m) + 1) - math.lgamma(abs(k - m) + 1) for k in level])
-
-    def lost_terms(i: slice) -> np.ndarray:
-        """Where g_k of the rows i is lost; PrecisionLoss where an error can pass rounding."""
-        ed, y_i = eta_d[i, None], y[i, None]
-        log_y = np.where(y_i == 0, np.inf, np.abs(level - m) * np.log(np.abs(y_i)))  # |y|^d
-        unknown = log_y < _LOG_TINY  # H_{k,m} = (-1)^j j! y^d L_j^(d)(|y|^2), its power lost
-        # Szego's |L_j^(d)(z)| <= C(j+d, j) e^(z/2): |H_{k,m}| <= max(k, m)!/d! |y|^d e^(|y|^2/2)
-        log_h = np.where(unknown, szego + log_y + np.abs(y_i) ** 2 / 2, np.log(np.abs(h[i])))
-        log_f, log_w = log_k[i] - log_fact, np.where(level == 0, 0.0, level / 2 * np.log(ed * R))
-        log_g = log_f + log_w + log_h
-        parts = np.array([log_f, log_w, log_f + log_w, log_h, log_g])  # -inf: an exact 0
-        lost = unknown | (parts.max(axis=0) > _LOG_MAX) | ~np.isfinite(g[i])
-        # error of g_k: all of it where lost, else a subnormal ulp times (1 + |f|)(1 + |w|)(1 + |H|)
-        # where a factor or partial product underflows (a root of L leaves a true 0)
-        under = np.any((parts > -np.inf) & (parts < _LOG_TINY), axis=0)
-        err_g = np.where(lost, log_g, np.where(
-            under, _ULP + np.logaddexp(0, parts[[0, 1, 3]]).sum(axis=0), -np.inf))
-        # log max |a_l b_q| over l + q = n - k, and whether one is below the normal range (then
-        # so is one at l = 0 or l = n - k, where the concave log |a_l b_q| is least)
-        pair = (0.5 * (level * np.log1p(-ed * R) - log_fact))[:, ::-1]
-        below = (((a[i] < _TINY) & (ed < 1)) | (b < _TINY))[:, ::-1]
-        err = np.logaddexp(pair + err_g, np.where(below, _ULP + log_g, -np.inf))
-        log_p = np.logaddexp.reduce(np.where(unknown, -np.inf, 2 * (log_g + pair)), axis=1)
-        loss = (err > (math.log((n + 1) * sys.float_info.epsilon) + log_p / 2)[:, None]) & (
-            log_p >= _LOG_TINY)[:, None]
-        if loss.any():
-            r, k = np.argwhere(loss)[0]
-            raise PrecisionLoss(f"a factor outside the float range costs {loss.sum()} of {loss.size}"
-                                f" g_k more than rounding, first k={k} at eta_d={eta_d[i][r]:.12g},"
-                                f" for {where}")
-        return lost
-
+    j, d = np.minimum(level, m), np.abs(level - m)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            h = np.array(hermite2_rows(n, m, np.conj(y), y)).T[:, ::-1]  # h[i, k] = H_{k,m}
-        except OverflowError:  # the factor min(k, m)! of H_{k,m} for min(k, m) >= 171
-            h = np.full((eta_d.size, n + 1), np.inf)
-        if not np.isfinite(h).all():
-            raise NonFiniteResult(f"the Hermite factors H_(k,{m}) of the C_q overflow for {where}")
+        lag, z = np.empty((eta_d.size, n + 1)), np.abs(y) ** 2
+        for k in range(n + 1):
+            lag[:, k] = laguerre_recurrence(min(k, m), abs(k - m), z)
+        if not np.isfinite(lag).all():
+            raise NonFiniteResult(f"the Laguerre factors L_j^(d) of the C_q overflow for {where}")
         a = ((1.0 - eta_d[:, None]) * R) ** (level / 2) * np.exp(-0.5 * log_fact)
         b = (1.0 - R) ** (level / 2) * np.exp(-0.5 * log_fact)
-        # K / k! as one exponential: sqrt(n!) and 1/k! never have to fit in a float alone
         log_k = 0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1) - eta_d[:, None] * chi(cfg))
-        g = np.exp(log_k - log_fact) * (eta_d[:, None] * R) ** (level / 2) * h
-        vacuum = np.abs(np.exp(-0.5 * (math.lgamma(m + 1) + eta_d * chi(cfg))) * h[:, 0]) ** 2
-        for lo, hi in row_blocks(g.shape):
-            g[lo:hi][lost_terms(slice(lo, hi))] = 0.0
+        log_y = np.where(d == 0, 0.0, d * np.log(np.abs(y[:, None])))  # log |y|^d
+        f = (log_k - log_fact + log_fact[j] + log_y
+             + np.where(level == 0, 0.0, level / 2 * np.log(eta_d[:, None] * R)))
+        unit = np.where(y == 0, 1, y / np.abs(y))[:, None]  # y / |y|, conjugated for k > m
+        g = np.exp(f) * (np.where(level > m, unit.conj(), unit) ** d * (-1.0) ** j) * lag
+        vacuum = np.exp(2 * log_y[:, 0] - math.lgamma(m + 1) - eta_d * chi(cfg))  # e^(2 f_0) / n!
+        for i in (slice(lo, hi) for lo, hi in row_blocks(g.shape)):  # the error bound per block
+            ed, log_l = eta_d[i, None], np.log(np.abs(lag[i]))
+            log_g = f[i] + log_l
+            parts = np.array([f[i], log_l, log_g])  # -inf: an exact 0
+            lost = parts.max(axis=0) > _LOG_MAX
+            # error of g_k: all of it where lost, else a subnormal ulp times (1 + e^f)(1 + |L|)
+            # where a factor or their product underflows (a root of L leaves a true 0)
+            under = np.any((parts > -np.inf) & (parts < _LOG_TINY), axis=0)
+            err_g = np.where(lost, log_g, np.where(
+                under, _ULP + np.logaddexp(0, parts[:2]).sum(axis=0), -np.inf))
+            # log max |a_l b_q| over l + q = n - k, and whether one is below the normal range
+            # (then so is one at l = 0 or l = n - k, where the concave log |a_l b_q| is least)
+            pair = (0.5 * (level * np.log1p(-ed * R) - log_fact))[:, ::-1]
+            below = (((a[i] < _TINY) & (ed < 1)) | (b < _TINY))[:, ::-1]
+            err = np.logaddexp(pair + err_g, np.where(below, _ULP + log_g, -np.inf))
+            log_p = np.logaddexp.reduce(2 * (log_g + pair), axis=1)
+            loss = (err > (math.log((n + 1) * sys.float_info.epsilon) + log_p / 2)[:, None]) & (
+                log_p >= _LOG_TINY)[:, None]
+            if loss.any():
+                r, k = np.argwhere(loss)[0]
+                raise PrecisionLoss(f"a factor outside the float range costs {loss.sum()} of"
+                                    f" {loss.size} g_k more than rounding, first k={k} at"
+                                    f" eta_d={eta_d[i][r]:.12g}, for {where}")
+            g[i][lost] = 0.0
     return HeraldTerms(cfg, eta_d, a, b, g, vacuum)
 
 

@@ -14,17 +14,17 @@ more than 1e-12 relative (at most 2.8e-11), against 539 rows (at most
 product x y alone costs as much: every row is within
 1e-12 |H| + 2^-52 |x dH/dx|.
 
-The function uses arithmetic operators only, so x and y may be Python or
-numpy scalars, broadcastable numpy arrays or numpy polynomials; k! with
-k >= 171 does not fit in a float and raises OverflowError.  Laguerre
-arguments are real scalars.
+`hermite2` and `laguerre_recurrence` (L alone, for `dq.herald_terms`) use
+arithmetic operators only, so x, y and z may be Python or numpy scalars, numpy
+arrays or polynomials; `hermite2` raises OverflowError where its k! passes the
+float range (k >= 171).  Laguerre arguments are real scalars.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["hermite2", "hermite2_rows", "laguerre"]
+__all__ = ["hermite2", "hermite2_rows", "laguerre", "laguerre_recurrence"]
 
 
 def hermite2(n: int, m: int, x, y):
@@ -40,11 +40,15 @@ def hermite2(n: int, m: int, x, y):
     power = x**d if n > m else y**d
     if k == 0:
         return power
-    z = x * y
-    prev, lag = 1, 1 + d - z
+    return (-1) ** k * float(math.factorial(k)) * power * laguerre_recurrence(k, d, x * y)
+
+
+def laguerre_recurrence(k: int, d: int, z):
+    """L_k^(d)(z) for k, d >= 0 from its three-term recurrence in the degree (DLMF 18.9.1)."""
+    prev, lag = 1, 1 + d - z if k else 1
     for j in range(1, k):  # (j + 1) L_{j+1} = (2j + 1 + d - z) L_j - (j + d) L_{j-1}
         prev, lag = lag, ((2 * j + 1 + d - z) * lag - (j + d) * prev) / (j + 1)
-    return (-1) ** k * float(math.factorial(k)) * power * lag
+    return lag
 
 
 def hermite2_rows(n: int, m: int, x, y) -> list:
@@ -56,10 +60,8 @@ def hermite2_rows(n: int, m: int, x, y) -> list:
 
 def _int_binom(a: int, k: int) -> int:
     """Binomial coefficient C(a, k) for integer a of either sign, k >= 0."""
-    if k < 0:
-        return 0
     if a >= 0:
-        return math.comb(a, k) if k <= a else 0
+        return math.comb(a, k)
     # C(a, k) = (-1)^k C(k - a - 1, k) for negative integer a
     return (-1) ** k * math.comb(k - a - 1, k)
 

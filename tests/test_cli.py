@@ -11,6 +11,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from conftest import mp_components, mp_rho_bare
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,8 +118,9 @@ def test_bad_grid_exit_code(capsys):
         # vacuum input can never herald a photon
         (["state", "--n", "0", "--m", "2", "--alpha-sq", "0", "--R", "0.5"],
          "all coefficients vanish"),
-        # H_{2-q,200}(x, x) overflows at x^2 = 1500
-        (["state", "--n", "2", "--m", "200", "--alpha-sq", "3000", "--R", "0.5"], "C_q overflow"),
+        # the Laguerre factor L_200^(0)(x^2) of H_{200,200}(x, x) overflows at x^2 = 50000
+        (["state", "--n", "200", "--m", "200", "--alpha-sq", "100000", "--R", "0.5"],
+         "C_q overflow"),
         # exp(-|alpha|^2 (1 - R)) underflows
         (["state", "--n", "2", "--m", "1", "--alpha-sq", "100000", "--R", "0.5"],
          "success probability"),
@@ -140,31 +142,44 @@ def test_numerical_failure_exit_code(capsys, argv, quantity):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_state_past_float_factorials_matches_mpmath(tmp_path):
+    # j! of H_{k,200} and |y|^d leave the float range, while p(200, 200) = 0.0154
+    out = tmp_path / "state.json"
+    assert _run(["state", "--n", "200", "--m", "200", "--alpha-sq", "20", "--R", "0.97",
+                 "--format", "json", "--out", str(out)]) == 0
+    fields = {row[0]: row[1] for row in json.loads(out.read_text())["data"]}
+    with mpmath.workdps(60):
+        prob = mpmath.fsum(u**2 for u in mp_components(200, 200, 20, 0.97)[0])
+    assert fields["success_prob"] == pytest.approx(float(prob), rel=1e-10, abs=0)
+
+
+def test_fidelity_map_past_float_factorials_matches_mpmath(capsys):
+    # at eta_d = 0.3, K/k! (eta_d R)^(k/2) and H_{k,200} leave the float range on opposite sides
+    assert _run(["fidelity-map", "--n", "100", "--m", "200", "--alpha-sq", "20", "--R", "0.3",
+                 "--grid", "0.3:1:2,0.5:1:2"]) == 0
+    rows = [map(float, r.split(",")) for r in capsys.readouterr().out.splitlines()[1:]]
+    fids = {(eta_d, eta_s): fid for eta_d, eta_s, fid in rows}
+    ideal, u = mp_components(100, 200, 20, 0.3)[0], mp_components(100, 200, 20, 0.3, 0.3)
+    with mpmath.workdps(60):
+        c = [x / mpmath.sqrt(mpmath.fsum(v**2 for v in ideal)) for x in ideal]
+        norms = mpmath.fsum(x**2 for row in u for x in row)
+        overlaps = mpmath.fsum(mpmath.fdot(c, row) ** 2 for row in u)
+        mu = 0.3 * mpmath.mpf(20) * (1 - mpmath.mpf(0.3))
+        vacuum = mpmath.exp(-mu) * mu**200 / mpmath.factorial(200)  # Poisson(eta_d chi; m)
+        for eta_s in (0.5, 1.0):
+            es = mpmath.mpf(eta_s)
+            fid = (es * overlaps + (1 - es) * vacuum * c[0] ** 2) / (es * norms + (1 - es) * vacuum)
+            assert fids[0.3, eta_s] == pytest.approx(float(fid), rel=1e-10, abs=0)
+
+
 def _mp_mixture(n, m, a2, R, eta_d, eta_s, k_max=400):
-    """Realized probability and fidelity from a 50-digit mpmath evaluation of the k sum."""
+    """Realized p = Tr rho and F = Tr(rho_1 rho) / (Tr rho_1 p) from the 50-digit `mp_rho_bare`,
+    rho_1 being the ideal state's (eta_d = eta_s = 1, where only k = m counts)."""
+    rho, ideal = mp_rho_bare(n, m, a2, R, eta_d, eta_s, k_max), mp_rho_bare(n, m, a2, R, 1, 1, m + 1)
     with mpmath.workdps(50):
-        R, eta_d, eta_s = mpmath.mpf(R), mpmath.mpf(eta_d), mpmath.mpf(eta_s)
-        x = mpmath.sqrt(mpmath.mpf(a2) * (1 - R))
-        f = mpmath.factorial
-
-        def coeffs(n_src, k):  # C_q = C(n,q) sqrt(q!) ((1-R)/R)^(q/2) H_{n-q,k}(x, x)
-            return [mpmath.binomial(n_src, q) * mpmath.sqrt(f(q)) * ((1 - R) / R) ** (q / 2.0)
-                    * mpmath.fsum((-1) ** i * mpmath.binomial(n_src - q, i) * mpmath.binomial(k, i)
-                                  * f(i) * x ** (n_src - q + k - 2 * i)
-                                  for i in range(min(n_src - q, k) + 1))
-                    for q in range(n_src + 1)]
-
-        ideal = coeffs(n, m)
-        ideal_norm2 = mpmath.fsum(c**2 for c in ideal)
-        prob = overlap = mpmath.mpf(0)
-        for n_src, branch in ((n, eta_s), (0, 1 - eta_s)):
-            for k in range(m, k_max):
-                c = coeffs(n_src, k)
-                w = mpmath.binomial(k, m) * eta_d**m * (1 - eta_d) ** (k - m)
-                scale = branch * w * R**n_src * mpmath.exp(-(x**2)) / (f(k) * f(n_src))
-                prob += scale * mpmath.fsum(ci**2 for ci in c)
-                overlap += scale * mpmath.fsum(a * b for a, b in zip(ideal, c)) ** 2 / ideal_norm2
-        return float(prob), float(overlap / prob)
+        prob = sum(rho[q, q] for q in range(n + 1))
+        overlap = sum((ideal * rho)[q, q] for q in range(n + 1))
+        return float(prob), float(overlap / (sum(ideal[q, q] for q in range(n + 1)) * prob))
 
 
 def test_rare_herald_state_matches_mpmath(tmp_path):
@@ -739,11 +754,15 @@ def test_dim_only_where_read():
         ["state", "--n", "x", "--m", "1", "--alpha-sq", "2", "--R", "0.5"],
         ["frobnicate"],
         ["table3", "--points", "401"],
+        ["table1", "--x\ny"],
+        ["table1", "--x\r\v\f\x1c\x1d\x1e\x85\u2028\u2029y"],
     ],
-    ids=["missing-flag", "unread-flag", "bad-int", "unknown-command", "unknown-flag"],
+    ids=["missing-flag", "unread-flag", "bad-int", "unknown-command", "unknown-flag",
+         "newline-in-argument", "every-line-break"],
 )
 def test_argparse_usage_errors_are_one_line(capsys, argv):
-    # argparse's own errors end as run()'s do: "dqsim: <message>" on one line, exit 2
+    # argparse's own errors end as run()'s do: "dqsim: <message>" on one line, exit 2, also where
+    # the message echoes a line break of the input
     with pytest.raises(SystemExit) as exc:
         _run(argv)
     assert exc.value.code == 2
@@ -781,6 +800,8 @@ def test_alpha_sq_must_be_finite(capsys, command, value):
          "finite window 2 HALFWIDTH"),
         (["fidelity-map", "--n", "2", "--m", "1", "--alpha-sq", "5", "--R", "0.5",
           "--grid=-1e308:1e308:3,0:1:2"], "finite span HI - LO"),
+        # the message echoes the spec, line break and all
+        (["scan", "--n", "1", "--m", "0", "--grid", "x\n:1:3,0:1:3"], "finite LO < HI"),
     ],
 )
 def test_grid_bounds_rejected(capsys, argv, rule):
@@ -945,6 +966,14 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     assert _run(["table2", "--out", str(target)]) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and str(target) in lines[0] and "Traceback" not in lines[0]
+    assert not target.parent.exists()
+
+
+def test_out_with_a_line_break_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing\nline" / "x.csv"
+    assert _run(["table2", "--out", str(target)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and str(target).replace("\n", "\\n") in lines[0], lines
     assert not target.parent.exists()
 
 

@@ -6,6 +6,7 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
+from conftest import mp_components
 
 from dqsim import dq, fock, imperfections
 from dqsim.errors import DQSimError, NoRootInBracket, NonFiniteResult, ZeroProbability
@@ -248,33 +249,23 @@ def test_one_cell_last_block_keeps_grids_bit_identical(monkeypatch, n):
 
 def _mp_heralded(n, m, alpha_sq, R, eta_d=1):
     """60-digit p and, at eta_d = 1, the normalized u_0, else the diagonal of rho_bare / p, of
-    u_l[q] = K a_l b_q g_{n-l-q} for real alpha, with H_{k,m} from the Laguerre recurrence."""
+    the components u_l[q] of `mp_components`."""
+    u = mp_components(n, m, alpha_sq, R, eta_d)
     with mpmath.workdps(60):
-        R, eta, y2 = mpmath.mpf(R), mpmath.mpf(eta_d), eta_d * mpmath.mpf(alpha_sq) * (1 - R)
-        f = mpmath.factorial
-        g = []
-        for k in range(n + 1):
-            j, d = min(k, m), abs(k - m)
-            prev, lag = 1, 1 + d - y2 if j else 1
-            for i in range(1, j):  # (i + 1) L_{i+1} = (2i + 1 + d - z) L_i - (i + d) L_{i-1}
-                prev, lag = lag, ((2 * i + 1 + d - y2) * lag - (i + d) * prev) / (i + 1)
-            h = (-1) ** j * f(j) * mpmath.sqrt(y2) ** d * lag
-            g.append(mpmath.sqrt(f(n) / f(m) * mpmath.exp(-y2) * (eta * R) ** k) * h / f(k))
-        a2 = [((1 - eta) * R) ** l / f(l) for l in range(n + 1)]
-        b2 = [(1 - R) ** q / f(q) for q in range(n + 1)]
-        p = mpmath.fsum(g[k] ** 2 * (1 - eta * R) ** (n - k) / f(n - k) for k in range(n + 1))
+        p = mpmath.fsum(x**2 for row in u for x in row)
         if eta_d == 1:
-            return p, np.array([float(mpmath.sqrt(b2[q] / p) * g[n - q]) for q in range(n + 1)])
-        return p, np.array([float(mpmath.fsum(a2[l] * b2[q] * g[n - l - q] ** 2
-                                              for l in range(n - q + 1)) / p)
-                            for q in range(n + 1)])
+            return p, np.array([float(x / mpmath.sqrt(p)) for x in u[0]])
+        return p, np.array([float(mpmath.fsum(row[q] ** 2 for row in u) / p) for q in range(n + 1)])
 
 
 _SWEEP = list(product([20, 50, 100, 150, 200, 300], [0, 6, 40, 100, 200], [0.5, 20, 400],
                       [0.3, 0.5, 0.97]))
 # p lost its last digits to a subnormal prefactor R^n/(m! n!) e^(-chi) in the separate C_q
-# route, and p(2, 150) = 8.2e-4, whose sum_q |C_q|^2 overflows a float
-_MUST_MATCH = [(150, 6, 20, 0.5), (150, 40, 400, 0.97), (2, 150, 400, 0.5)]
+# route, and p(2, 150) = 8.2e-4, whose sum_q |C_q|^2 overflows a float; j! of H_{k,200} passes
+# the float range at (200, 200), |y|^300 at (300, 0), and K/k! (eta_d R)^(k/2) underflows next to
+# an H_{k,200} near 1e263 at (150, 200)
+_MUST_MATCH = [(150, 6, 20, 0.5), (150, 40, 400, 0.97), (2, 150, 400, 0.5), (200, 200, 20, 0.97),
+               (300, 0, 400, 0.3), (150, 200, 20, 0.97)]
 
 
 @pytest.mark.parametrize(
@@ -303,6 +294,8 @@ def test_realized_state_matches_mpmath_or_raises(eta_d):
     except DQSimError:
         return
     p_mp, diag = _mp_heralded(150, 200, 0.5, 0.3, eta_d)
+    if eta_d == 1:  # there _mp_heralded returns the normalized u_0, whose |.|^2 is the diagonal
+        diag = np.abs(diag) ** 2
     assert p == pytest.approx(float(p_mp), rel=1e-10, abs=0)
     np.testing.assert_allclose(np.diag(rho).real, diag, rtol=0, atol=1e-10)
 

@@ -1,11 +1,11 @@
 import math
 import sys
 import tracemalloc
-from itertools import product
 
 import mpmath
 import numpy as np
 import pytest
+from conftest import mp_rho_bare
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -297,24 +297,9 @@ def test_vacuum_branch_is_poisson(m, alpha_sq, R, eta_d):
 
 
 def _mp_mixture(n, m, a2, R, eta_d, eta_s, k_max=100):
-    """rho_bare over levels 0..n and its probability from a 50-digit mpmath evaluation of the
-    sum over the k >= m photons the lossy detector saw, real alpha."""
+    """rho_bare / p over levels 0..n and p = Tr rho_bare from the 50-digit `mp_rho_bare`."""
+    rho = mp_rho_bare(n, m, a2, R, eta_d, eta_s, k_max)
     with mpmath.workdps(50):
-        R, eta_d, eta_s = mpmath.mpf(R), mpmath.mpf(eta_d), mpmath.mpf(eta_s)
-        x = mpmath.sqrt(mpmath.mpf(a2) * (1 - R))
-        f = mpmath.factorial
-        rho = mpmath.zeros(n + 1)
-        for n_src, branch in ((n, eta_s), (0, 1 - eta_s)):
-            for k in range(m, k_max):  # C_q = C(n,q) sqrt(q!) ((1-R)/R)^(q/2) H_{n-q,k}(x, x)
-                c = [mpmath.binomial(n_src, q) * mpmath.sqrt(f(q)) * ((1 - R) / R) ** (q / 2.0)
-                     * mpmath.fsum((-1) ** i * mpmath.binomial(n_src - q, i)
-                                   * mpmath.binomial(k, i) * f(i) * x ** (n_src - q + k - 2 * i)
-                                   for i in range(min(n_src - q, k) + 1))
-                     for q in range(n_src + 1)]
-                w = mpmath.binomial(k, m) * eta_d**m * (1 - eta_d) ** (k - m)
-                scale = branch * w * R**n_src * mpmath.exp(-(x**2)) / (f(k) * f(n_src))
-                for i, j in product(range(n_src + 1), repeat=2):
-                    rho[i, j] += scale * c[i] * c[j]
         prob = sum(rho[q, q] for q in range(n + 1))
         return np.array((rho / prob).tolist(), dtype=float), float(prob)
 

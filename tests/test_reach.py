@@ -77,6 +77,7 @@ _ACCEPT = "closed form that only the acceptance checks use"
 
 UNREACHED = {
     "cli._Parser.error": "argparse's usage errors; no census command is a usage error",
+    "cli._usage": "the one-line usage error; no census command is a usage error",
     "dq.DQState.from_coeffs": _DQ_ORACLE,
     "dq.to_fock": _DQ_ORACLE,
     "dq.coefficient_laguerre": _LAGUERRE,
