@@ -8,11 +8,12 @@
 # rounding change, so a kernel change must leave these outputs identical
 # until the exact optimizer (ROADMAP item 2) replaces the simplex path.
 # The CSV and JSON writers of the grid and report commands are covered too.
-# The last five cases pin the realized p, F and moments of the one pass over
-# the lost photons: a fidelity map whose eta_d = 0 rows never fire (and print
-# 0), reports at n = 12 and at n = 1 (which has no <a^2> terms), and a map at
-# n = 30.  The three after them have factorials far past the float range: n = 150, m = 150
-# and n = 200.
+# The five cases from fidelity-map-never pin the realized p, F and moments of
+# the one pass over the lost photons: a fidelity map whose eta_d = 0 rows never
+# fire (and print 0), reports at n = 12 and at n = 1 (which has no <a^2>
+# terms), and a map at n = 30.  The three after them have factorials far past
+# the float range: n = 150, m = 150 and n = 200.  The last ten compare the
+# help text of dqsim and of each of its nine commands.
 # For an output that differs it also prints how many fields differ and the
 # largest relative and absolute differences between two numeric fields.
 # Exits 1 if any output differs.
@@ -78,5 +79,15 @@ fidelity-map-n30 fidelity-map --n 30 --m 2 --alpha-sq 8 --R 0.5 --grid 0:1:101,0
 state-n150 state --n 150 --m 40 --alpha-sq 400 --R 0.97 --format json
 state-m150 state --n 2 --m 150 --alpha-sq 400 --R 0.5
 fidelity-map-n200 fidelity-map --n 200 --m 1 --alpha-sq 2 --R 0.5 --grid 0.3:1:3,0:1:2
+help --help
+help-state state --help
+help-scan scan --help
+help-optimize optimize --help
+help-table1 table1 --help
+help-table2 table2 --help
+help-table3 table3 --help
+help-wigner wigner --help
+help-hsd-scan hsd-scan --help
+help-fidelity-map fidelity-map --help
 COMMANDS
 exit "$status"

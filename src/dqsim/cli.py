@@ -113,9 +113,8 @@ def _emit(args, header, rows, meta: dict) -> None:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise argparse.ArgumentTypeError(
-                f"cannot write --out {args.out}: {exc.strerror or exc}"
-            ) from None
+            raise argparse.ArgumentTypeError(f"cannot write --out {args.out}:"
+                                             f" {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -127,10 +126,8 @@ def _parse_range(spec: str, name: str):
         if num < 2 or not (hi > lo and math.isfinite(hi - lo)):  # the span must not overflow
             raise ValueError
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad {name} range '{spec}', expected LO:HI:POINTS with finite LO < HI, a finite"
-            " span HI - LO and POINTS >= 2"
-        )
+        raise argparse.ArgumentTypeError(f"bad {name} range '{spec}', expected LO:HI:POINTS with"
+                                         " finite LO < HI, a finite span HI - LO and POINTS >= 2")
     return np.linspace(lo, hi, num)
 
 
@@ -142,32 +139,24 @@ def _parse_grid2(spec: str):
 
 
 def _scan_map(args, kernel, lo=-math.inf, hi=math.inf):
-    """Header, Grid and meta of kernel(n, m, alpha_sq, R) over the --grid of scan or hsd-scan.
+    """Header, Grid and meta of kernel(n, m, alpha_sq, R) over the --grid axes of scan or hsd-scan.
 
-    |alpha|^2 must be >= 0 and R inside (0, 1) (exit 2).  A cell that is
-    not finite, or outside [lo, hi], exits 3, apart from the documented NaN
-    where alpha = 0 and m > n, which heralds nothing.
+    A cell that is not finite, or outside [lo, hi], exits 3, apart from the
+    documented NaN where alpha = 0 and m > n, which heralds nothing.
     """
-    a_vals, r_vals = _parse_grid2(args.grid)
-    if a_vals[0] < 0 or r_vals[0] <= 0 or r_vals[-1] >= 1:
-        raise argparse.ArgumentTypeError(
-            f"bad grid '{args.grid}': |alpha|^2 must be >= 0 and R must lie in (0, 1)"
-        )
+    a_vals, r_vals = args.grid
     values = kernel(args.n, args.m, a_vals, r_vals)
     bad = ~np.isfinite(values) & ~((a_vals == 0)[:, None] & (args.m > args.n))
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise NonFiniteResult(
-            f"{args.command} value not finite in {bad.sum()} of {bad.size} cells,"
-            f" first at alpha_sq={a_vals[i]:.12g}, R={r_vals[j]:.12g}"
-        )
+        raise NonFiniteResult(f"{args.command} value not finite in {bad.sum()} of {bad.size} cells,"
+                              f" first at alpha_sq={a_vals[i]:.12g}, R={r_vals[j]:.12g}")
     bad = (values < lo) | (values > hi)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise PrecisionLoss(
-            f"{args.command} value outside [{lo:.12g}, {hi:.12g}] in {bad.sum()} of {bad.size}"
-            f" cells, first {values[i, j]:.12g} at alpha_sq={a_vals[i]:.12g}, R={r_vals[j]:.12g}"
-        )
+        raise PrecisionLoss(f"{args.command} value outside [{lo:.12g}, {hi:.12g}] in {bad.sum()} of"
+                            f" {bad.size} cells, first {values[i, j]:.12g} at alpha_sq="
+                            f"{a_vals[i]:.12g}, R={r_vals[j]:.12g}")
     return ["alpha_sq", "R", "value"], Grid(a_vals, r_vals, values), {"n": args.n, "m": args.m}
 
 
@@ -178,10 +167,9 @@ def _parse_square(spec: str) -> tuple[float, int]:
         if not (0 < half and math.isfinite(2 * half) and pts >= 2):  # the window is 2 HALFWIDTH
             raise ValueError
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad wigner grid '{spec}', expected HALFWIDTH:POINTS with finite HALFWIDTH > 0,"
-            " a finite window 2 HALFWIDTH and POINTS >= 2 (e.g. 6:201)"
-        )
+        raise argparse.ArgumentTypeError(f"bad wigner grid '{spec}', expected HALFWIDTH:POINTS with"
+                                         " finite HALFWIDTH > 0, a finite window 2 HALFWIDTH and"
+                                         " POINTS >= 2 (e.g. 6:201)")
     return half, pts
 
 
@@ -197,29 +185,20 @@ def _cmd_state(args):
     cfg = _config(args)
     state, prob = dq.build_dq(cfg)
     rep = squeezing.quadratures(state)
-    rows = [
-        ("n", cfg.n),
-        ("m", cfg.m),
-        ("alpha_sq", args.alpha_sq),
-        ("R", cfg.R),
-        ("chi", dq.chi(cfg)),
-        ("class", dq.classify(cfg.n, cfg.m)),
-        ("displacement_re", state.displacement.real),
-        ("displacement_im", state.displacement.imag),
-        ("var_x", rep.var_x),
-        ("var_p", rep.var_p),
-        ("min_var", rep.min_var),
-        ("mean_x", rep.mean_x),
-        ("mean_p", rep.mean_p),
-        ("success_prob", prob),
-    ]
+    rows = [("n", cfg.n), ("m", cfg.m), ("alpha_sq", args.alpha_sq), ("R", cfg.R),
+            ("chi", dq.chi(cfg)), ("class", dq.classify(cfg.n, cfg.m)),
+            ("displacement_re", state.displacement.real),
+            ("displacement_im", state.displacement.imag),
+            ("var_x", rep.var_x), ("var_p", rep.var_p), ("min_var", rep.min_var),
+            ("mean_x", rep.mean_x), ("mean_p", rep.mean_p), ("success_prob", prob)]
     for q, c in enumerate(state.coeffs):
-        rows.append((f"coeff_{q}_re", c.real))
-        rows.append((f"coeff_{q}_im", c.imag))
+        rows += [(f"coeff_{q}_re", c.real), (f"coeff_{q}_im", c.imag)]
     if args.eta_d is not None or args.eta_s is not None:
         eta_d, eta_s = (1.0 if v is None else v for v in (args.eta_d, args.eta_s))
-        prob_imp, fid, (a1, a2, n1) = imperfections.realized_point(
-            dq.herald_terms(cfg, [eta_d]), eta_s, state.coeffs)
+        terms = dq.herald_terms(cfg, [eta_d])
+        prob_imp, fid = imperfections.realized_point(terms, eta_s, state.coeffs)
+        a1, a2, n1 = (complex(x) / prob_imp
+                      for x in imperfections.realized_moments(terms, [eta_s])[:, 0, 0])
         realized = (prob_imp, fid, *squeezing.principal_variances(a1, a2, n1.real))
         rows += zip(("success_prob_realized", "fidelity_realized", "var_x_realized",
                      "var_p_realized", "min_var_realized"), realized)
@@ -261,22 +240,17 @@ def _cmd_table3(args):
         state, prob_ideal = dq.build_dq(cfg)
         prob = imperfections.realized_point(dq.herald_terms(cfg, [eta_d]), eta_s)[0]
         rows.append((n, a2, R, prob, nongauss.wigner_negativity(state), prob_ideal))
-    return (
-        ["n", "alpha_sq", "R", "success_prob", "wigner_negativity", "success_prob_ideal"],
-        rows,
-        {"eta_d": eta_d, "eta_s": eta_s},
-    )
+    header = ["n", "alpha_sq", "R", "success_prob", "wigner_negativity", "success_prob_ideal"]
+    return header, rows, {"eta_d": eta_d, "eta_s": eta_s}
 
 
 def _cmd_wigner(args):
     if args.grid and args.points is not None:
-        raise argparse.ArgumentTypeError(
-            "--grid HALFWIDTH:POINTS sets the wigner points; give --grid or --points, not both"
-        )
-    square = _parse_square(args.grid) if args.grid else None
+        raise argparse.ArgumentTypeError("--grid HALFWIDTH:POINTS sets the wigner points; give"
+                                         " --grid or --points, not both")
     state, _ = dq.build_dq(_config(args))
-    if square:
-        grid = nongauss.PhaseGrid.centered(state.displacement, *square)
+    if args.grid:
+        grid = nongauss.PhaseGrid.centered(state.displacement, *args.grid)
     else:
         grid = nongauss.default_grid(state, args.points or _WIGNER_POINTS)
     W = nongauss.wigner_closed(state, grid.mesh())
@@ -291,48 +265,60 @@ def _cmd_hsd_scan(args):
 
 
 def _cmd_fidelity_map(args):
-    d_vals, s_vals = _parse_grid2(args.grid)
-    if min(d_vals[0], s_vals[0]) < 0 or max(d_vals[-1], s_vals[-1]) > 1:
-        raise argparse.ArgumentTypeError(
-            f"bad fidelity-map grid '{args.grid}': eta_d and eta_s must lie in [0, 1]"
-        )
-    rows = imperfections.fidelity_heatmap(_config(args), d_vals, s_vals)
+    rows = imperfections.fidelity_heatmap(_config(args), *args.grid)
     return ["eta_d", "eta_s", "fidelity"], rows, {}
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-# The flags a command may read, by their attribute on args; every command also takes --out
-# and --format.
+# The flags a command may read, by their attribute on args: argparse's keywords, then the rule a
+# given value must pass (a usage error otherwise) and its text, in the order run() checks them.
+# --grid's are its command's, in _COMMANDS; every command also takes --out and --format.
 _FLAGS = {
-    "n": dict(type=int, required=True, help="input photon number"),
-    "m": dict(type=int, required=True, help="detected photon number"),
-    "alpha_sq": dict(type=float, required=True, help="coherent strength |alpha|^2"),
-    "R": dict(type=float, required=True, help="beam-splitter reflectivity"),
-    "grid": {},
-    "eta_d": dict(type=float, help="detector efficiency in [0, 1]"),
-    "eta_s": dict(type=float, help="source purity weight in [0, 1]"),
-    "points": dict(type=int, help=f"points per axis, >= 2 (default {_WIGNER_POINTS})"),
+    "alpha_sq": (dict(type=float, required=True, help="coherent strength |alpha|^2"),
+                 lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
+    "R": (dict(type=float, required=True, help="beam-splitter reflectivity"),
+          lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "n": (dict(type=int, required=True, help="input photon number"),
+          lambda v: v >= 0, "must be >= 0"),
+    "m": (dict(type=int, required=True, help="detected photon number"),
+          lambda v: v >= 0, "must be >= 0"),
+    "eta_d": (dict(type=float, help="detector efficiency in [0, 1]"),
+              lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    "eta_s": (dict(type=float, help="source purity weight in [0, 1]"),
+              lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    "points": (dict(type=int, help=f"points per axis, >= 2 (default {_WIGNER_POINTS})"),
+               lambda v: v >= 2, "must be >= 2"),
+    "grid": ({}, None, None),
 }
 
-# The one list of commands: name -> (handler, help, the flags it reads, its --grid default).
-# A handler returns (header, rows, meta); rows are tuples or a Grid.
+# The (|alpha|^2, R) domain of the scan and hsd-scan grids: the rule and its message
+_ALPHA_R = (lambda a, r: a[0] >= 0 and 0 < r[0] and r[-1] < 1,
+            "bad grid '{}': |alpha|^2 must be >= 0 and R must lie in (0, 1)")
+
+# The one list of commands: name -> (handler, help, the flags it reads, and None or its --grid:
+# default, parser, and the rule its parsed axes must pass with its message, the spec in its {};
+# None where the parser checks the domain).  A handler reads its --grid parsed and returns
+# (header, rows, meta); rows are tuples or a Grid.
 _COMMANDS = {
     "state": (_cmd_state, "single-configuration report", "n m alpha_sq R eta_d eta_s", None),
     "scan": (_cmd_scan, "min variance over an (|alpha|^2, R) grid", "n m grid",
-             "0.05:16:160,0.05:0.95:91"),
+             ("0.05:16:160,0.05:0.95:91", _parse_grid2, *_ALPHA_R)),
     "optimize": (_cmd_optimize, "best squeezing for one (n, m)", "n m", None),
     "table1": (_cmd_table1, "squeezing optima grid", "", None),
     "table2": (_cmd_table2, "heralded vs free superposition optima", "", None),
     "table3": (_cmd_table3, "benchmark success probabilities and negativities", "eta_d eta_s",
                None),
     "wigner": (_cmd_wigner, "Wigner samples for one configuration",
-               "n m alpha_sq R grid points", None),
+               "n m alpha_sq R grid points", (None, _parse_square, None, None)),
     "hsd-scan": (_cmd_hsd_scan, "non-Gaussianity over an (|alpha|^2, R) grid", "n m grid",
-                 "0.05:16:80,0.05:0.95:46"),
+                 ("0.05:16:80,0.05:0.95:46", _parse_grid2, *_ALPHA_R)),
     "fidelity-map": (_cmd_fidelity_map, "fidelity over an (eta_d, eta_s) grid",
-                     "n m alpha_sq R grid", "0:1:21,0:1:21"),
+                     "n m alpha_sq R grid",
+                     ("0:1:21,0:1:21", _parse_grid2,
+                      lambda d, s: 0 <= min(d[0], s[0]) and max(d[-1], s[-1]) <= 1,
+                      "bad fidelity-map grid '{}': eta_d and eta_s must lie in [0, 1]")),
 }
 
 
@@ -361,30 +347,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         for flag in flags.split():
-            p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
+            p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag][0])
         if grid:
-            p.set_defaults(grid=grid)
+            p.set_defaults(grid=grid[0])
     return parser
 
 
 def run(args) -> int:
     start = time.perf_counter()
-    validators = {
-        "alpha_sq": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
-        "R": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
-        "n": (lambda v: v >= 0, "must be >= 0"),
-        "m": (lambda v: v >= 0, "must be >= 0"),
-        "eta_d": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-        "eta_s": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-        "points": (lambda v: v >= 2, "must be >= 2"),
-    }
-    for name, (ok, rule) in validators.items():
+    handler, _, _, grid = _COMMANDS[args.command]
+    for name, (_, ok, rule) in _FLAGS.items():
         val = getattr(args, name, None)
-        if val is not None and not ok(val):
+        if ok and val is not None and not ok(val):
             return _usage(f"invalid --{name.replace('_', '-')} {val}: {rule}")
     try:
         with np.errstate(all="ignore"):  # each command checks the non-finite results it returns
-            header, rows, meta = _COMMANDS[args.command][0](args)
+            if grid and args.grid is not None:
+                _, parse, ok, rule = grid
+                spec, args.grid = args.grid, parse(args.grid)
+                if ok and not ok(*args.grid):
+                    raise argparse.ArgumentTypeError(rule.format(spec))
+            header, rows, meta = handler(args)
         _emit(args, header, rows, meta)
     except argparse.ArgumentTypeError as exc:
         return _usage(exc)

@@ -12,9 +12,10 @@ mixture over levels 0..n (no Fock cutoff, no ratio of eta_d or R)
 
     rho_bare ∝ eta_s sum_{l=0}^{n} u_l u_l^dag + (1-eta_s) e^(-eta_d chi) |g_0|^2/m! |0><0|,
 
-whose vacuum weight, Poisson(eta_d chi; m), is the g_0 = y^m term.  The commands take p, F
-and the bare moments from `realized_probability`, one pass over l with no rho and no (n + 1)^2
-array; `mixture` forms rho_bare from `components` for library callers and the oracle tests.
+whose vacuum weight, Poisson(eta_d chi; m), is the g_0 = y^m term.  The commands take p and F
+from `realized_probability` and the bare moments from `realized_moments`, each one pass over l
+with no rho and no (n + 1)^2 array; `mixture` forms rho_bare from `components` for library
+callers and the oracle tests.
 `realized_state` and `realized_fidelity` evolve the two modes in a
 truncated Fock space instead and are kept as the independent oracle; they
 get p(n, m) by cancellation inside U|alpha>|n>, so they hold only above
@@ -37,6 +38,7 @@ __all__ = [
     "povm_element",
     "components",
     "realized_probability",
+    "realized_moments",
     "realized_point",
     "mixture",
     "realized_state",
@@ -77,43 +79,55 @@ def components(terms: HeraldTerms) -> np.ndarray:
     return terms.a[:, :, None] * terms.b * g[:, np.where(k < 0, -1, k)]
 
 
-def realized_probability(terms: HeraldTerms, eta_s_values, ideal=None):
-    """p and p F (None without c) over eta_d x eta_s, and p (<a>, <a^2>, <a^dag a>) over 3 x both:
-    one pass over the slabs u_l of the `components` products sums S = sum_l ||u_l||^2,
-    O = sum_l |<c|u_l>|^2 and z_d[j] = sum_l conj(u_l[j - d]) u_l[j], d = 0..2; p = eta_s S +
-    (1 - eta_s) vacuum, p F = eta_s O + (1 - eta_s) vacuum |c_0|^2, p <.> = eta_s sum w z_d.
-    ZeroProbability where 0 < p is below the normal float range, in any cell."""
-    n, rows = terms.cfg.n, terms.eta_d.size
+def _slabs(terms: HeraldTerms):
+    """(k, u) for l = n down to 0, small slabs first as a_l falls with l: u[q, i] = u_l[q] at
+    eta_d[i], q < k, the `components` products."""
     g = np.ascontiguousarray(terms.g[:, ::-1].T)  # g[n - k, i] = K g_k at eta_d[i], contiguous
-    norms, overlaps, z = np.zeros(rows), np.zeros(rows), np.zeros((3, n + 1, rows), complex)
-    for l, k in zip(range(n, -1, -1), range(1, n + 2)):  # small slabs first: a_l falls with l
-        u = terms.a[:, l] * terms.b[:k, None] * g[l:]  # u[q, i] = u_l[q] at eta_d[i], q < k
+    for l, k in zip(range(terms.cfg.n, -1, -1), range(1, terms.cfg.n + 2)):
+        yield k, terms.a[:, l] * terms.b[:k, None] * g[l:]
+
+
+def realized_probability(terms: HeraldTerms, eta_s_values, ideal=None):
+    """p and p F (None without c) over eta_d x eta_s: one pass over the slabs u_l sums
+    S = sum_l ||u_l||^2 and O = sum_l |<c|u_l>|^2; p = eta_s S + (1 - eta_s) vacuum and
+    p F = eta_s O + (1 - eta_s) vacuum |c_0|^2.
+    ZeroProbability where 0 < p is below the normal float range, in any cell."""
+    norms, overlaps = np.zeros(terms.eta_d.size), np.zeros(terms.eta_d.size)
+    for k, u in _slabs(terms):
         norms += np.sum(np.abs(u) ** 2, axis=0)  # the real |u|^2: through z_0, S rounds apart
-        for d in range(3):
-            z[d, d:k] += u[:k - d].conj() * u[d:]
         if ideal is not None:
             overlaps += np.abs(ideal[:k].conj() @ u) ** 2
     es, vac = np.asarray(eta_s_values, float), terms.vacuum[:, None]
     fid = None if ideal is None else es * overlaps[:, None] + (1.0 - es) * vac * abs(ideal[0]) ** 2
-    moments = np.array([sum((w * z[j - i, j] for i, j, w in dq._moment_terms(n + 1, *uv)),
-                            np.zeros(rows, complex)) for uv in ((0, 1), (0, 2), (1, 1))])
     prob = es * norms[:, None] + (1.0 - es) * vac
     subnormal = (prob > 0) & (prob < dq._TINY)
     if subnormal.any():
         i, j = np.argwhere(subnormal)[0]
         raise ZeroProbability(f"herald m={terms.cfg.m} fires with p below the normal float range"
                               f" (eta_d={terms.eta_d[i]}, eta_s={es[j]})")
-    return prob, fid, es * moments[:, :, None]
+    return prob, fid
+
+
+def realized_moments(terms: HeraldTerms, eta_s_values):
+    """p (<a>, <a^2>, <a^dag a>) over 3 x eta_d x eta_s: one pass over the slabs sums the
+    diagonals z_d[j] = sum_l conj(u_l[j - d]) u_l[j], d = 0..2; p <.> = eta_s sum w z_d."""
+    n, rows = terms.cfg.n, terms.eta_d.size
+    z = np.zeros((3, n + 1, rows), complex)
+    for k, u in _slabs(terms):
+        for d in range(3):
+            z[d, d:k] += u[:k - d].conj() * u[d:]
+    moments = np.array([sum((w * z[j - i, j] for i, j, w in dq._moment_terms(n + 1, *uv)),
+                            np.zeros(rows, complex)) for uv in ((0, 1), (0, 2), (1, 1))])
+    return np.asarray(eta_s_values, float) * moments[:, :, None]
 
 
 def realized_point(terms: HeraldTerms, eta_s: float, ideal=None):
-    """p, F (None without c) and the bare moments (<a>, <a^2>, <a^dag a>) of the realized state
-    at eta_d[0] and eta_s; ZeroProbability where the herald never fires (p = 0)."""
-    [[p]], prob_fid, prob_moments = realized_probability(terms, [eta_s], ideal)  # the one cell
+    """p and F (None without c) of the realized state at eta_d[0] and eta_s; ZeroProbability
+    where the herald never fires (p = 0)."""
+    [[p]], prob_fid = realized_probability(terms, [eta_s], ideal)  # the one cell
     if p == 0:
         raise ZeroProbability(f"herald m={terms.cfg.m} never fires (eta_d={terms.eta_d[0]})")
-    fid = None if ideal is None else float(prob_fid[0, 0] / p)
-    return float(p), fid, tuple(complex(x) / p for x in prob_moments[:, 0, 0])
+    return float(p), None if ideal is None else float(prob_fid[0, 0] / p)
 
 
 def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[np.ndarray, float]:
@@ -133,7 +147,7 @@ def fidelity_heatmap(cfg: dq.CMConfig, eta_d_values, eta_s_values) -> list[tuple
     never fires; the ideal state comes first, so a failing one builds no herald terms."""
     ideal = dq.build_dq(cfg)[0].coeffs
     terms = herald_terms(cfg, eta_d_values)
-    prob, prob_fid, _ = realized_probability(terms, eta_s_values, ideal)
+    prob, prob_fid = realized_probability(terms, eta_s_values, ideal)
     fid = np.divide(prob_fid, prob, out=np.zeros_like(prob), where=prob > 0)
     es, eds = np.asarray(eta_s_values, float).tolist(), terms.eta_d.tolist()
     return [(ed, s, f) for ed, row in zip(eds, fid.tolist()) for s, f in zip(es, row)]

@@ -21,6 +21,7 @@ untruncated displacement (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
@@ -475,6 +476,7 @@ def _chebder(coef: np.ndarray) -> np.ndarray:
     return der.T
 
 
+@functools.lru_cache(maxsize=None)  # one rule per deg and process; callers only read it
 def _gauss_legendre(deg: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the deg-point Gauss-Legendre rule on [-1, 1], in ascending order.
 

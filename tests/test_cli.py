@@ -811,6 +811,34 @@ def test_grid_bounds_rejected(capsys, argv, rule):
     assert len(err.strip().splitlines()) == 1
 
 
+# Valid values of the required flags, and one value outside the domain of each flag that has a
+# rule in cli._FLAGS and of each command's --grid (an empty spec is no grid)
+_IN_DOMAIN = {"n": "2", "m": "1", "alpha_sq": "1", "R": "0.5"}
+_OUT_OF_DOMAIN = {"alpha_sq": "-1", "R": "1", "n": "-1", "m": "-1", "eta_d": "1.5",
+                  "eta_s": "-0.5", "points": "1"}
+_BAD_GRIDS = {"scan": ["-1:1:3,0.1:0.9:3"], "hsd-scan": ["0.1:1:3,0:1:3"],
+              "fidelity-map": ["0:1:3,0:1.5:2"], "wigner": ["0:5", ""]}
+
+
+def test_each_rule_of_the_command_table_exits_2_naming_its_input(capsys):
+    # walks cli._COMMANDS: one input outside its domain, every other one valid; a rule with no
+    # example above fails here with a KeyError
+    checked = set()
+    for command, (_, _, flags, grid) in cli._COMMANDS.items():
+        valid = {flag: _IN_DOMAIN[flag] for flag in flags.split() if flag in _IN_DOMAIN}
+        cases = [(flag, _OUT_OF_DOMAIN[flag]) for flag in flags.split() if cli._FLAGS[flag][1]]
+        cases += [("grid", spec) for spec in (_BAD_GRIDS[command] if grid else [])]
+        for flag, value in cases:
+            values = {**valid, flag: value}
+            argv = [command, *(f"--{k.replace('_', '-')}={v}" for k, v in values.items())]
+            assert cli.main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            name = f"grid '{value}'" if flag == "grid" else f"--{flag.replace('_', '-')} "
+            assert out == "" and len(err.splitlines()) == 1 and name in err, (argv, err)
+            checked.add(flag)
+    assert checked == {flag for flag, (_, ok, _) in cli._FLAGS.items() if ok} | {"grid"}
+
+
 @pytest.mark.parametrize("argv, module, kernel", [
     (["wigner", "--n", "2", "--m", "1", "--alpha-sq", "5", "--R", "0.5", "--points", "100000"],
      nongauss.PhaseGrid, "mesh"),

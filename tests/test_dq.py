@@ -307,7 +307,7 @@ def test_realized_sums_at_n200_where_b_squared_underflows():
     c = dq.build_dq(cfg)[0].coeffs
     eta_d = [0.3, 0.9, 0.974, 1.0]
     terms = dq.herald_terms(cfg, eta_d)
-    prob, prob_fid, _ = imperfections.realized_probability(terms, [1.0], c)
+    prob, prob_fid = imperfections.realized_probability(terms, [1.0], c)
     expected_p = [1.73491179106e-11, 1.28336100940e-41, 1.98512161895e-46, 3.36517598524e-48]
     expected_f = [6.97315499958e-23, 7.02135138570e-3, 0.520311087047, 1.0]
     assert prob[:, 0] == pytest.approx(expected_p, rel=1e-11, abs=0)

@@ -251,7 +251,8 @@ def test_realized_sums_match_sums_over_the_components(n, m, alpha_sq, R, phase, 
     except ZeroProbability:
         assume(False)
     terms = imperfections.herald_terms(cfg, [0.0, 1e-100, 0.3, 1.0])
-    prob, prob_fid, prob_moments = imperfections.realized_probability(terms, [eta_s], c)
+    prob, prob_fid = imperfections.realized_probability(terms, [eta_s], c)
+    prob_moments = imperfections.realized_moments(terms, [eta_s])
     for i, u in enumerate(imperfections.components(terms)):
         norm, vac = np.sum(np.abs(u) ** 2), terms.vacuum[i]
         overlap = np.sum(np.abs(u @ c.conj()) ** 2)
