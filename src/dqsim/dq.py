@@ -11,9 +11,10 @@ with l lost the signal mode is left in D(alpha sqrt R) sum_q u_l[q] |q>,
 
 y = sqrt(eta_d) x, x = alpha sqrt(1-R), chi = |x|^2, H the two-variable
 Hermite polynomial and u_l[q] = 0 for q > n-l; |u_l|^2 is the branch's
-probability.  `herald_terms` is this one closed form.  The ideal displaced
-qudit (`build_dq`) is its eta_d = 1, l = 0 slice: A_q = u_0[q] / sqrt(p),
-with p = sum_q |u_0[q]|^2 the heralding success probability.  The
+probability.  `herald_terms` is this one closed form, its factors kept as
+logarithms: each amplitude is one exponential times a unit phase.  The ideal
+displaced qudit (`build_dq`) is its eta_d = 1, l = 0 slice: A_q = u_0[q] /
+sqrt(p), with p = sum_q |u_0[q]|^2 the heralding success probability.  The
 parameter-space grids (`coefficients_grid`) take the same coefficients up
 to a q-independent factor, C_q = C(n,q) sqrt(q!) ((1-R)/R)^(q/2) H_{n-q,m}(x*, x).
 Laguerre-route evaluations of the C_q are an independent cross-check, and
@@ -34,8 +35,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import fock
-from .errors import (NonFiniteResult, NoRootInBracket, PrecisionLoss, TruncationTooSmall,
-                     ZeroProbability)
+from .errors import NonFiniteResult, NoRootInBracket, TruncationTooSmall, ZeroProbability
 from .polynomials import hermite2_rows, laguerre, laguerre_recurrence
 
 __all__ = [
@@ -232,71 +232,48 @@ def covariance_from_moments(a1: complex, a2: complex, n1: float) -> tuple[float,
     return central.real + spread + 0.5, -central.real + spread + 0.5, central.imag
 
 
-# a[i, l], b[q], g[i, k] = K g_k at eta_d[i]; vacuum[i] = Poisson(eta_d[i] chi; m)
-HeraldTerms = namedtuple("HeraldTerms", "cfg eta_d a b g vacuum")
+# log_a[i, l], log_b[q], log_g[i, k] = log |a_l|, log |b_q|, log |K g_k| at eta_d[i]; phase[i, k]
+# the unit factor of K g_k; vacuum[i] = Poisson(eta_d[i] chi; m)
+HeraldTerms = namedtuple("HeraldTerms", "cfg eta_d log_a log_b log_g phase vacuum")
 
 _TINY = sys.float_info.min  # the smallest normal float
-_LOG_TINY, _LOG_MAX = math.log(_TINY), math.log(sys.float_info.max)
-_ULP = math.log(2.0**-1072)  # 4 units of the last subnormal place
 
 
 def herald_terms(cfg: CMConfig, eta_d_values) -> HeraldTerms:
-    """The factors a, b and K g of u_l[q] (module docstring) and the vacuum weight for each eta_d.
+    """The factors of u_l[q] (module docstring) as logarithms, and the vacuum weight, per eta_d.
 
     H_{k,m}(y*, y) = (-1)^j j! y^d L_j^(d)(|y|^2), j = min(k, m), d = |k - m|, so K g_k = e^(f_k)
-    (-1)^j (y/|y|)^d L_j^(d): f_k, the log of K j!/k! |y|^d (eta_d R)^(k/2), keeps factorials and
-    powers out of floats, and L is `laguerre_recurrence`'s.  Exact logarithms bound each error per
-    `row_blocks` of eta_d: a factor or product below the normal range is off by `_ULP`, one above
-    it is lost.  PrecisionLoss where an error can pass (n + 1) eps sqrt(p), the rounding of p's
-    n + 1 terms, unless p is below the normal range (a lost g_k is then 0); NonFiniteResult where
-    L overflows."""
+    (-1)^j (y/|y|)^d L_j^(d), conjugated for k > m: f_k, the log of K j!/k! |y|^d (eta_d R)^(k/2),
+    and log |L| (L from `laguerre_recurrence`) sum to log_g, and the phase is (-1)^j sign(L)
+    times y/|y| = alpha/|alpha|, real for real alpha.  Each amplitude is the one exponential
+    exp(log_a + log_b + log_g) times its phase: |u_l[q]| <= sqrt(p) <= 1, so none overflows, and
+    one that underflows lies below p's rounding unless p is below the normal range too.  A log is
+    -inf only for an exact 0.  NonFiniteResult where L overflows."""
     n, m, R = cfg.n, cfg.m, cfg.R
     where = f"n={n}, m={m}, alpha={cfg.alpha}, R={R}"
     eta_d = np.atleast_1d(np.asarray(eta_d_values, float))
     level = np.arange(n + 1)
     log_fact = np.array([math.lgamma(j + 1) for j in range(n + 1)])
-    y = np.sqrt(eta_d) * complex(cfg.alpha) * math.sqrt(1.0 - R)
+    alpha = complex(cfg.alpha)
+    y = np.sqrt(eta_d) * abs(alpha) * math.sqrt(1.0 - R)  # |y|
     j, d = np.minimum(level, m), np.abs(level - m)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lag, z = np.empty((eta_d.size, n + 1)), np.abs(y) ** 2
+        lag, z = np.empty((eta_d.size, n + 1)), y**2
         for k in range(n + 1):
             lag[:, k] = laguerre_recurrence(min(k, m), abs(k - m), z)
         if not np.isfinite(lag).all():
             raise NonFiniteResult(f"the Laguerre factors L_j^(d) of the C_q overflow for {where}")
-        a = ((1.0 - eta_d[:, None]) * R) ** (level / 2) * np.exp(-0.5 * log_fact)
-        b = (1.0 - R) ** (level / 2) * np.exp(-0.5 * log_fact)
+        log_a = np.where(level == 0, 0.0, level / 2 * np.log((1.0 - eta_d[:, None]) * R))
         log_k = 0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1) - eta_d[:, None] * chi(cfg))
-        log_y = np.where(d == 0, 0.0, d * np.log(np.abs(y[:, None])))  # log |y|^d
-        f = (log_k - log_fact + log_fact[j] + log_y
-             + np.where(level == 0, 0.0, level / 2 * np.log(eta_d[:, None] * R)))
-        unit = np.where(y == 0, 1, y / np.abs(y))[:, None]  # y / |y|, conjugated for k > m
-        g = np.exp(f) * (np.where(level > m, unit.conj(), unit) ** d * (-1.0) ** j) * lag
-        vacuum = np.exp(2 * log_y[:, 0] - math.lgamma(m + 1) - eta_d * chi(cfg))  # e^(2 f_0) / n!
-        for i in (slice(lo, hi) for lo, hi in row_blocks(g.shape)):  # the error bound per block
-            ed, log_l = eta_d[i, None], np.log(np.abs(lag[i]))
-            log_g = f[i] + log_l
-            parts = np.array([f[i], log_l, log_g])  # -inf: an exact 0
-            lost = parts.max(axis=0) > _LOG_MAX
-            # error of g_k: all of it where lost, else a subnormal ulp times (1 + e^f)(1 + |L|)
-            # where a factor or their product underflows (a root of L leaves a true 0)
-            under = np.any((parts > -np.inf) & (parts < _LOG_TINY), axis=0)
-            err_g = np.where(lost, log_g, np.where(
-                under, _ULP + np.logaddexp(0, parts[:2]).sum(axis=0), -np.inf))
-            # log max |a_l b_q| over l + q = n - k, and whether one is below the normal range
-            # (then so is one at l = 0 or l = n - k, where the concave log |a_l b_q| is least)
-            pair = (0.5 * (level * np.log1p(-ed * R) - log_fact))[:, ::-1]
-            below = (((a[i] < _TINY) & (ed < 1)) | (b < _TINY))[:, ::-1]
-            err = np.logaddexp(pair + err_g, np.where(below, _ULP + log_g, -np.inf))
-            log_p = np.logaddexp.reduce(2 * (log_g + pair), axis=1)
-            loss = (err > (math.log((n + 1) * sys.float_info.epsilon) + log_p / 2)[:, None]) & (
-                log_p >= _LOG_TINY)[:, None]
-            if loss.any():
-                r, k = np.argwhere(loss)[0]
-                raise PrecisionLoss(f"a factor outside the float range costs {loss.sum()} of"
-                                    f" {loss.size} g_k more than rounding, first k={k} at"
-                                    f" eta_d={eta_d[i][r]:.12g}, for {where}")
-            g[i][lost] = 0.0
-    return HeraldTerms(cfg, eta_d, a, b, g, vacuum)
+        log_y = np.where(d == 0, 0.0, d * np.log(y[:, None]))  # log |y|^d
+        log_g = (log_k - log_fact + log_fact[j] + log_y
+                 + np.where(level == 0, 0.0, level / 2 * np.log(eta_d[:, None] * R))
+                 + np.log(np.abs(lag)))
+    unit = alpha / abs(alpha) if alpha.imag else np.sign(alpha.real)  # y/|y|
+    phase = np.where(level > m, np.conj(unit), unit) ** d * (-1.0) ** j * np.sign(lag)
+    vacuum = np.exp(2 * log_y[:, 0] - math.lgamma(m + 1) - eta_d * chi(cfg))  # e^(2 f_0) / n!
+    log_b = level / 2 * math.log(1.0 - R) - 0.5 * log_fact
+    return HeraldTerms(cfg, eta_d, log_a - 0.5 * log_fact, log_b, log_g, phase, vacuum)
 
 
 def success_probability(cfg: CMConfig) -> float:
@@ -309,10 +286,11 @@ def success_probability(cfg: CMConfig) -> float:
 
 def build_dq(cfg: CMConfig) -> tuple[DQState, float]:
     """Closed-form displaced qudit and its ideal success probability p = sum_q |u_0[q]|^2: the
-    eta_d = 1 slice u_0[q] = b_q (K g)_{n-q} of `herald_terms`, one (n + 1)-vector.  Raises
+    eta_d = 1 slice u_0[q] = b_q (K g)_{n-q} of `herald_terms`, one exponential per level times
+    its phase, one (n + 1)-vector.  Raises
     what herald_terms raises, and ZeroProbability where p is below the normal float range."""
     terms = herald_terms(cfg, [1.0])
-    u = terms.b * terms.g[0, ::-1]
+    u = np.exp(terms.log_b + terms.log_g[0, ::-1]) * terms.phase[0, ::-1]
     prob = float(np.vdot(u, u).real)
     if not prob >= _TINY:
         why = ("all coefficients vanish" if cfg.alpha == 0 and cfg.m > cfg.n

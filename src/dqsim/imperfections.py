@@ -12,10 +12,12 @@ mixture over levels 0..n (no Fock cutoff, no ratio of eta_d or R)
 
     rho_bare ∝ eta_s sum_{l=0}^{n} u_l u_l^dag + (1-eta_s) e^(-eta_d chi) |g_0|^2/m! |0><0|,
 
-whose vacuum weight, Poisson(eta_d chi; m), is the g_0 = y^m term.  The commands take p and F
-from `realized_probability` and the bare moments from `realized_moments`, each one pass over l
-with no rho and no (n + 1)^2 array; `mixture` forms rho_bare from `components` for library
-callers and the oracle tests.
+whose vacuum weight, Poisson(eta_d chi; m), is the g_0 = y^m term.  Each amplitude is one
+exponential of the logarithms in `dq.herald_terms` times its unit phase.  The commands take p
+and F from `realized_probability` and the bare moments from `realized_moments`, each one pass
+over l with no rho and no (n + 1)^2 array, and refuse a herald that fires with p below the normal
+float range, 0 included: p is an exact 0 only where each of its exponents is -inf.  `mixture`
+forms rho_bare from `components` for library callers and the oracle tests.
 `realized_state` and `realized_fidelity` evolve the two modes in a
 truncated Fock space instead and are kept as the independent oracle; they
 get p(n, m) by cancellation inside U|alpha>|n>, so they hold only above
@@ -75,23 +77,25 @@ def components(terms: HeraldTerms) -> np.ndarray:
     """u_l[q] at each eta_d as an (eta_d, n + 1, n + 1) array [i, l, q], zero where l + q > n."""
     n = terms.cfg.n
     k = n - np.arange(n + 1)[:, None] - np.arange(n + 1)  # the Hankel index n - l - q
-    g = np.pad(terms.g, ((0, 0), (0, 1)))  # its last column, 0, fills l + q > n
-    return terms.a[:, :, None] * terms.b * g[:, np.where(k < 0, -1, k)]
+    k = np.where(k < 0, -1, k)  # the padded last column, log 0, fills l + q > n
+    log_g = np.pad(terms.log_g, ((0, 0), (0, 1)), constant_values=-np.inf)
+    phase = np.pad(terms.phase, ((0, 0), (0, 1)))
+    return np.exp(terms.log_a[:, :, None] + terms.log_b + log_g[:, k]) * phase[:, k]
 
 
 def _slabs(terms: HeraldTerms):
     """(k, u) for l = n down to 0, small slabs first as a_l falls with l: u[q, i] = u_l[q] at
-    eta_d[i], q < k, the `components` products."""
-    g = np.ascontiguousarray(terms.g[:, ::-1].T)  # g[n - k, i] = K g_k at eta_d[i], contiguous
+    eta_d[i], q < k, the `components` amplitudes."""
+    log_g = np.ascontiguousarray(terms.log_g[:, ::-1].T)  # [n - k, i]: log |K g_k| at eta_d[i]
+    phase = np.ascontiguousarray(terms.phase[:, ::-1].T)
     for l, k in zip(range(terms.cfg.n, -1, -1), range(1, terms.cfg.n + 2)):
-        yield k, terms.a[:, l] * terms.b[:k, None] * g[l:]
+        yield k, np.exp(terms.log_a[:, l] + terms.log_b[:k, None] + log_g[l:]) * phase[l:]
 
 
 def realized_probability(terms: HeraldTerms, eta_s_values, ideal=None):
     """p and p F (None without c) over eta_d x eta_s: one pass over the slabs u_l sums
     S = sum_l ||u_l||^2 and O = sum_l |<c|u_l>|^2; p = eta_s S + (1 - eta_s) vacuum and
-    p F = eta_s O + (1 - eta_s) vacuum |c_0|^2.
-    ZeroProbability where 0 < p is below the normal float range, in any cell."""
+    p F = eta_s O + (1 - eta_s) vacuum |c_0|^2, as they round."""
     norms, overlaps = np.zeros(terms.eta_d.size), np.zeros(terms.eta_d.size)
     for k, u in _slabs(terms):
         norms += np.sum(np.abs(u) ** 2, axis=0)  # the real |u|^2: through z_0, S rounds apart
@@ -99,13 +103,18 @@ def realized_probability(terms: HeraldTerms, eta_s_values, ideal=None):
             overlaps += np.abs(ideal[:k].conj() @ u) ** 2
     es, vac = np.asarray(eta_s_values, float), terms.vacuum[:, None]
     fid = None if ideal is None else es * overlaps[:, None] + (1.0 - es) * vac * abs(ideal[0]) ** 2
-    prob = es * norms[:, None] + (1.0 - es) * vac
-    subnormal = (prob > 0) & (prob < dq._TINY)
-    if subnormal.any():
-        i, j = np.argwhere(subnormal)[0]
+    return es * norms[:, None] + (1.0 - es) * vac, fid
+
+
+def _check_range(terms: HeraldTerms, eta_s_values, prob) -> None:
+    """ZeroProbability where the herald fires with p below the normal float range, 0 included:
+    p is an exact 0 only where each of its exponents is -inf, and the vacuum's is log_g[:, 0]."""
+    es, alive = np.asarray(eta_s_values, float), terms.log_g > -np.inf
+    below = np.where(es > 0, alive.any(axis=1)[:, None], alive[:, :1]) & (prob < dq._TINY)
+    if below.any():
+        i, j = np.argwhere(below)[0]
         raise ZeroProbability(f"herald m={terms.cfg.m} fires with p below the normal float range"
                               f" (eta_d={terms.eta_d[i]}, eta_s={es[j]})")
-    return prob, fid
 
 
 def realized_moments(terms: HeraldTerms, eta_s_values):
@@ -123,8 +132,10 @@ def realized_moments(terms: HeraldTerms, eta_s_values):
 
 def realized_point(terms: HeraldTerms, eta_s: float, ideal=None):
     """p and F (None without c) of the realized state at eta_d[0] and eta_s; ZeroProbability
-    where the herald never fires (p = 0)."""
-    [[p]], prob_fid = realized_probability(terms, [eta_s], ideal)  # the one cell
+    where the herald never fires (p = 0) or fires with p below the normal float range."""
+    prob, prob_fid = realized_probability(terms, [eta_s], ideal)
+    _check_range(terms, [eta_s], prob)
+    p = prob[0, 0]  # the one cell
     if p == 0:
         raise ZeroProbability(f"herald m={terms.cfg.m} never fires (eta_d={terms.eta_d[0]})")
     return float(p), None if ideal is None else float(prob_fid[0, 0] / p)
@@ -134,7 +145,8 @@ def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[np.ndarray, float
     """Normalized rho_bare over levels 0..n as an array, and its probability at eta_d[i], eta_s,
     for library callers and the oracle tests: rho is normalized with `realized_point`'s p."""
     r = slice(i, i + 1)
-    row = HeraldTerms(terms.cfg, terms.eta_d[r], terms.a[r], terms.b, terms.g[r], terms.vacuum[r])
+    row = HeraldTerms(terms.cfg, terms.eta_d[r], terms.log_a[r], terms.log_b, terms.log_g[r],
+                      terms.phase[r], terms.vacuum[r])
     prob = realized_point(row, eta_s)[0]
     u = components(row)[0]
     rho = eta_s * (u.T @ u.conj())
@@ -144,10 +156,12 @@ def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[np.ndarray, float
 
 def fidelity_heatmap(cfg: dq.CMConfig, eta_d_values, eta_s_values) -> list[tuple[float, ...]]:
     """Rows (eta_d, eta_s, <c_m|rho_bare|c_m>) from `realized_probability`, 0 where the herald
-    never fires; the ideal state comes first, so a failing one builds no herald terms."""
+    never fires, ZeroProbability where it fires with p below the normal float range; the ideal
+    state comes first, so a failing one builds no herald terms."""
     ideal = dq.build_dq(cfg)[0].coeffs
     terms = herald_terms(cfg, eta_d_values)
     prob, prob_fid = realized_probability(terms, eta_s_values, ideal)
+    _check_range(terms, eta_s_values, prob)
     fid = np.divide(prob_fid, prob, out=np.zeros_like(prob), where=prob > 0)
     es, eds = np.asarray(eta_s_values, float).tolist(), terms.eta_d.tolist()
     return [(ed, s, f) for ed, row in zip(eds, fid.tolist()) for s, f in zip(es, row)]

@@ -408,6 +408,45 @@ def test_fidelity_map_with_subnormal_p_exits_3(capsys):
     assert "ZeroProbability: herald m=1 fires with p below the normal float range" in lines[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["state", "--n", "2", "--m", "2", "--alpha-sq", "5", "--R", "0.5", "--eta-d", "1e-200"],
+    ["fidelity-map", "--n", "2", "--m", "2", "--alpha-sq", "5", "--R", "0.5",
+     "--grid", "0:1e-200:2,0.5:1:2"],
+    ["state", "--n", "2", "--m", "1", "--alpha-sq", "1e-320", "--R", "0.5", "--eta-d", "1e-320"],
+], ids=["state", "fidelity-map", "state-subnormal-y"])
+def test_herald_firing_with_p_rounded_to_0_or_subnormal_exits_3(capsys, argv):
+    # p ~ 1e-400 rounds to 0, but an exponent of the kernel is finite, so it is not the exact 0
+    # of a herald that never fires; at a subnormal y = sqrt(eta_d) alpha sqrt(1 - R), p ~ 1e-320
+    assert _run(argv) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert "ZeroProbability: herald m=" in lines[0]
+    assert "fires with p below the normal float range" in lines[0]
+
+
+def test_fidelity_map_at_a_subnormal_y_matches_mpmath(tmp_path):
+    # y ~ 7e-311 on the eta_d = 1e-300 row: the phase comes from alpha/|alpha|, where y/|y| is NaN
+    out = tmp_path / "f.csv"
+    assert _run(["fidelity-map", "--n", "2", "--m", "1", "--alpha-sq", "1e-320", "--R", "0.5",
+                 "--grid", "1e-300:1:3,0.5:1:2", "--out", str(out)]) == 0
+    rows = [tuple(float(v) for v in ln.split(",")) for ln in out.read_text().splitlines()[1:]]
+    assert len(rows) == 6
+    for ed, es, f in rows:
+        assert f == pytest.approx(_mp_mixture(2, 1, 1e-320, 0.5, ed, es, k_max=8)[1], rel=1e-10)
+
+
+def test_state_at_n300_where_b_q_underflows_matches_mpmath(tmp_path):
+    # b_q = 0.7^(q/2) / sqrt(q!) leaves the float range while K g_(300-q) stays large
+    out = tmp_path / "state.json"
+    assert _run(["state", "--n", "300", "--m", "0", "--alpha-sq", "20", "--R", "0.3",
+                 "--format", "json", "--out", str(out)]) == 0
+    fields = {row[0]: row[1] for row in json.loads(out.read_text())["data"]}
+    with mpmath.workdps(60):
+        p_mp = mpmath.fsum(x**2 for x in mp_components(300, 0, 20, 0.3)[0])
+    assert fields["success_prob"] == pytest.approx(float(p_mp), rel=1e-10, abs=0)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import tracemalloc
 from itertools import product
 
@@ -263,22 +264,24 @@ _SWEEP = list(product([20, 50, 100, 150, 200, 300], [0, 6, 40, 100, 200], [0.5, 
 # p lost its last digits to a subnormal prefactor R^n/(m! n!) e^(-chi) in the separate C_q
 # route, and p(2, 150) = 8.2e-4, whose sum_q |C_q|^2 overflows a float; j! of H_{k,200} passes
 # the float range at (200, 200), |y|^300 at (300, 0), and K/k! (eta_d R)^(k/2) underflows next to
-# an H_{k,200} near 1e263 at (150, 200)
+# an H_{k,200} near 1e263 at (150, 200); b_q = (1-R)^(q/2) / sqrt(q!) underflows while K g_(n-q)
+# stays large at the last three
 _MUST_MATCH = [(150, 6, 20, 0.5), (150, 40, 400, 0.97), (2, 150, 400, 0.5), (200, 200, 20, 0.97),
-               (300, 0, 400, 0.3), (150, 200, 20, 0.97)]
+               (300, 0, 400, 0.3), (150, 200, 20, 0.97), (200, 6, 0.5, 0.97), (300, 0, 20, 0.3),
+               (300, 100, 400, 0.97)]
 
 
 @pytest.mark.parametrize(
     "n, m, alpha_sq, R",
     [_SWEEP[i] for i in np.random.default_rng(33).choice(len(_SWEEP), 16, replace=False)]
-    + _MUST_MATCH + [(200, 6, 0.5, 0.97), (300, 40, 20, 0.3)])
+    + _MUST_MATCH + [(300, 40, 20, 0.3)])
 def test_build_dq_matches_mpmath_or_raises(n, m, alpha_sq, R):
-    # a state is exact to rounding or a DQSimError, never a silently wrong value
+    # a state is exact to rounding, or ZeroProbability where p is below the normal float range
     p_mp, c_mp = _mp_heralded(n, m, alpha_sq, R)
     try:
         state, p = dq.build_dq(_cfg(n, m, math.sqrt(alpha_sq), R))
-    except DQSimError:
-        assert (n, m, alpha_sq, R) not in _MUST_MATCH
+    except ZeroProbability:
+        assert (n, m, alpha_sq, R) not in _MUST_MATCH and p_mp < sys.float_info.min
         return
     assert p == pytest.approx(float(p_mp), rel=1e-10, abs=0)
     np.testing.assert_allclose(state.coeffs, c_mp, rtol=0, atol=1e-10)
@@ -298,6 +301,24 @@ def test_realized_state_matches_mpmath_or_raises(eta_d):
         diag = np.abs(diag) ** 2
     assert p == pytest.approx(float(p_mp), rel=1e-10, abs=0)
     np.testing.assert_allclose(np.diag(rho).real, diag, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "n, m, alpha_sq, R",
+    [_SWEEP[i] for i in np.random.default_rng(32).choice(len(_SWEEP), 8, replace=False)])
+def test_realized_probability_matches_mpmath_or_raises(n, m, alpha_sq, R):
+    # a pure source at two detector efficiencies: p is exact to rounding, or ZeroProbability
+    # where it lies below the normal float range; (300, 0, 0.5, 0.97) and (300, 0, 20, 0.97) have
+    # b_q underflowing next to a large K g_(n-q)
+    terms = dq.herald_terms(_cfg(n, m, math.sqrt(alpha_sq), R), [0.3, 0.9])
+    prob = imperfections.realized_probability(terms, [1.0])[0][:, 0]
+    for i, eta_d in enumerate([0.3, 0.9]):
+        p_mp = _mp_heralded(n, m, alpha_sq, R, eta_d)[0]
+        if p_mp < sys.float_info.min:
+            with pytest.raises(ZeroProbability, match="fires with p below the normal float range"):
+                imperfections.mixture(terms, i, 1.0)
+        else:
+            assert prob[i] == pytest.approx(float(p_mp), rel=1e-10, abs=0)
 
 
 def test_realized_sums_at_n200_where_b_squared_underflows():
