@@ -195,10 +195,10 @@ def _cmd_state(args):
         rows += [(f"coeff_{q}_re", c.real), (f"coeff_{q}_im", c.imag)]
     if args.eta_d is not None or args.eta_s is not None:
         eta_d, eta_s = (1.0 if v is None else v for v in (args.eta_d, args.eta_s))
-        terms = dq.herald_terms(cfg, [eta_d])
-        prob_imp, fid = imperfections.realized_point(terms, eta_s, state.coeffs)
+        branches = imperfections.source_branches(cfg, [eta_d], [eta_s])
+        prob_imp, fid = imperfections.realized_point(branches, state.coeffs)
         a1, a2, n1 = (complex(x) / prob_imp
-                      for x in imperfections.realized_moments(terms, [eta_s])[:, 0, 0])
+                      for x in imperfections.realized_moments(branches)[:, 0, 0])
         realized = (prob_imp, fid, *squeezing.principal_variances(a1, a2, n1.real))
         rows += zip(("success_prob_realized", "fidelity_realized", "var_x_realized",
                      "var_p_realized", "min_var_realized"), realized)
@@ -238,7 +238,7 @@ def _cmd_table3(args):
     for n, a2, R in _TABLE3_CONFIGS:
         cfg = dq.CMConfig(n, 1, complex(math.sqrt(a2)), R)
         state, prob_ideal = dq.build_dq(cfg)
-        prob = imperfections.realized_point(dq.herald_terms(cfg, [eta_d]), eta_s)[0]
+        prob = imperfections.realized_point(imperfections.source_branches(cfg, [eta_d], [eta_s]))[0]
         rows.append((n, a2, R, prob, nongauss.wigner_negativity(state), prob_ideal))
     header = ["n", "alpha_sq", "R", "success_prob", "wigner_negativity", "success_prob_ideal"]
     return header, rows, {"eta_d": eta_d, "eta_s": eta_s}

@@ -33,11 +33,12 @@ import numpy as np
 
 from . import dq, fock
 from .dq import HeraldTerms, herald_terms
-from .errors import ZeroProbability
+from .errors import PrecisionLoss, ZeroProbability
 
 __all__ = [
     "ImperfectionParams",
     "povm_element",
+    "source_branches",
     "components",
     "realized_probability",
     "realized_moments",
@@ -73,6 +74,15 @@ def povm_element(m: int, eta_d: float, t: fock.Truncation) -> fock.DensityMatrix
     return fock.DensityMatrix(np.diag(weights).astype(complex))
 
 
+def source_branches(cfg: dq.CMConfig, eta_d_values, eta_s_values) -> list:
+    """The impure source as the branches each realized quantity sums: (its weights along eta_s,
+    the herald terms of its input |n_b>), eta_s for |n> and 1 - eta_s for |0>, whose one
+    amplitude has |u_0[0]|^2 = Poisson(eta_d chi; m)."""
+    es = np.atleast_1d(np.asarray(eta_s_values, float))
+    return [(es, herald_terms(cfg, eta_d_values)),
+            (1.0 - es, herald_terms(cfg._replace(n=0), eta_d_values))]
+
+
 def components(terms: HeraldTerms) -> np.ndarray:
     """u_l[q] at each eta_d as an (eta_d, n + 1, n + 1) array [i, l, q], zero where l + q > n."""
     n = terms.cfg.n
@@ -83,87 +93,140 @@ def components(terms: HeraldTerms) -> np.ndarray:
     return np.exp(terms.log_a[:, :, None] + terms.log_b + log_g[:, k]) * phase[:, k]
 
 
-def _slabs(terms: HeraldTerms):
+def _peak(terms: HeraldTerms) -> np.ndarray:
+    """The largest log |u_l[q]| at each eta_d, 0 where every u_l[q] is 0: a (max, +) pass over
+    l + q + k = n with no exponential."""
+    n, log_g = terms.cfg.n, np.ascontiguousarray(terms.log_g.T)  # [k, i]
+    top = np.full(log_g.shape, -np.inf)  # top[s, i]: the largest log |b_q| + log |K g_(s-q)|
+    for q in range(n + 1):
+        np.maximum(top[q:], terms.log_b[q] + log_g[:n + 1 - q], out=top[q:])
+    peak = np.max(terms.log_a.T + top[::-1], axis=0)
+    return np.where(peak > -np.inf, peak, 0.0)
+
+
+def _slabs(terms: HeraldTerms, peak):
     """(k, u) for l = n down to 0, small slabs first as a_l falls with l: u[q, i] = u_l[q] at
-    eta_d[i], q < k, the `components` amplitudes."""
+    eta_d[i] over e^peak[i], q < k, the `components` amplitudes scaled; the peak comes off
+    last, exactly where the exponent is near it, so the largest u is 1."""
     log_g = np.ascontiguousarray(terms.log_g[:, ::-1].T)  # [n - k, i]: log |K g_k| at eta_d[i]
     phase = np.ascontiguousarray(terms.phase[:, ::-1].T)
     for l, k in zip(range(terms.cfg.n, -1, -1), range(1, terms.cfg.n + 2)):
-        yield k, np.exp(terms.log_a[:, l] + terms.log_b[:k, None] + log_g[l:]) * phase[l:]
+        x = terms.log_a[:, l] + terms.log_b[:k, None]
+        x += log_g[l:]
+        x -= peak
+        np.exp(x, out=x)
+        yield k, np.multiply(x, phase[l:], out=None if np.iscomplexobj(phase) else x)
 
 
-def realized_probability(terms: HeraldTerms, eta_s_values, ideal=None):
-    """p and p F (None without c) over eta_d x eta_s: one pass over the slabs u_l sums
-    S = sum_l ||u_l||^2 and O = sum_l |<c|u_l>|^2; p = eta_s S + (1 - eta_s) vacuum and
-    p F = eta_s O + (1 - eta_s) vacuum |c_0|^2, as they round."""
+def _branch_sums(terms: HeraldTerms, ideal):
+    """peak, S' = sum_l ||u_l||^2 and O' = sum_l |<c|u_l>|^2 over the amplitudes scaled by
+    e^-peak, one pass over the slabs: S = e^(2 peak) S' and O / S = O' / S'."""
+    peak = _peak(terms)
     norms, overlaps = np.zeros(terms.eta_d.size), np.zeros(terms.eta_d.size)
-    for k, u in _slabs(terms):
+    for k, u in _slabs(terms, peak):
         norms += np.sum(np.abs(u) ** 2, axis=0)  # the real |u|^2: through z_0, S rounds apart
         if ideal is not None:
             overlaps += np.abs(ideal[:k].conj() @ u) ** 2
-    es, vac = np.asarray(eta_s_values, float), terms.vacuum[:, None]
-    fid = None if ideal is None else es * overlaps[:, None] + (1.0 - es) * vac * abs(ideal[0]) ** 2
-    return es * norms[:, None] + (1.0 - es) * vac, fid
+    return peak, norms, overlaps
 
 
-def _check_range(terms: HeraldTerms, eta_s_values, prob) -> None:
+def realized_probability(branches, ideal=None):
+    """p and F (None without c) over eta_d x eta_s, dividing before multiplying: p = sum_b w_b
+    S_b and F = sum_b (w_b S_b / p) (O_b / S_b), with w_b S_b / p formed at the largest peak of
+    the branches that weigh in and O_b / S_b = O'_b / S'_b, so no product passes through a
+    subnormal; F = 0 where p = 0."""
+    if ideal is not None and not ideal.imag.any():
+        ideal = ideal.real  # real amplitudes then meet c in a real product
+    sums = [(w, *_branch_sums(terms, ideal)) for w, terms in branches]
+    top = np.max([np.where((w > 0) & (norms > 0)[:, None], peak[:, None], -np.inf)
+                  for w, peak, norms, _ in sums], axis=0)
+    top = np.where(top > -np.inf, top, 0.0)
+    # a branch that does not weigh in may peak above top: its part stays 0
+    parts = [w * norms[:, None] * np.exp(2 * np.minimum(peak[:, None] - top, 0.0))
+             for w, peak, norms, _ in sums]
+    total = sum(parts)
+    prob = total * np.exp(2 * top)
+    if ideal is None:
+        return prob, None
+    fid = np.zeros_like(prob)
+    for part, (_, _, norms, overlaps) in zip(parts, sums):
+        ratio = np.divide(overlaps, norms, out=np.zeros_like(norms), where=norms > 0)
+        fid += np.divide(part, total, out=np.zeros_like(total), where=total > 0) * ratio[:, None]
+    return prob, fid
+
+
+def _check_range(branches, prob, ideal=None, fid=None) -> None:
     """ZeroProbability where the herald fires with p below the normal float range, 0 included:
-    p is an exact 0 only where each of its exponents is -inf, and the vacuum's is log_g[:, 0]."""
-    es, alive = np.asarray(eta_s_values, float), terms.log_g > -np.inf
-    below = np.where(es > 0, alive.any(axis=1)[:, None], alive[:, :1]) & (prob < dq._TINY)
-    if below.any():
-        i, j = np.argwhere(below)[0]
-        raise ZeroProbability(f"herald m={terms.cfg.m} fires with p below the normal float range"
-                              f" (eta_d={terms.eta_d[i]}, eta_s={es[j]})")
+    p is an exact 0 only where each branch that weighs in (w_b > 0) has no finite exponent in
+    its log_g.  PrecisionLoss where F is below that range but a branch that weighs in has a
+    finite exponent of <c|u_l> (2 log |c_0| on the |0> branch)."""
+    (w, terms), m = branches[0], branches[0][1].cfg.m
+    fires = np.any([(w > 0) & (t.log_g > -np.inf).any(axis=1)[:, None] for w, t in branches],
+                   axis=0)
+    for i, j in np.argwhere(fires & (prob < dq._TINY))[:1]:
+        raise ZeroProbability(f"herald m={m} fires with p below the normal float range"
+                              f" (eta_d={terms.eta_d[i]}, eta_s={w[j]})")
+    for i, j in [] if ideal is None else np.argwhere((fid < dq._TINY) & (prob > 0)):
+        # some c_q != 0 meets a finite log |a_l| + log |K g_(n_b-l-q)| (log |b_q| is finite)
+        if any(np.convolve(t.log_a[i] > -np.inf, t.log_g[i] > -np.inf)[t.cfg.n::-1]
+               @ (ideal[:t.cfg.n + 1] != 0) for v, t in branches if v[j] > 0):
+            raise PrecisionLoss(f"fidelity of herald m={m} below the normal float range"
+                                f" (eta_d={terms.eta_d[i]}, eta_s={w[j]})")
 
 
-def realized_moments(terms: HeraldTerms, eta_s_values):
-    """p (<a>, <a^2>, <a^dag a>) over 3 x eta_d x eta_s: one pass over the slabs sums the
-    diagonals z_d[j] = sum_l conj(u_l[j - d]) u_l[j], d = 0..2; p <.> = eta_s sum w z_d."""
-    n, rows = terms.cfg.n, terms.eta_d.size
-    z = np.zeros((3, n + 1, rows), complex)
-    for k, u in _slabs(terms):
-        for d in range(3):
-            z[d, d:k] += u[:k - d].conj() * u[d:]
-    moments = np.array([sum((w * z[j - i, j] for i, j, w in dq._moment_terms(n + 1, *uv)),
-                            np.zeros(rows, complex)) for uv in ((0, 1), (0, 2), (1, 1))])
-    return np.asarray(eta_s_values, float) * moments[:, :, None]
+def realized_moments(branches):
+    """p (<a>, <a^2>, <a^dag a>) over 3 x eta_d x eta_s: per branch, one pass over the slabs
+    sums the diagonals z_d[j] = sum_l conj(u_l[j - d]) u_l[j] of the scaled amplitudes, d =
+    0..2, and p <.> = sum_b w_b e^(2 peak_b) sum w z_d (no terms at n_b <= 1)."""
+    total = 0.0
+    for weights, terms in branches:
+        n, rows, peak = terms.cfg.n, terms.eta_d.size, _peak(terms)
+        z = np.zeros((3, n + 1, rows), complex)
+        for k, u in _slabs(terms, peak):
+            for d in range(3):
+                z[d, d:k] += u[:k - d].conj() * u[d:]
+        moments = np.array([sum((w * z[j - i, j] for i, j, w in dq._moment_terms(n + 1, *uv)),
+                                np.zeros(rows, complex)) for uv in ((0, 1), (0, 2), (1, 1))])
+        total = total + weights * (moments * np.exp(2 * peak))[:, :, None]
+    return total
 
 
-def realized_point(terms: HeraldTerms, eta_s: float, ideal=None):
-    """p and F (None without c) of the realized state at eta_d[0] and eta_s; ZeroProbability
-    where the herald never fires (p = 0) or fires with p below the normal float range."""
-    prob, prob_fid = realized_probability(terms, [eta_s], ideal)
-    _check_range(terms, [eta_s], prob)
-    p = prob[0, 0]  # the one cell
-    if p == 0:
+def realized_point(branches, ideal=None):
+    """p and F (None without c) of the realized state at the first eta_d and eta_s;
+    ZeroProbability where the herald never fires (p = 0) or fires with p below the normal float
+    range, PrecisionLoss where F is below that range."""
+    prob, fid = realized_probability(branches, ideal)
+    _check_range(branches, prob, ideal, fid)
+    terms = branches[0][1]
+    if prob[0, 0] == 0:
         raise ZeroProbability(f"herald m={terms.cfg.m} never fires (eta_d={terms.eta_d[0]})")
-    return float(p), None if ideal is None else float(prob_fid[0, 0] / p)
+    return float(prob[0, 0]), None if ideal is None else float(fid[0, 0])
 
 
-def mixture(terms: HeraldTerms, i: int, eta_s: float) -> tuple[np.ndarray, float]:
-    """Normalized rho_bare over levels 0..n as an array, and its probability at eta_d[i], eta_s,
-    for library callers and the oracle tests: rho is normalized with `realized_point`'s p."""
-    r = slice(i, i + 1)
-    row = HeraldTerms(terms.cfg, terms.eta_d[r], terms.log_a[r], terms.log_b, terms.log_g[r],
-                      terms.phase[r], terms.vacuum[r])
-    prob = realized_point(row, eta_s)[0]
-    u = components(row)[0]
-    rho = eta_s * (u.T @ u.conj())
-    rho[0, 0] += (1.0 - eta_s) * terms.vacuum[i]
+def mixture(branches, i: int, j: int = 0) -> tuple[np.ndarray, float]:
+    """Normalized rho_bare = sum_b w_b sum_l u_l u_l^dag over levels 0..n as an array, and its
+    probability at eta_d[i] and eta_s[j], for library callers and the oracle tests: rho is
+    normalized with `realized_point`'s p."""
+    cell = [(w[j:j + 1], t._replace(eta_d=t.eta_d[i:i + 1], log_a=t.log_a[i:i + 1],
+                                    log_g=t.log_g[i:i + 1], phase=t.phase[i:i + 1]))
+            for w, t in branches]
+    prob = realized_point(cell)[0]
+    n = max(terms.cfg.n for _, terms in cell)
+    rho = sum(w[0] * np.pad(u.T @ u.conj(), (0, n - terms.cfg.n))
+              for w, terms in cell for u in components(terms))
     return rho / prob, prob
 
 
 def fidelity_heatmap(cfg: dq.CMConfig, eta_d_values, eta_s_values) -> list[tuple[float, ...]]:
     """Rows (eta_d, eta_s, <c_m|rho_bare|c_m>) from `realized_probability`, 0 where the herald
-    never fires, ZeroProbability where it fires with p below the normal float range; the ideal
-    state comes first, so a failing one builds no herald terms."""
+    never fires, ZeroProbability where it fires with p below the normal float range and
+    PrecisionLoss where F is below it; the ideal state comes first, so a failing one builds no
+    herald terms."""
     ideal = dq.build_dq(cfg)[0].coeffs
-    terms = herald_terms(cfg, eta_d_values)
-    prob, prob_fid = realized_probability(terms, eta_s_values, ideal)
-    _check_range(terms, eta_s_values, prob)
-    fid = np.divide(prob_fid, prob, out=np.zeros_like(prob), where=prob > 0)
-    es, eds = np.asarray(eta_s_values, float).tolist(), terms.eta_d.tolist()
+    branches = source_branches(cfg, eta_d_values, eta_s_values)
+    prob, fid = realized_probability(branches, ideal)
+    _check_range(branches, prob, ideal, fid)
+    es, eds = branches[0][0].tolist(), branches[0][1].eta_d.tolist()
     return [(ed, s, f) for ed, row in zip(eds, fid.tolist()) for s, f in zip(es, row)]
 
 

@@ -347,7 +347,7 @@ def test_state_realized_p_and_f_match_fidelity_map_and_mixture(n, m, alpha_sq, R
                             "--eta-d", str(eta_d), "--eta-s", str(eta_s)])
     cfg = dq.CMConfig(n, m, complex(math.sqrt(alpha_sq)), R)
     cell = imperfections.fidelity_heatmap(cfg, [0.0, eta_d, 1.0], [eta_s])[1]
-    rho, prob = imperfections.mixture(dq.herald_terms(cfg, [eta_d]), 0, eta_s)
+    rho, prob = imperfections.mixture(imperfections.source_branches(cfg, [eta_d], [eta_s]), 0)
     ideal = dq.build_dq(cfg)[0].coeffs
     fid = fields["fidelity_realized"]
     assert cell[:2] == (eta_d, eta_s)
@@ -366,7 +366,7 @@ def test_never_firing_herald_exits_3_in_state_and_table3_and_reads_0_in_the_map(
     rows = imperfections.fidelity_heatmap(cfg, [0.0], [0.0, 0.7])
     assert rows == [(0.0, 0.0, 0.0), (0.0, 0.7, 0.0)]
     with pytest.raises(ZeroProbability):
-        imperfections.mixture(dq.herald_terms(cfg, [0.0]), 0, 0.7)
+        imperfections.mixture(imperfections.source_branches(cfg, [0.0], [0.7]), 0)
 
 
 @pytest.mark.parametrize("eta_d", [1e-302, 1e-303])
@@ -446,6 +446,36 @@ def test_state_at_n300_where_b_q_underflows_matches_mpmath(tmp_path):
         p_mp = mpmath.fsum(x**2 for x in mp_components(300, 0, 20, 0.3)[0])
     assert fields["success_prob"] == pytest.approx(float(p_mp), rel=1e-10, abs=0)
 
+
+
+@pytest.mark.parametrize("argv", [
+    # at eta_s = 0 only the |0> branch weighs in, and F = |c_0|^2 = 5.18e-330 with p = 1.5e-18
+    ["state", "--n", "37", "--m", "2", "--alpha-sq", "4.640330708946842e-08",
+     "--R", "0.11709881604267229", "--eta-d", "0.042709843198156405", "--eta-s", "0"],
+    # the eta_s = 0 column: |c_0| = 7.3e-175, so F = |c_0|^2 ~ 5e-349 where p ~ 0.05
+    ["fidelity-map", "--n", "300", "--m", "6", "--alpha-sq", "20", "--R", "0.5",
+     "--grid", "0.3:1:3,0:1:2"],
+], ids=["state", "fidelity-map"])
+def test_fidelity_below_the_normal_float_range_exits_3(capsys, argv):
+    # the herald fires with a normal p, but F underflows: not the 0 of a herald that never fires
+    assert _run(argv) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert "PrecisionLoss: fidelity of herald m=" in lines[0]
+    assert "below the normal float range (eta_d=" in lines[0]
+
+
+def test_state_fidelity_of_the_vacuum_branch_at_p_near_1e_282_matches_mpmath():
+    # p ~ 1.8e-282 and F = |c_0|^2 ~ 2e-37: their product p F is subnormal, so F is formed as
+    # a ratio of the branch's scaled sums, not as (p F) / p
+    n, m, alpha_sq, R = 25, 20, 1.3146922073186622e-07, 0.9077337732211026
+    fields = _state_fields(["--n", str(n), "--m", str(m), "--alpha-sq", repr(alpha_sq),
+                            "--R", repr(R), "--eta-d", "5.601267209604125e-06", "--eta-s", "0"])
+    ideal = mp_components(n, m, alpha_sq, R)[0]
+    with mpmath.workdps(60):
+        fid = ideal[0] ** 2 / mpmath.fsum(c**2 for c in ideal)  # only |0> weighs in: |c_0|^2
+    assert fields["fidelity_realized"] == pytest.approx(float(fid), rel=1e-10, abs=0)
 
 @pytest.mark.parametrize(
     "argv",

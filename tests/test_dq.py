@@ -293,7 +293,7 @@ def test_realized_state_matches_mpmath_or_raises(eta_d):
     # range next to an H_{k,m} near 1e263, so the kernel must be exact or raise
     cfg = _cfg(150, 200, math.sqrt(0.5), 0.3)
     try:
-        rho, p = imperfections.mixture(dq.herald_terms(cfg, [eta_d]), 0, 1.0)
+        rho, p = imperfections.mixture(imperfections.source_branches(cfg, [eta_d], [1.0]), 0)
     except DQSimError:
         return
     p_mp, diag = _mp_heralded(150, 200, 0.5, 0.3, eta_d)
@@ -310,13 +310,13 @@ def test_realized_probability_matches_mpmath_or_raises(n, m, alpha_sq, R):
     # a pure source at two detector efficiencies: p is exact to rounding, or ZeroProbability
     # where it lies below the normal float range; (300, 0, 0.5, 0.97) and (300, 0, 20, 0.97) have
     # b_q underflowing next to a large K g_(n-q)
-    terms = dq.herald_terms(_cfg(n, m, math.sqrt(alpha_sq), R), [0.3, 0.9])
-    prob = imperfections.realized_probability(terms, [1.0])[0][:, 0]
+    branches = imperfections.source_branches(_cfg(n, m, math.sqrt(alpha_sq), R), [0.3, 0.9], [1.0])
+    prob = imperfections.realized_probability(branches)[0][:, 0]
     for i, eta_d in enumerate([0.3, 0.9]):
         p_mp = _mp_heralded(n, m, alpha_sq, R, eta_d)[0]
         if p_mp < sys.float_info.min:
             with pytest.raises(ZeroProbability, match="fires with p below the normal float range"):
-                imperfections.mixture(terms, i, 1.0)
+                imperfections.mixture(branches, i)
         else:
             assert prob[i] == pytest.approx(float(p_mp), rel=1e-10, abs=0)
 
@@ -327,8 +327,10 @@ def test_realized_sums_at_n200_where_b_squared_underflows():
     cfg = _cfg(200, 1, math.sqrt(2), 0.5)
     c = dq.build_dq(cfg)[0].coeffs
     eta_d = [0.3, 0.9, 0.974, 1.0]
-    terms = dq.herald_terms(cfg, eta_d)
-    prob, prob_fid = imperfections.realized_probability(terms, [1.0], c)
+    branches = imperfections.source_branches(cfg, eta_d, [1.0])
+    terms = branches[0][1]
+    prob, fid = imperfections.realized_probability(branches, c)
+    prob_fid = prob * fid
     expected_p = [1.73491179106e-11, 1.28336100940e-41, 1.98512161895e-46, 3.36517598524e-48]
     expected_f = [6.97315499958e-23, 7.02135138570e-3, 0.520311087047, 1.0]
     assert prob[:, 0] == pytest.approx(expected_p, rel=1e-11, abs=0)

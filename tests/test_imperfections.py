@@ -140,7 +140,8 @@ def test_heatmap_memory_is_bounded_and_rows_match_mixture():
     ideal = dq.build_dq(cfg)[0].coeffs
     for i in (1, 250, 500, 750, 1000):
         for j, eta_s in enumerate((0.0, 1.0)):
-            rho, _ = imperfections.mixture(imperfections.herald_terms(cfg, [eta_d[i]]), 0, eta_s)
+            rho, _ = imperfections.mixture(
+                imperfections.source_branches(cfg, [eta_d[i]], [eta_s]), 0)
             fid = np.vdot(ideal, rho @ ideal).real / np.trace(rho).real
             assert rows[2 * i + j][:2] == (eta_d[i], eta_s)
             assert rows[2 * i + j][2] == pytest.approx(fid, rel=1e-12)
@@ -170,7 +171,7 @@ _reflectivity = st.floats(0.05, 0.95)
 def test_herald_probabilities_are_complete(n, alpha_sq, R, eta_s):
     # a blind detector (eta_d = 0) reports m = 0 whatever arrives: the herald fires with p = 1
     _, prob = imperfections.mixture(
-        imperfections.herald_terms(_cfg(n, alpha_sq, R, m=0), [0.0]), 0, eta_s
+        imperfections.source_branches(_cfg(n, alpha_sq, R, m=0), [0.0], [eta_s]), 0
     )
     assert prob == pytest.approx(1.0, abs=1e-12)
 
@@ -191,9 +192,9 @@ def test_mixture_matches_fock_oracle(n, m, alpha_sq, R, eta_d, eta_s, phase):
         _, prob_fock = imperfections.realized_state(cfg, imp)
     except ZeroProbability:
         with pytest.raises(ZeroProbability):
-            imperfections.mixture(imperfections.herald_terms(cfg, [eta_d]), 0, eta_s)
+            imperfections.mixture(imperfections.source_branches(cfg, [eta_d], [eta_s]), 0)
         return
-    rho, prob = imperfections.mixture(imperfections.herald_terms(cfg, [eta_d]), 0, eta_s)
+    rho, prob = imperfections.mixture(imperfections.source_branches(cfg, [eta_d], [eta_s]), 0)
     assert prob == pytest.approx(prob_fock, rel=1e-12)
     ideal, _ = dq.build_dq(cfg)
     fid = np.vdot(ideal.coeffs, rho @ ideal.coeffs).real
@@ -250,11 +251,14 @@ def test_realized_sums_match_sums_over_the_components(n, m, alpha_sq, R, phase, 
         c = dq.build_dq(cfg)[0].coeffs
     except ZeroProbability:
         assume(False)
-    terms = imperfections.herald_terms(cfg, [0.0, 1e-100, 0.3, 1.0])
-    prob, prob_fid = imperfections.realized_probability(terms, [eta_s], c)
-    prob_moments = imperfections.realized_moments(terms, [eta_s])
+    branches = imperfections.source_branches(cfg, [0.0, 1e-100, 0.3, 1.0], [eta_s])
+    terms = branches[0][1]
+    prob, fid = imperfections.realized_probability(branches, c)
+    prob_fid = prob * fid
+    prob_moments = imperfections.realized_moments(branches)
+    vacuum = imperfections.components(branches[1][1])[:, 0, 0]  # the |0> branch's u_0[0]
     for i, u in enumerate(imperfections.components(terms)):
-        norm, vac = np.sum(np.abs(u) ** 2), terms.vacuum[i]
+        norm, vac = np.sum(np.abs(u) ** 2), abs(vacuum[i]) ** 2
         overlap = np.sum(np.abs(u @ c.conj()) ** 2)
         assert prob[i, 0] == pytest.approx(eta_s * norm + (1 - eta_s) * vac, rel=1e-14, abs=0)
         assert prob_fid[i, 0] == pytest.approx(
@@ -274,7 +278,7 @@ def test_realized_sums_match_sums_over_the_components(n, m, alpha_sq, R, phase, 
 )
 def test_mixture_is_a_density_matrix(n, m, alpha_sq, R, eta_d, eta_s):
     rho, prob = imperfections.mixture(
-        imperfections.herald_terms(_cfg(n, alpha_sq, R, m=m), [eta_d]), 0, eta_s
+        imperfections.source_branches(_cfg(n, alpha_sq, R, m=m), [eta_d], [eta_s]), 0
     )
     rho = fock.DensityMatrix(rho)
     assert rho.dim == n + 1 and 0.0 < prob <= 1.0 + 1e-12
@@ -291,7 +295,7 @@ def test_vacuum_branch_is_poisson(m, alpha_sq, R, eta_d):
     # n = 0 runs the k sum over p(0, k); eta_s = 0 keeps only the vacuum branch
     for n, eta_s in ((0, 1.0), (2, 0.0)):
         rho, prob = imperfections.mixture(
-            imperfections.herald_terms(_cfg(n, alpha_sq, R, m=m), [eta_d]), 0, eta_s
+            imperfections.source_branches(_cfg(n, alpha_sq, R, m=m), [eta_d], [eta_s]), 0
         )
         assert prob == pytest.approx(poisson, rel=1e-12)
         assert abs(rho[0, 0]) == pytest.approx(1.0, abs=1e-14)
@@ -311,12 +315,12 @@ def test_mixture_at_tiny_eta_d_matches_mpmath(n, m, eta_d):
     # no power of eta_d or R is divided out, so nothing underflows on the way to p ~ eta_d^m;
     # (3, 2) and (6, 3) at 1e-300 never fire (p ~ 1e-600 and 1e-900)
     cfg = _cfg(n, 7.0, 0.4, m=m)
-    terms = imperfections.herald_terms(cfg, [eta_d])
+    branches = imperfections.source_branches(cfg, [eta_d], [0.8])
     rho_mp, prob_mp = _mp_mixture(n, m, 7.0, 0.4, eta_d, 0.8)
     if prob_mp < sys.float_info.min:  # below the normal float range
         with pytest.raises(ZeroProbability):
-            imperfections.mixture(terms, 0, 0.8)
+            imperfections.mixture(branches, 0)
         return
-    rho, prob = imperfections.mixture(terms, 0, 0.8)
+    rho, prob = imperfections.mixture(branches, 0)
     assert prob == pytest.approx(prob_mp, rel=1e-13, abs=0)
     np.testing.assert_allclose(rho, rho_mp, rtol=0, atol=1e-14)
