@@ -78,7 +78,7 @@ state-n1 state --n 1 --m 3 --alpha-sq 2 --R 0.5 --eta-d 0.7 --eta-s 0.5
 fidelity-map-n30 fidelity-map --n 30 --m 2 --alpha-sq 8 --R 0.5 --grid 0:1:101,0:1:3
 state-n150 state --n 150 --m 40 --alpha-sq 400 --R 0.97 --format json
 state-m150 state --n 2 --m 150 --alpha-sq 400 --R 0.5
-fidelity-map-n200 fidelity-map --n 200 --m 1 --alpha-sq 2 --R 0.5 --grid 0.3:1:3,0:1:2
+fidelity-map-n200 fidelity-map --n 200 --m 1 --alpha-sq 2 --R 0.5 --grid 0.3:1:3,0.5:1:2
 help --help
 help-state state --help
 help-scan scan --help

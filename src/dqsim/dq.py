@@ -38,24 +38,10 @@ from . import fock
 from .errors import NonFiniteResult, NoRootInBracket, TruncationTooSmall, ZeroProbability
 from .polynomials import hermite2_rows, laguerre, laguerre_recurrence
 
-__all__ = [
-    "CMConfig",
-    "DQState",
-    "LocusTarget",
-    "chi",
-    "classify",
-    "coefficient_laguerre",
-    "coefficients_grid",
-    "normalized",
-    "bare_moment",
-    "covariance_from_moments",
-    "HeraldTerms",
-    "herald_terms",
-    "success_probability",
-    "build_dq",
-    "to_fock",
-    "locus_solve",
-]
+__all__ = ["CMConfig", "DQState", "LocusTarget", "chi", "classify", "coefficient_laguerre",
+           "coefficients_grid", "normalized", "bare_moment", "covariance_from_moments",
+           "HeraldTerms", "herald_terms", "success_probability", "build_dq", "to_fock",
+           "locus_solve"]
 
 
 class CMConfig(namedtuple("CMConfig", "n m alpha R")):
@@ -233,22 +219,20 @@ def covariance_from_moments(a1: complex, a2: complex, n1: float) -> tuple[float,
 
 
 # log_a[i, l], log_b[q], log_g[i, k] = log |a_l|, log |b_q|, log |K g_k| at eta_d[i]; phase[i, k]
-# the unit factor of K g_k; vacuum[i] = Poisson(eta_d[i] chi; m)
-HeraldTerms = namedtuple("HeraldTerms", "cfg eta_d log_a log_b log_g phase vacuum")
+# the unit factor of K g_k; at n = 0, |u_0[0]|^2 = e^(2 log_g[i, 0]) = Poisson(eta_d[i] chi; m)
+HeraldTerms = namedtuple("HeraldTerms", "cfg eta_d log_a log_b log_g phase")
 
 _TINY = sys.float_info.min  # the smallest normal float
 
 
 def herald_terms(cfg: CMConfig, eta_d_values) -> HeraldTerms:
-    """The factors of u_l[q] (module docstring) as logarithms, and the vacuum weight, per eta_d.
+    """The factors of u_l[q] (module docstring) as logarithms per eta_d, for the input |n>.
 
-    H_{k,m}(y*, y) = (-1)^j j! y^d L_j^(d)(|y|^2), j = min(k, m), d = |k - m|, so K g_k = e^(f_k)
-    (-1)^j (y/|y|)^d L_j^(d), conjugated for k > m: f_k, the log of K j!/k! |y|^d (eta_d R)^(k/2),
-    and log |L| (L from `laguerre_recurrence`) sum to log_g, and the phase is (-1)^j sign(L)
-    times y/|y| = alpha/|alpha|, real for real alpha.  Each amplitude is the one exponential
-    exp(log_a + log_b + log_g) times its phase: |u_l[q]| <= sqrt(p) <= 1, so none overflows, and
-    one that underflows lies below p's rounding unless p is below the normal range too.  A log is
-    -inf only for an exact 0.  NonFiniteResult where L overflows."""
+    H_{k,m}(y*, y) = (-1)^j j! y^d L_j^(d)(|y|^2), j = min(k, m), d = |k - m|, so log_g = f_k +
+    log |L| (L from `laguerre_recurrence`), f_k the log of K j!/k! |y|^d (eta_d R)^(k/2), and the
+    phase is (-1)^j sign(L) (alpha/|alpha|)^d, conjugated for k > m, real for real alpha.  Each
+    amplitude is one exponential times its phase, and |u_l[q]| <= sqrt(p) <= 1.  A log is -inf
+    only for an exact 0.  NonFiniteResult where L overflows."""
     n, m, R = cfg.n, cfg.m, cfg.R
     where = f"n={n}, m={m}, alpha={cfg.alpha}, R={R}"
     eta_d = np.atleast_1d(np.asarray(eta_d_values, float))
@@ -271,9 +255,8 @@ def herald_terms(cfg: CMConfig, eta_d_values) -> HeraldTerms:
                  + np.log(np.abs(lag)))
     unit = alpha / abs(alpha) if alpha.imag else np.sign(alpha.real)  # y/|y|
     phase = np.where(level > m, np.conj(unit), unit) ** d * (-1.0) ** j * np.sign(lag)
-    vacuum = np.exp(2 * log_y[:, 0] - math.lgamma(m + 1) - eta_d * chi(cfg))  # e^(2 f_0) / n!
     log_b = level / 2 * math.log(1.0 - R) - 0.5 * log_fact
-    return HeraldTerms(cfg, eta_d, log_a - 0.5 * log_fact, log_b, log_g, phase, vacuum)
+    return HeraldTerms(cfg, eta_d, log_a - 0.5 * log_fact, log_b, log_g, phase)
 
 
 def success_probability(cfg: CMConfig) -> float:

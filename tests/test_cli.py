@@ -347,7 +347,7 @@ def test_state_realized_p_and_f_match_fidelity_map_and_mixture(n, m, alpha_sq, R
                             "--eta-d", str(eta_d), "--eta-s", str(eta_s)])
     cfg = dq.CMConfig(n, m, complex(math.sqrt(alpha_sq)), R)
     cell = imperfections.fidelity_heatmap(cfg, [0.0, eta_d, 1.0], [eta_s])[1]
-    rho, prob = imperfections.mixture(imperfections.source_branches(cfg, [eta_d], [eta_s]), 0)
+    rho, prob = imperfections.mixture(imperfections.source_branches(cfg, [eta_d], [eta_s]))
     ideal = dq.build_dq(cfg)[0].coeffs
     fid = fields["fidelity_realized"]
     assert cell[:2] == (eta_d, eta_s)
@@ -366,7 +366,7 @@ def test_never_firing_herald_exits_3_in_state_and_table3_and_reads_0_in_the_map(
     rows = imperfections.fidelity_heatmap(cfg, [0.0], [0.0, 0.7])
     assert rows == [(0.0, 0.0, 0.0), (0.0, 0.7, 0.0)]
     with pytest.raises(ZeroProbability):
-        imperfections.mixture(imperfections.source_branches(cfg, [0.0], [0.7]), 0)
+        imperfections.mixture(imperfections.source_branches(cfg, [0.0], [0.7]))
 
 
 @pytest.mark.parametrize("eta_d", [1e-302, 1e-303])
@@ -1018,6 +1018,95 @@ def test_cli_fuzz_exit_codes(argv):
     for row in out.getvalue().splitlines()[1:]:
         # the one documented non-finite value: alpha = 0 with m > n heralds nothing
         assert ("nan" not in row and "inf" not in row) or (row.startswith("0,") and m > n), argv
+
+
+_TINY = sys.float_info.min  # the smallest normal float
+
+
+def _mp_realized(n, m, alpha_sq, R, eta_d, eta_s, c, moments=True):
+    """60-digit realized p, F and min_var from `mp_components` of the |n> and |0> branches,
+    c the 60-digit ideal coefficients; F and min_var are None where p = 0, min_var without
+    moments too."""
+    u, v = mp_components(n, m, alpha_sq, R, eta_d), mp_components(0, m, alpha_sq, R, eta_d)[0][0]
+    with mpmath.workdps(60):
+        es = mpmath.mpf(eta_s)
+        prob = es * mpmath.fsum(x**2 for row in u for x in row) + (1 - es) * v**2
+        if prob == 0:
+            return prob, None, None
+        fid = (es * mpmath.fsum(mpmath.fdot(c, row) ** 2 for row in u)
+               + (1 - es) * c[0] ** 2 * v**2) / prob
+        if not moments:
+            return prob, fid, None
+        # <a^dag^i a^j> = sum_l sum_k u_l[k] u_l[k + d] w_d[k]; the |0> branch adds no moment
+        w = {d: [k if d == 0 else mpmath.sqrt(mpmath.rf(k + 1, d)) for k in range(n + 1 - d)]
+             for d in (1, 2, 0)}
+        a1, a2, n1 = (es * mpmath.fsum(mpmath.fdot(row[d:], [x * y for x, y in zip(row, w[d])])
+                                       for row in u) / prob for d in (1, 2, 0))
+        central, spread = a2 - a1**2, n1 - a1**2
+        return prob, fid, min(central, -central) + spread + mpmath.mpf(0.5)
+
+
+def _value_draws(count, seed):
+    """(n, m, |alpha|^2, R, eta_d, eta_s) drawn as the value fuzz describes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, m = (int(x) for x in rng.integers(0, 41, 2))
+        alpha_sq = 0.0 if rng.random() < 0.03 else float(10 ** rng.uniform(-8, 4))
+        R = float(rng.uniform(0.001, 0.999))
+        eta_d = [1.0, float(rng.uniform()), float(10 ** rng.uniform(-12, 0))][rng.integers(3)]
+        eta_s = [0.0, 1.0, float(rng.uniform())][rng.integers(3)]
+        yield n, m, alpha_sq, R, eta_d, eta_s
+
+
+def _printed(argv):
+    """Exit code and the printed CSV rows of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = _run(argv)
+    assert len(err.getvalue().strip().splitlines()) == 1, (argv, err.getvalue())
+    return rc, [line.split(",") for line in out.getvalue().splitlines()[1:]]
+
+
+def test_cli_value_fuzz_matches_mpmath():
+    # every value `state --eta-d --eta-s` and `fidelity-map` print against 60-digit sums over
+    # the components; every exit 3 has a 60-digit p or F below the normal float range
+    for draw, (n, m, alpha_sq, R, eta_d, eta_s) in enumerate(_value_draws(200, 42)):
+        config = ["--n", str(n), "--m", str(m), "--alpha-sq", repr(alpha_sq), "--R", repr(R)]
+        ideal = mp_components(n, m, alpha_sq, R)[0]
+        with mpmath.workdps(60):
+            p_ideal = mpmath.fsum(x**2 for x in ideal)
+            c = [x / mpmath.sqrt(p_ideal) for x in ideal] if p_ideal else None
+        where = (n, m, alpha_sq, R, eta_d, eta_s)
+        rc, rows = _printed(["state", *config, "--eta-d", repr(eta_d), "--eta-s", repr(eta_s)])
+        if p_ideal < _TINY:  # the ideal state, which every command builds first, is refused
+            assert rc == 3, where
+            continue
+        prob, fid, min_var = _mp_realized(n, m, alpha_sq, R, eta_d, eta_s, c)
+        if rc == 3:
+            assert prob < _TINY or 0 < fid < _TINY, where
+            continue
+        assert rc == 0, where
+        fields = {key: float(value) for key, value in rows if key != "class"}
+        assert fields["success_prob"] == pytest.approx(float(p_ideal), rel=1e-10, abs=0), where
+        for q in range(n + 1):
+            assert fields[f"coeff_{q}_re"] == pytest.approx(float(c[q]), abs=1e-10), where
+        assert fields["success_prob_realized"] == pytest.approx(float(prob), rel=1e-10, abs=0)
+        assert fields["fidelity_realized"] == pytest.approx(float(fid), rel=1e-9, abs=0), where
+        assert fields["min_var_realized"] == pytest.approx(float(min_var), abs=1e-8), where
+        if draw % 4:
+            continue
+        # the map's cells at eta_d in {0, eta_d} and eta_s in {0, eta_s or 1}
+        grid = f"0:{eta_d!r}:2,0:{eta_s or 1.0!r}:2"
+        rc, rows = _printed(["fidelity-map", *config, "--grid", grid])
+        cells = {(ed, es): _mp_realized(n, m, alpha_sq, R, ed, es, c, moments=False)[:2]
+                 for ed in (0.0, eta_d) for es in (0.0, eta_s or 1.0)}
+        if rc == 3:
+            assert any(0 < p < _TINY or (p >= _TINY and 0 < f < _TINY)
+                       for p, f in cells.values()), where
+            continue
+        assert rc == 0 and len(rows) == 4, where
+        for (_, _, f), (prob, fid) in zip(rows, cells.values()):  # eta_d varies slowest
+            assert float(f) == pytest.approx(0.0 if prob == 0 else float(fid), rel=1e-9, abs=0)
 
 
 def test_traced_table3_counts_every_row(tmp_path):

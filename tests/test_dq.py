@@ -293,7 +293,7 @@ def test_realized_state_matches_mpmath_or_raises(eta_d):
     # range next to an H_{k,m} near 1e263, so the kernel must be exact or raise
     cfg = _cfg(150, 200, math.sqrt(0.5), 0.3)
     try:
-        rho, p = imperfections.mixture(imperfections.source_branches(cfg, [eta_d], [1.0]), 0)
+        rho, p = imperfections.mixture(imperfections.source_branches(cfg, [eta_d], [1.0]))
     except DQSimError:
         return
     p_mp, diag = _mp_heralded(150, 200, 0.5, 0.3, eta_d)
@@ -310,13 +310,14 @@ def test_realized_probability_matches_mpmath_or_raises(n, m, alpha_sq, R):
     # a pure source at two detector efficiencies: p is exact to rounding, or ZeroProbability
     # where it lies below the normal float range; (300, 0, 0.5, 0.97) and (300, 0, 20, 0.97) have
     # b_q underflowing next to a large K g_(n-q)
-    branches = imperfections.source_branches(_cfg(n, m, math.sqrt(alpha_sq), R), [0.3, 0.9], [1.0])
-    prob = imperfections.realized_probability(branches)[0][:, 0]
+    cfg = _cfg(n, m, math.sqrt(alpha_sq), R)
+    prob = imperfections.realized_probability(
+        imperfections.source_branches(cfg, [0.3, 0.9], [1.0]))[0][:, 0]
     for i, eta_d in enumerate([0.3, 0.9]):
         p_mp = _mp_heralded(n, m, alpha_sq, R, eta_d)[0]
         if p_mp < sys.float_info.min:
             with pytest.raises(ZeroProbability, match="fires with p below the normal float range"):
-                imperfections.mixture(branches, i)
+                imperfections.mixture(imperfections.source_branches(cfg, [eta_d], [1.0]))
         else:
             assert prob[i] == pytest.approx(float(p_mp), rel=1e-10, abs=0)
 

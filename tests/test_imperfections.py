@@ -5,7 +5,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from conftest import mp_rho_bare
+from conftest import mp_components, mp_rho_bare
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -141,7 +141,7 @@ def test_heatmap_memory_is_bounded_and_rows_match_mixture():
     for i in (1, 250, 500, 750, 1000):
         for j, eta_s in enumerate((0.0, 1.0)):
             rho, _ = imperfections.mixture(
-                imperfections.source_branches(cfg, [eta_d[i]], [eta_s]), 0)
+                imperfections.source_branches(cfg, [eta_d[i]], [eta_s]))
             fid = np.vdot(ideal, rho @ ideal).real / np.trace(rho).real
             assert rows[2 * i + j][:2] == (eta_d[i], eta_s)
             assert rows[2 * i + j][2] == pytest.approx(fid, rel=1e-12)
@@ -171,7 +171,7 @@ _reflectivity = st.floats(0.05, 0.95)
 def test_herald_probabilities_are_complete(n, alpha_sq, R, eta_s):
     # a blind detector (eta_d = 0) reports m = 0 whatever arrives: the herald fires with p = 1
     _, prob = imperfections.mixture(
-        imperfections.source_branches(_cfg(n, alpha_sq, R, m=0), [0.0], [eta_s]), 0
+        imperfections.source_branches(_cfg(n, alpha_sq, R, m=0), [0.0], [eta_s])
     )
     assert prob == pytest.approx(1.0, abs=1e-12)
 
@@ -192,9 +192,9 @@ def test_mixture_matches_fock_oracle(n, m, alpha_sq, R, eta_d, eta_s, phase):
         _, prob_fock = imperfections.realized_state(cfg, imp)
     except ZeroProbability:
         with pytest.raises(ZeroProbability):
-            imperfections.mixture(imperfections.source_branches(cfg, [eta_d], [eta_s]), 0)
+            imperfections.mixture(imperfections.source_branches(cfg, [eta_d], [eta_s]))
         return
-    rho, prob = imperfections.mixture(imperfections.source_branches(cfg, [eta_d], [eta_s]), 0)
+    rho, prob = imperfections.mixture(imperfections.source_branches(cfg, [eta_d], [eta_s]))
     assert prob == pytest.approx(prob_fock, rel=1e-12)
     ideal, _ = dq.build_dq(cfg)
     fid = np.vdot(ideal.coeffs, rho @ ideal.coeffs).real
@@ -268,6 +268,47 @@ def test_realized_sums_match_sums_over_the_components(n, m, alpha_sq, R, phase, 
             assert abs(prob_moments[k, i, 0] - expected) <= 1e-14 * norm * (n + 1)
 
 
+@pytest.mark.parametrize("eta_d, alpha_sq", [(1.0, 2.5), (0.3, 2.5), (1e-200, 2.5e200)])
+@pytest.mark.parametrize("m", [0, 1, 7, 150])
+def test_vacuum_branch_matches_mpmath(m, eta_d, alpha_sq):
+    # the |0> source branch is herald_terms at n = 0: |u_0[0]|^2 = Poisson(eta_d chi; m), to 1e-12
+    # relative in its logarithm even where it is subnormal (m = 150 at eta_d = 0.3) or eta_d
+    # and |alpha|^2 alone leave the float range (1e-200 and 2.5e200)
+    cfg = _cfg(3, alpha_sq, 0.4, m=m)
+    branches = imperfections.source_branches(cfg, [eta_d], [0.0])
+    (weights, terms), ((u00,),) = branches[1], mp_components(0, m, alpha_sq, 0.4, eta_d)
+    assert terms.cfg.n == 0 and weights.tolist() == [1.0]
+    with mpmath.workdps(60):
+        log_p = 2 * mpmath.log(abs(u00))
+    assert 2 * (terms.log_a[0, 0] + terms.log_b[0] + terms.log_g[0, 0]) == pytest.approx(
+        float(log_p), rel=0, abs=1e-12)
+    if log_p > math.log(sys.float_info.min):  # eta_s = 0 weighs in the |0> branch alone
+        prob = imperfections.realized_probability(branches)[0]
+        assert prob[0, 0] == pytest.approx(float(mpmath.exp(log_p)), rel=1e-12, abs=0)
+
+
+@given(
+    n=st.integers(0, 11),
+    m=st.integers(0, 9),
+    alpha_sq=st.floats(0.0, 30.0),
+    R=_reflectivity,
+    phase=st.sampled_from([0.0, 0.7, -2.3]),
+)
+def test_pure_source_cells_are_the_one_branch_sums(n, m, alpha_sq, R, phase):
+    # at eta_s = 1 the |0> branch weighs nothing: p, F and the moments are, bit for bit, those
+    # of the |n> branch summed alone
+    cfg = dq.CMConfig(n, m, math.sqrt(alpha_sq) * complex(math.cos(phase), math.sin(phase)), R)
+    try:
+        c = dq.build_dq(cfg)[0].coeffs
+    except ZeroProbability:
+        assume(False)
+    branches = imperfections.source_branches(cfg, [0.0, 1e-100, 0.3, 1.0], [1.0, 0.5])
+    for both, alone in zip(imperfections.realized_probability(branches, c),
+                           imperfections.realized_probability(branches[:1], c)):
+        np.testing.assert_array_equal(both[:, 0], alone[:, 0])
+    np.testing.assert_array_equal(imperfections.realized_moments(branches)[..., 0],
+                                  imperfections.realized_moments(branches[:1])[..., 0])
+
 @given(
     n=st.integers(0, 8),
     m=st.integers(0, 12),
@@ -278,7 +319,7 @@ def test_realized_sums_match_sums_over_the_components(n, m, alpha_sq, R, phase, 
 )
 def test_mixture_is_a_density_matrix(n, m, alpha_sq, R, eta_d, eta_s):
     rho, prob = imperfections.mixture(
-        imperfections.source_branches(_cfg(n, alpha_sq, R, m=m), [eta_d], [eta_s]), 0
+        imperfections.source_branches(_cfg(n, alpha_sq, R, m=m), [eta_d], [eta_s])
     )
     rho = fock.DensityMatrix(rho)
     assert rho.dim == n + 1 and 0.0 < prob <= 1.0 + 1e-12
@@ -295,7 +336,7 @@ def test_vacuum_branch_is_poisson(m, alpha_sq, R, eta_d):
     # n = 0 runs the k sum over p(0, k); eta_s = 0 keeps only the vacuum branch
     for n, eta_s in ((0, 1.0), (2, 0.0)):
         rho, prob = imperfections.mixture(
-            imperfections.source_branches(_cfg(n, alpha_sq, R, m=m), [eta_d], [eta_s]), 0
+            imperfections.source_branches(_cfg(n, alpha_sq, R, m=m), [eta_d], [eta_s])
         )
         assert prob == pytest.approx(poisson, rel=1e-12)
         assert abs(rho[0, 0]) == pytest.approx(1.0, abs=1e-14)
@@ -319,8 +360,8 @@ def test_mixture_at_tiny_eta_d_matches_mpmath(n, m, eta_d):
     rho_mp, prob_mp = _mp_mixture(n, m, 7.0, 0.4, eta_d, 0.8)
     if prob_mp < sys.float_info.min:  # below the normal float range
         with pytest.raises(ZeroProbability):
-            imperfections.mixture(branches, 0)
+            imperfections.mixture(branches)
         return
-    rho, prob = imperfections.mixture(branches, 0)
+    rho, prob = imperfections.mixture(branches)
     assert prob == pytest.approx(prob_mp, rel=1e-13, abs=0)
     np.testing.assert_allclose(rho, rho_mp, rtol=0, atol=1e-14)
