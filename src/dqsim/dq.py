@@ -38,10 +38,24 @@ from . import fock
 from .errors import NonFiniteResult, NoRootInBracket, TruncationTooSmall, ZeroProbability
 from .polynomials import hermite2_rows, laguerre, laguerre_recurrence
 
-__all__ = ["CMConfig", "DQState", "LocusTarget", "chi", "classify", "coefficient_laguerre",
-           "coefficients_grid", "normalized", "bare_moment", "covariance_from_moments",
-           "HeraldTerms", "herald_terms", "success_probability", "build_dq", "to_fock",
-           "locus_solve"]
+__all__ = [
+    "CMConfig",
+    "DQState",
+    "LocusTarget",
+    "chi",
+    "classify",
+    "coefficient_laguerre",
+    "coefficients_grid",
+    "normalized",
+    "bare_moment",
+    "covariance_from_moments",
+    "HeraldTerms",
+    "herald_terms",
+    "success_probability",
+    "build_dq",
+    "to_fock",
+    "locus_solve",
+]
 
 
 class CMConfig(namedtuple("CMConfig", "n m alpha R")):

@@ -33,9 +33,19 @@ from . import dq, fock
 from .dq import HeraldTerms, herald_terms
 from .errors import PrecisionLoss, ZeroProbability
 
-__all__ = ["ImperfectionParams", "povm_element", "source_branches", "components",
-           "realized_probability", "realized_moments", "realized_point", "mixture",
-           "realized_state", "realized_fidelity", "fidelity_heatmap"]
+__all__ = [
+    "ImperfectionParams",
+    "povm_element",
+    "source_branches",
+    "components",
+    "realized_probability",
+    "realized_moments",
+    "realized_point",
+    "mixture",
+    "realized_state",
+    "realized_fidelity",
+    "fidelity_heatmap",
+]
 
 
 class ImperfectionParams(namedtuple("ImperfectionParams", "eta_d eta_s")):
@@ -44,15 +54,18 @@ class ImperfectionParams(namedtuple("ImperfectionParams", "eta_d eta_s")):
     __slots__ = ()
 
     def __new__(cls, eta_d: float, eta_s: float):
-        if not (0.0 <= eta_d <= 1.0 and 0.0 <= eta_s <= 1.0):
-            raise ValueError(f"eta_d={eta_d} or eta_s={eta_s} outside [0, 1]")
+        for name, val in (("eta_d", eta_d), ("eta_s", eta_s)):
+            if not 0.0 <= val <= 1.0:
+                raise ValueError(f"{name}={val} outside [0, 1]")
         return super().__new__(cls, eta_d, eta_s)
 
 
 def povm_element(m: int, eta_d: float, t: fock.Truncation) -> fock.DensityMatrix:
     """Diagonal POVM element of the lossy number-resolving detector."""
-    if m < 0 or not 0.0 <= eta_d <= 1.0:
-        raise ValueError(f"m={m} must be non-negative and eta_d={eta_d} lie in [0, 1]")
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    if not 0.0 <= eta_d <= 1.0:
+        raise ValueError("eta_d must lie in [0, 1]")
     # eta_d = 1 collapses to the projector |m><m| through 0^0 = 1
     weights = [math.comb(k, m) * eta_d**m * (1.0 - eta_d) ** (k - m) if k >= m else 0.0
                for k in range(t.dim)]
@@ -69,16 +82,17 @@ def source_branches(cfg: dq.CMConfig, eta_d_values, eta_s_values) -> list:
 
 def components(terms: HeraldTerms) -> np.ndarray:
     """u_l[q] at each eta_d as an (eta_d, n + 1, n + 1) array [i, l, q], zero where l + q > n."""
-    n = terms.cfg.n  # k: the Hankel index n - l - q, and the padded last column, log 0, past n
-    k = np.maximum(n - np.arange(n + 1)[:, None] - np.arange(n + 1), -1)
+    n = terms.cfg.n
+    k = n - np.arange(n + 1)[:, None] - np.arange(n + 1)  # the Hankel index n - l - q
+    k = np.where(k < 0, -1, k)  # the padded last column, log 0, fills l + q > n
     log_g = np.pad(terms.log_g, ((0, 0), (0, 1)), constant_values=-np.inf)
     phase = np.pad(terms.phase, ((0, 0), (0, 1)))
     return np.exp(terms.log_a[:, :, None] + terms.log_b + log_g[:, k]) * phase[:, k]
 
 
 def _peak(terms: HeraldTerms) -> np.ndarray:
-    """The largest log |u_l[q]| at each eta_d, 0 where every u_l[q] is 0: a (max, +) pass, top[s,
-    i] the largest log |b_q| + log |K g_(s-q)|."""
+    """The largest log |u_l[q]| at each eta_d, 0 where every u_l[q] is 0: a (max, +) pass with
+    top[s, i] the largest log |b_q| + log |K g_(s-q)| at eta_d[i]."""
     n, log_g = terms.cfg.n, np.ascontiguousarray(terms.log_g.T)
     top = np.full(log_g.shape, -np.inf)
     for q in range(n + 1):
@@ -129,7 +143,8 @@ def _check_range(branches, prob, ideal=None, fid=None) -> None:
     PrecisionLoss where F is below that range and such a branch has a finite exponent of
     <c|u_l>: some c_q != 0 meets a finite log |a_l| + log |K g_(n_b-l-q)| (2 log |c_0| on |0>)."""
     (es, terms), m = branches[0], branches[0][1].cfg.m
-    fires = np.any([(w > 0) & (t.log_g > -np.inf).any(axis=1)[:, None] for w, t in branches], 0)
+    fires = np.any([(w > 0) & (t.log_g > -np.inf).any(axis=1)[:, None] for w, t in branches],
+                   axis=0)
     for i, j in np.argwhere(fires & (prob < dq._TINY))[:1]:
         raise ZeroProbability(f"herald m={m} fires with p below the normal float range"
                               f" (eta_d={terms.eta_d[i]}, eta_s={es[j]})")
@@ -188,10 +203,12 @@ def fidelity_heatmap(cfg: dq.CMConfig, eta_d_values, eta_s_values) -> list[tuple
     return [(ed, s, f) for ed, row in zip(eds, fid.tolist()) for s, f in zip(es, row)]
 
 
-def realized_state(cfg: dq.CMConfig, imp: ImperfectionParams,
-                   t: fock.Truncation | None = None) -> tuple[fock.DensityMatrix, float]:
+def realized_state(
+    cfg: dq.CMConfig, imp: ImperfectionParams, t: fock.Truncation | None = None
+) -> tuple[fock.DensityMatrix, float]:
     """Fock-space oracle: realized state and probability, one source branch at a time."""
-    t = t or fock.Truncation.auto(cfg.alpha, cfg.n, cfg.m)
+    if t is None:
+        t = fock.Truncation.auto(cfg.alpha, cfg.n, cfg.m)
     sw = np.sqrt(np.diag(povm_element(cfg.m, imp.eta_d, t).mat).real)
     rho = np.zeros((t.dim, t.dim), dtype=complex)
     for n_src, weight in ((cfg.n, imp.eta_s), (0, 1.0 - imp.eta_s)):
@@ -203,11 +220,13 @@ def realized_state(cfg: dq.CMConfig, imp: ImperfectionParams,
     return fock.DensityMatrix(rho / prob), prob
 
 
-def realized_fidelity(cfg: dq.CMConfig, imp: ImperfectionParams,
-                      t: fock.Truncation | None = None) -> float:
+def realized_fidelity(
+    cfg: dq.CMConfig, imp: ImperfectionParams, t: fock.Truncation | None = None
+) -> float:
     """Fock-space oracle: Tr(rho_ideal rho_realized) with rho_ideal from `fock.brute_force_cm`;
     valid only where p(n, m) is above about 1e-20 (see the module docstring)."""
-    t = t or fock.Truncation.auto(cfg.alpha, cfg.n, cfg.m)
+    if t is None:
+        t = fock.Truncation.auto(cfg.alpha, cfg.n, cfg.m)
     ideal, _ = fock.brute_force_cm(cfg.n, cfg.m, cfg.alpha, cfg.R, t)
     rho, _ = realized_state(cfg, imp, t)
     return float(np.vdot(ideal.amps, rho.mat @ ideal.amps).real)
