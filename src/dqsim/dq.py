@@ -242,11 +242,13 @@ _TINY = sys.float_info.min  # the smallest normal float
 def herald_terms(cfg: CMConfig, eta_d_values) -> HeraldTerms:
     """The factors of u_l[q] (module docstring) as logarithms per eta_d, for the input |n>.
 
-    H_{k,m}(y*, y) = (-1)^j j! y^d L_j^(d)(|y|^2), j = min(k, m), d = |k - m|, so log_g = f_k +
-    log |L| (L from `laguerre_recurrence`), f_k the log of K j!/k! |y|^d (eta_d R)^(k/2), and the
-    phase is (-1)^j sign(L) (alpha/|alpha|)^d, conjugated for k > m, real for real alpha.  Each
-    amplitude is one exponential times its phase, and |u_l[q]| <= sqrt(p) <= 1.  A log is -inf
-    only for an exact 0.  NonFiniteResult where L overflows."""
+    H_{k,m}(y*, y) = (-1)^j j! y^d L_j^(d)(|y|^2), j = min(k, m), d = |k - m|, so K g_k = e^(f_k)
+    (-1)^j (y/|y|)^d L_j^(d), conjugated for k > m: f_k, the log of K j!/k! |y|^d (eta_d R)^(k/2),
+    and log |L| (L from `laguerre_recurrence`) sum to log_g, and the phase is (-1)^j sign(L)
+    times y/|y| = alpha/|alpha|, real for real alpha.  Each amplitude is the one exponential
+    exp(log_a + log_b + log_g) times its phase: |u_l[q]| <= sqrt(p) <= 1, so none overflows, and
+    one that underflows lies below p's rounding unless p is below the normal range too.  A log is
+    -inf only for an exact 0.  NonFiniteResult where L overflows."""
     n, m, R = cfg.n, cfg.m, cfg.R
     where = f"n={n}, m={m}, alpha={cfg.alpha}, R={R}"
     eta_d = np.atleast_1d(np.asarray(eta_d_values, float))

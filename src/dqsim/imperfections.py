@@ -1,24 +1,29 @@
 """Non-ideal heralding: lossy detector, impure source, realized state.
 
-A detector of efficiency eta_d is an ideal one behind a beam splitter that
-transmits eta_d (Leonhardt, Measuring the Quantum State of Light, 1997).
-Loss commutes with displacement, D(beta) -> D(sqrt(eta_d) beta), and U|0>|n>
-holds exactly n photons, so each source photon is lost independently with
-probability (1-eta_d) R, and the branch that lost l is the component u_l of
-`dq.herald_terms` (its eta_d = 1, l = 0 slice is `dq.build_dq`'s ideal state).
-The source (1-eta_s)|0><0| + eta_s |n><n| weighs two such kernels, of inputs
-|0> and |n> (`source_branches`), and the realized state D(alpha sqrt R)
-rho_bare D^dag is exact over levels 0..n, with no Fock cutoff:
+The source emits (1-eta_s)|0><0| + eta_s |n><n|; a detector of efficiency
+eta_d is an ideal one behind a beam splitter that transmits eta_d (Leonhardt,
+Measuring the Quantum State of Light, 1997).  Loss commutes with
+displacement, D(beta) -> D(sqrt(eta_d) beta), and U|0>|n> holds exactly n
+photons, so each source photon is lost independently with probability
+(1-eta_d) R, and the branch that lost l is the component u_l of
+`dq.herald_terms` (its eta_d = 1, l = 0 slice is `dq.build_dq`'s ideal
+state).  The source is two such kernels, the `source_branches`: weight eta_s
+on the input |n> and 1 - eta_s on |0>, whose one amplitude has |u_0[0]|^2 =
+Poisson(eta_d chi; m).  The realized state is D(alpha sqrt R) rho_bare D^dag
+with the exact mixture over levels 0..n (no Fock cutoff, no ratio of eta_d or R)
 
     rho_bare ∝ sum_b w_b sum_{l=0}^{n_b} u_l^(b) u_l^(b)dag.
 
-The commands take p, F (`realized_probability`) and the bare moments
-(`realized_moments`) from one pass over l per branch, with no rho, and refuse
-p or F below the normal float range where an exponent of it is finite, so 0
-means an exact 0.  `mixture` forms rho_bare for library callers and the
-oracle tests.  `realized_state` and `realized_fidelity` evolve the two modes
-in a truncated Fock space instead and are kept as the independent oracle;
-they get p(n, m) by cancellation inside U|alpha>|n>, so they hold only above
+Each amplitude is one exponential of the logarithms in `dq.herald_terms` times its unit phase,
+taken over its branch's largest amplitude.  The commands take p and F from `realized_probability`
+and the bare moments from `realized_moments`, each one pass over l per branch with no rho and no
+(n + 1)^2 array, and refuse a herald that fires with p below the normal float range, 0 included
+(p is an exact 0 only where each of its exponents is -inf), and an F below that range whose
+overlap has a finite exponent, so a printed 0 is an exact 0.  `mixture` forms rho_bare from
+`components` for library callers and the oracle tests.
+`realized_state` and `realized_fidelity` evolve the two modes in a
+truncated Fock space instead and are kept as the independent oracle; they
+get p(n, m) by cancellation inside U|alpha>|n>, so they hold only above
 p(n, m) ~ 1e-20.
 """
 
