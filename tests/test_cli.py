@@ -477,6 +477,7 @@ def test_state_fidelity_of_the_vacuum_branch_at_p_near_1e_282_matches_mpmath():
         fid = ideal[0] ** 2 / mpmath.fsum(c**2 for c in ideal)  # only |0> weighs in: |c_0|^2
     assert fields["fidelity_realized"] == pytest.approx(float(fid), rel=1e-10, abs=0)
 
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -309,6 +309,7 @@ def test_pure_source_cells_are_the_one_branch_sums(n, m, alpha_sq, R, phase):
     np.testing.assert_array_equal(imperfections.realized_moments(branches)[..., 0],
                                   imperfections.realized_moments(branches[:1])[..., 0])
 
+
 @given(
     n=st.integers(0, 8),
     m=st.integers(0, 12),
